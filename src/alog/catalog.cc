@@ -136,12 +136,13 @@ Result<const PFunctionFn*> Catalog::PFunction(const std::string& name) const {
 
 std::vector<std::string> Catalog::TableNames() const { return table_order_; }
 
-Status Catalog::MarkTokenSimilarity(const std::string& name) {
+Status Catalog::MarkTokenSimilarity(const std::string& name,
+                                    double threshold) {
   auto it = entries_.find(name);
   if (it == entries_.end() || it->second.kind != PredicateKind::kPFunction) {
     return Status::NotFound("no p-function named " + name);
   }
-  token_similarity_.insert(name);
+  token_similarity_[name] = threshold;
   return Status::OK();
 }
 
@@ -227,10 +228,13 @@ void Catalog::RegisterBuiltinFunctions(double similarity_threshold) {
     const std::vector<ValueId>& tb = cache.TokensOf(args[1].AsText());
     return Value::Bool(TokenIdJaccard(ta, tb) >= similarity_threshold);
   };
-  (void)DeclarePFunction("similar", 2, similar);
-  (void)DeclarePFunction("approx_match", 2, similar);
-  (void)MarkTokenSimilarity("similar");
-  (void)MarkTokenSimilarity("approx_match");
+  // Only a name that now holds this function may be marked: the executor
+  // answers marked predicates with the same Jaccard test itself.
+  for (const char* name : {"similar", "approx_match"}) {
+    if (DeclarePFunction(name, 2, similar).ok()) {
+      (void)MarkTokenSimilarity(name, similarity_threshold);
+    }
+  }
   (void)DeclarePFunction(
       "contains_tokens", 2,
       [](const Corpus&, const std::vector<Value>& args) -> Result<Value> {

@@ -2,8 +2,9 @@
 #define IFLEX_ALOG_CATALOG_H_
 
 #include <functional>
+#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -83,13 +84,22 @@ class Catalog {
   Result<const PPredicateFn*> PPredicate(const std::string& name) const;
   Result<const PFunctionFn*> PFunction(const std::string& name) const;
 
-  /// Marks a registered p-function as a token-similarity predicate:
-  /// guaranteed false when its two arguments share no alphanumeric token.
-  /// The executor exploits this for inverted-index join blocking (the
-  /// approximate string join of the paper's technical report [20]).
-  Status MarkTokenSimilarity(const std::string& name);
-  bool IsTokenSimilarity(const std::string& name) const {
-    return token_similarity_.count(name) > 0;
+  /// Marks a registered p-function as a token-similarity predicate: it
+  /// must return TokenIdJaccard(tokens(a), tokens(b)) >= `threshold` over
+  /// its two arguments' texts. The executor then evaluates it from
+  /// prepared token-id sets without calling the function, and for
+  /// threshold > 0 blocks joins on an inverted token index (the
+  /// approximate string join of the paper's technical report [20]): two
+  /// values can only be similar when they share an alphanumeric token or
+  /// both have none (the Jaccard of two empty sets is 1).
+  Status MarkTokenSimilarity(const std::string& name, double threshold);
+  /// The threshold recorded by MarkTokenSimilarity; nullopt for any
+  /// other predicate.
+  std::optional<double> TokenSimilarityThreshold(
+      const std::string& name) const {
+    auto it = token_similarity_.find(name);
+    if (it == token_similarity_.end()) return std::nullopt;
+    return it->second;
   }
 
   /// Names of all extensional tables (deterministic order).
@@ -118,7 +128,7 @@ class Catalog {
   std::unique_ptr<FeatureRegistry> owned_features_;
   std::unordered_map<std::string, Entry> entries_;
   std::vector<std::string> table_order_;
-  std::set<std::string> token_similarity_;
+  std::map<std::string, double> token_similarity_;
 };
 
 /// Token-set Jaccard similarity of two strings (lowercased). Exposed for

@@ -1,6 +1,7 @@
 #include "exec/cell_ops.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/strutil.h"
 
@@ -181,6 +182,67 @@ Result<Cell> ApplyConstraintToCell(const Corpus& corpus,
     prior.push_back(std::move(ph));
   }
   return ApplyPreparedConstraintToCell(corpus, pk, prior, cell, memo);
+}
+
+PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
+                               const CellOpLimits& limits) {
+  PreparedSimCell out;
+  // Counting matches enumeration exactly: EnumerateValues under a cap
+  // yields min(|V(c)|, cap) values and is complete iff |V(c)| <= cap.
+  out.values = cell.ValueCount(corpus);
+  const size_t token_cap = std::max(
+      kSimIndexMaxValues,
+      std::min(limits.max_cell_enum, limits.max_filter_combos));
+  if (out.values > token_cap) return out;
+  TokenCache& tokens = corpus.tokens();
+  out.token_sets.reserve(out.values);
+  std::vector<Span> spans;
+  for (const Assignment& a : cell.assignments) {
+    if (a.is_exact()) {
+      out.token_sets.push_back(&tokens.TokensOf(a.value.AsText()));
+      continue;
+    }
+    // A contain value's text is its sub-span's text (Value::OfSpan).
+    const Document& doc = corpus.Get(a.span.doc);
+    spans.clear();
+    doc.EnumerateSubSpans(a.span, out.values, &spans);
+    for (const Span& s : spans) {
+      out.token_sets.push_back(&tokens.TokensOf(doc.TextOf(s)));
+    }
+  }
+  // any/all over value pairs does not depend on order or repeats.
+  std::sort(out.token_sets.begin(), out.token_sets.end(), std::less<>());
+  out.token_sets.erase(
+      std::unique(out.token_sets.begin(), out.token_sets.end()),
+      out.token_sets.end());
+  return out;
+}
+
+SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
+                            const CellOpLimits& limits, double threshold) {
+  const size_t na = std::min(a.values, limits.max_cell_enum);
+  const size_t nb = std::min(b.values, limits.max_cell_enum);
+  if (na == 0 || nb == 0) return SatResult::kNone;
+  if (a.values > limits.max_cell_enum || b.values > limits.max_cell_enum ||
+      na > limits.max_filter_combos / nb) {
+    return SatResult::kSome;  // sound: keep as maybe
+  }
+  // Both counts are now within min(max_cell_enum, max_filter_combos), so
+  // PrepareSimCell filled both token-set lists.
+  bool any = false;
+  bool all = true;
+  for (const std::vector<ValueId>* ta : a.token_sets) {
+    for (const std::vector<ValueId>* tb : b.token_sets) {
+      if (TokenIdJaccard(*ta, *tb) >= threshold) {
+        any = true;
+      } else {
+        all = false;
+      }
+      if (any && !all) return SatResult::kSome;
+    }
+  }
+  if (!any) return SatResult::kNone;
+  return all ? SatResult::kAll : SatResult::kSome;
 }
 
 bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {

@@ -65,6 +65,41 @@ Cell ApplyPreparedConstraintToCell(
     const std::vector<PreparedConstraint>& history, const Cell& cell,
     VerifyMemoL1* memo);
 
+/// Most values a cell may encode and still take part in a
+/// token-similarity join's inverted index: a join indexes its table only
+/// when every join-column cell is within this bound, and a probe cell
+/// reads the index only when it is.
+inline constexpr size_t kSimIndexMaxValues = 512;
+
+/// A cell prepared for a token-similarity predicate (similar(),
+/// approx_match(); see Catalog::MarkTokenSimilarity): its value count and
+/// the token-id sets of its values, computed once instead of once per
+/// pair. A join prepares each table cell once per Execute and each probe
+/// cell once (docs/PERFORMANCE.md, "Prepared similarity join").
+struct PreparedSimCell {
+  /// |V(c)|, counted without enumerating.
+  size_t values = 0;
+  /// The distinct token-id sets of V(c), as pointers into the corpus
+  /// TokenCache (stable for its lifetime). Filled only when `values` is at
+  /// most max(kSimIndexMaxValues, min(max_cell_enum, max_filter_combos)):
+  /// beyond that no pair is decided by token sets and no index reads them.
+  std::vector<const std::vector<ValueId>*> token_sets;
+};
+
+/// Prepares `cell` for SimilarityVerdict and the join index under
+/// `limits`.
+PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
+                               const CellOpLimits& limits);
+
+/// Tri-state `TokenIdJaccard >= threshold` over every value pair of two
+/// prepared cells, with the caps of a p-function filter: kNone when either
+/// cell encodes no value (or max_cell_enum is 0), kSome when either has
+/// more than max_cell_enum values or their value product exceeds
+/// max_filter_combos, else any/all over the token-set pairs. Equal to
+/// enumerating both cells and calling the registered p-function per pair.
+SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
+                            const CellOpLimits& limits, double threshold);
+
 /// Applies the domain constraint `k` to `cell` (paper §4.2): exact
 /// assignments go through Verify, contain assignments through Refine, and
 /// every refined assignment is re-checked against the previously applied

@@ -5,6 +5,10 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -111,6 +115,128 @@ bool AppendCellKey(const Cell& cell, StringInterner& interner, bool intern_new,
   return true;
 }
 
+// The table side of a token-similarity join (docs/PERFORMANCE.md,
+// "Prepared similarity join"): the join-column cell of every tuple,
+// prepared, and — when the join may block and every cell has at most
+// kSimIndexMaxValues values — an inverted token index over them. Read-only
+// once built.
+struct PreparedSimTable {
+  std::vector<PreparedSimCell> cells;  // by table tuple
+  bool indexed = false;
+  // Token id -> ascending indices of the tuples with a value holding it.
+  std::unordered_map<ValueId, std::vector<size_t>> postings;
+  // Ascending indices of the tuples with a token-less value ("&", "-"):
+  // those match token-less probe values, as TokenIdJaccard(∅, ∅) = 1.
+  std::vector<size_t> tokenless;
+
+  // Sorted distinct token ids over `cell`'s values; sets *tokenless when
+  // some value has no token.
+  static void DistinctTokens(const PreparedSimCell& cell,
+                             std::vector<ValueId>* out, bool* tokenless) {
+    out->clear();
+    *tokenless = false;
+    for (const std::vector<ValueId>* set : cell.token_sets) {
+      *tokenless = *tokenless || set->empty();
+      out->insert(out->end(), set->begin(), set->end());
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+
+  void Build(const Corpus& corpus, const CompactTable& table, size_t col,
+             bool index_eligible, const CellOpLimits& limits) {
+    cells.reserve(table.size());
+    bool indexable = index_eligible;
+    for (const CompactTuple& t : table.tuples()) {
+      cells.push_back(PrepareSimCell(corpus, t.cells[col], limits));
+      indexable = indexable && cells.back().values <= kSimIndexMaxValues;
+    }
+    if (!indexable) return;  // too wide to index: every probe scans
+    std::vector<ValueId> toks;
+    bool has_tokenless = false;
+    for (size_t ti = 0; ti < cells.size(); ++ti) {
+      DistinctTokens(cells[ti], &toks, &has_tokenless);
+      for (ValueId tok : toks) postings[tok].push_back(ti);
+      if (has_tokenless) tokenless.push_back(ti);
+    }
+    indexed = true;
+  }
+
+  // Ascending, distinct indices of the tuples that share a token with some
+  // value of `probe`, or a token-less value with a token-less one: the
+  // only tuples a threshold > 0 can match.
+  void Candidates(const PreparedSimCell& probe, std::vector<ValueId>* toks,
+                  std::vector<size_t>* out) const {
+    bool probe_tokenless = false;
+    DistinctTokens(probe, toks, &probe_tokenless);
+    out->clear();
+    for (ValueId tok : *toks) {
+      auto it = postings.find(tok);
+      if (it != postings.end()) {
+        out->insert(out->end(), it->second.begin(), it->second.end());
+      }
+    }
+    if (probe_tokenless) {
+      out->insert(out->end(), tokenless.begin(), tokenless.end());
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+};
+
+// Prepared similarity-join tables of one Execute, keyed by (table,
+// column, index-eligible). Table pointers are stable for the Execute: the
+// catalog's tables and the intensional tables already computed are never
+// mutated while it runs. The first rule task or morsel to ask builds an
+// entry; concurrent askers wait for it, and everyone then reads it
+// without locks.
+class SimJoinCache {
+ public:
+  const PreparedSimTable& Get(const Corpus& corpus, const CompactTable& table,
+                              size_t col, bool index_eligible,
+                              const CellOpLimits& limits) {
+    Entry* entry;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_ptr<Entry>& slot =
+          entries_[std::make_tuple(&table, col, index_eligible)];
+      if (slot == nullptr) slot = std::make_unique<Entry>();
+      entry = slot.get();
+    }
+    std::call_once(entry->once, [&] {
+      entry->table.Build(corpus, table, col, index_eligible, limits);
+    });
+    return entry->table;
+  }
+
+ private:
+  struct Entry {
+    std::once_flag once;
+    PreparedSimTable table;
+  };
+  std::mutex mu_;
+  std::map<std::tuple<const CompactTable*, size_t, bool>,
+           std::unique_ptr<Entry>>
+      entries_;
+};
+
+// Tallies a hot counter locally and adds the total once, on scope exit —
+// one shared read-modify-write per operator instead of one per pair.
+class CounterTally {
+ public:
+  explicit CounterTally(obs::Counter* counter) : counter_(counter) {}
+  ~CounterTally() {
+    if (n_ != 0) counter_->Add(n_);
+  }
+  CounterTally(const CounterTally&) = delete;
+  CounterTally& operator=(const CounterTally&) = delete;
+  void Add() { ++n_; }
+
+ private:
+  obs::Counter* counter_;
+  uint64_t n_ = 0;
+};
+
 // ----------------------------------------------------------- RuleEvaluator
 //
 // Evaluates one unfolded rule bottom-up over a growing "binding table":
@@ -125,8 +251,8 @@ class RuleEvaluator {
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, CompactTable>* idb,
                 const ExecCounters* stats, obs::Tracer* tracer,
-                resilience::ExecReport* report,
-                WorkerContextPool* contexts = nullptr)
+                resilience::ExecReport* report, WorkerContextPool* contexts,
+                SimJoinCache* sim_joins)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
@@ -134,6 +260,7 @@ class RuleEvaluator {
         tracer_(tracer),
         report_(report),
         contexts_(contexts),
+        sim_joins_(sim_joins),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
@@ -385,7 +512,7 @@ class RuleEvaluator {
       CompactTable slice(table.schema());
       for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
       RuleEvaluator sub(catalog_, options_, idb_, stats_, tracer_,
-                        &out.report, contexts_);
+                        &out.report, contexts_, sim_joins_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.ctx_ = ctx;
       sub.plan_ = plan_;
@@ -866,6 +993,16 @@ class RuleEvaluator {
       return Status::Internal("EvalFilter expects a comparison or p-function");
     }
     const Atom& atom = lit.atom;
+    // Token-similarity predicates are decided from prepared token-id sets:
+    // the same answer as enumerating both cells and calling the function.
+    if (std::optional<double> threshold =
+            catalog_.TokenSimilarityThreshold(atom.predicate);
+        threshold.has_value() && atom.args.size() == 2) {
+      return SimilarityVerdict(
+          PrepareSimCell(corpus, cell_for(atom.args[0]), options_.limits),
+          PrepareSimCell(corpus, cell_for(atom.args[1]), options_.limits),
+          options_.limits, *threshold);
+    }
     IFLEX_ASSIGN_OR_RETURN(const PFunctionFn* fn,
                            catalog_.PFunction(atom.predicate));
     const size_t n_args = atom.args.size();
@@ -986,17 +1123,21 @@ class RuleEvaluator {
       }
     }
 
-    // Inverted-index blocking for a token-similarity filter joining one
-    // binding column to one new table column (the approximate string join
-    // of the paper's TR): only table tuples sharing a token with the probe
-    // can satisfy the predicate.
+    // Prepared similarity join (docs/PERFORMANCE.md): a token-similarity
+    // filter joining one binding column to one new table column (the
+    // approximate string join of the paper's TR) reads the table side
+    // prepared once per Execute, and — when the table is indexed — each
+    // probe tests only the tuples sharing a token with it.
     int sim_filter_idx = -1;
     size_t sim_binding_col = 0;
     size_t sim_table_col = 0;
+    double sim_threshold = 0;
     for (size_t i = 0; i < filters.size(); ++i) {
       const Literal& lit = filters[i];
       if (lit.kind != Literal::Kind::kAtom) continue;
-      if (!catalog_.IsTokenSimilarity(lit.atom.predicate)) continue;
+      std::optional<double> threshold =
+          catalog_.TokenSimilarityThreshold(lit.atom.predicate);
+      if (!threshold.has_value()) continue;
       if (lit.atom.args.size() != 2) continue;
       const Term& a = lit.atom.args[0];
       const Term& b = lit.atom.args[1];
@@ -1014,39 +1155,19 @@ class RuleEvaluator {
       sim_filter_idx = static_cast<int>(i);
       sim_binding_col = columns_.at(old_term->var);
       sim_table_col = tcol;
+      sim_threshold = *threshold;
       break;
     }
-
-    // Build the token index when the fast path applies. Every value a
-    // table cell can take is tokenized (bounded enumeration); a probe
-    // tuple then only needs to test candidates sharing a token — lossless
-    // for token-similarity predicates, whatever shape the cells are in.
-    // Token sets come from the corpus token cache, so each distinct value
-    // text is tokenized once per session, not once per probe.
-    TokenCache& token_cache = corpus.tokens();
-    std::unordered_map<ValueId, std::vector<size_t>> token_index;
-    bool use_index = sim_filter_idx >= 0 && conds.empty() && table.size() > 32;
-    if (use_index) {
-      std::vector<ValueId> seen;
-      for (size_t ti = 0; ti < table.tuples().size() && use_index; ++ti) {
-        const Cell& c = table.tuples()[ti].cells[sim_table_col];
-        std::vector<Value> values;
-        if (!c.EnumerateValues(corpus, 512, &values)) {
-          use_index = false;  // too wide to index: fall back to full scan
-          break;
-        }
-        seen.clear();
-        for (const Value& v : values) {
-          for (ValueId tok : token_cache.TokensOf(v.AsText())) {
-            if (std::find(seen.begin(), seen.end(), tok) == seen.end()) {
-              seen.push_back(tok);
-              token_index[tok].push_back(ti);
-            }
-          }
-        }
-      }
-      if (!use_index) token_index.clear();
-    }
+    // Blocking needs a shared token (or two token-less values) for a
+    // match, which only a threshold above 0 guarantees; small tables scan.
+    const PreparedSimTable* sim =
+        sim_filter_idx < 0
+            ? nullptr
+            : &sim_joins_->Get(
+                  corpus, table, sim_table_col,
+                  /*index_eligible=*/conds.empty() && table.size() > 32 &&
+                      sim_threshold > 0,
+                  options_.limits);
 
     // Hash equi-join fast path: for joins carrying equality conditions,
     // key the build side by interned singleton-exact values instead of
@@ -1114,31 +1235,23 @@ class RuleEvaluator {
     std::vector<size_t> candidates;
     std::vector<char> cand_prechecked;  // conds resolved via the hash key
     std::string probe_key;
+    PreparedSimCell probe;
+    std::vector<ValueId> probe_tokens;
+    CounterTally pairs(stats_->join_pairs);
     for (const CompactTuple& b : binding_.tuples()) {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
       candidates.clear();
       cand_prechecked.clear();
       bool indexed_probe = false;
-      if (use_index) {
-        const Cell& probe = b.cells[sim_binding_col];
-        std::vector<Value> probe_values;
-        if (probe.EnumerateValues(corpus, 512, &probe_values)) {
-          std::vector<size_t> cand_set;
-          for (const Value& v : probe_values) {
-            for (ValueId tok : token_cache.TokensOf(v.AsText())) {
-              auto it = token_index.find(tok);
-              if (it == token_index.end()) continue;
-              cand_set.insert(cand_set.end(), it->second.begin(),
-                              it->second.end());
-            }
-          }
-          std::sort(cand_set.begin(), cand_set.end());
-          cand_set.erase(std::unique(cand_set.begin(), cand_set.end()),
-                         cand_set.end());
-          candidates = std::move(cand_set);
-          indexed_probe = true;
-        }
+      if (sim != nullptr) {
+        probe = PrepareSimCell(corpus, b.cells[sim_binding_col],
+                               options_.limits);
+      }
+      if (sim != nullptr && sim->indexed &&
+          probe.values <= kSimIndexMaxValues) {
+        sim->Candidates(probe, &probe_tokens, &candidates);
+        indexed_probe = true;
       } else if (use_hash) {
         probe_key.clear();
         bool hashable = true;
@@ -1177,7 +1290,7 @@ class RuleEvaluator {
       for (size_t ci = 0; ci < n_candidates; ++ci) {
         size_t ti = indexed_probe ? candidates[ci] : ci;
         const CompactTuple& t = ttuples[ti];
-        stats_->join_pairs->Add();
+        pairs.Add();
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
         bool dead = false;
         bool some = false;
@@ -1209,14 +1322,26 @@ class RuleEvaluator {
           }
         }
         if (dead) continue;
-        CompactTuple merged = b;
-        for (const NewCol& nc : new_cols) {
-          merged.cells.push_back(t.cells[nc.table_col]);
-        }
-        // Pushed-down filters.
-        for (const Literal& f : filters) {
-          IFLEX_ASSIGN_OR_RETURN(SatResult r,
-                                 EvalFilter(f, merged, merged_cols));
+        // Pushed-down filters, in body order. The similarity filter reads
+        // the prepared cells, so the merged tuple is built only once
+        // another filter needs it or the pair survives.
+        std::optional<CompactTuple> merged;
+        auto merge = [&] {
+          merged.emplace(b);
+          for (const NewCol& nc : new_cols) {
+            merged->cells.push_back(t.cells[nc.table_col]);
+          }
+        };
+        for (size_t fi = 0; fi < filters.size(); ++fi) {
+          SatResult r;
+          if (static_cast<int>(fi) == sim_filter_idx) {
+            r = SimilarityVerdict(probe, sim->cells[ti], options_.limits,
+                                  sim_threshold);
+          } else {
+            if (!merged.has_value()) merge();
+            IFLEX_ASSIGN_OR_RETURN(r, EvalFilter(filters[fi], *merged,
+                                                 merged_cols));
+          }
           if (r == SatResult::kNone) {
             dead = true;
             break;
@@ -1224,8 +1349,9 @@ class RuleEvaluator {
           if (r == SatResult::kSome) some = true;
         }
         if (dead) continue;
-        merged.maybe = b.maybe || t.maybe || some;
-        out.Add(std::move(merged));
+        if (!merged.has_value()) merge();
+        merged->maybe = b.maybe || t.maybe || some;
+        out.Add(std::move(*merged));
         if (out.size() > options_.max_table_tuples) {
           IFLEX_RETURN_NOT_OK(OverBudget(&out, "join output"));
           break;  // best-effort: stop enumerating candidates
@@ -1666,6 +1792,9 @@ class RuleEvaluator {
   WorkerContextPool* contexts_ = nullptr;
   WorkerContext* ctx_ = nullptr;
   EvalScratch local_scratch_;
+  // Prepared similarity-join tables of this Execute, shared by every rule
+  // task and morsel (owned by ExecuteInternal).
+  SimJoinCache* sim_joins_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
   // Attribution scope: the head predicate of the rule being evaluated.
@@ -2046,6 +2175,9 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
 
   std::unordered_map<std::string, uint64_t> fp_memo;
   std::unordered_map<std::string, CompactTable> idb;
+  // Prepared similarity-join tables, for this Execute only: entries are
+  // keyed by the addresses of the catalog's tables and idb's.
+  SimJoinCache sim_joins;
   // Gauges finalize on every exit path — success, error, early stop —
   // from exactly the tables computed so far (satisfies the "no torn
   // metrics on early exit" contract in docs/ROBUSTNESS.md).
@@ -2122,7 +2254,8 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
           runtime::ParallelMap<Result<CompactTable>>(
               options_.pool, rules.size(), [&](size_t i) {
                 RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                   tracer_, &reports[i], &contexts_);
+                                   tracer_, &reports[i], &contexts_,
+                                   &sim_joins);
                 eval.set_plan(plans[i]);
                 return eval.Evaluate(*rules[i]);
               });
@@ -2133,7 +2266,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     } else {
       for (size_t i = 0; i < rules.size(); ++i) {
         RuleEvaluator eval(catalog_, options_, &idb, &counters_, tracer_,
-                           report_, &contexts_);
+                           report_, &contexts_, &sim_joins);
         eval.set_plan(plans[i]);
         IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], eval.Evaluate(*rules[i])));
       }

@@ -1,7 +1,11 @@
 // Focused cell-op coverage beyond what exec_test exercises: constant
-// cells, equality narrowing, enumeration caps, and dedup behaviour.
+// cells, equality narrowing, enumeration caps, dedup behaviour, and the
+// prepared token-similarity verdict against a brute-force reference.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "alog/catalog.h"
 #include "exec/cell_ops.h"
 #include "text/markup_parser.h"
 
@@ -127,6 +131,195 @@ TEST_F(CellOpsEdgeTest, UnknownFeatureFails) {
   k.feature = "no_such_feature";
   k.var = "v";
   EXPECT_FALSE(ApplyConstraintToCell(corpus_, *registry_, cell, k, {}).ok());
+}
+
+// SimilarityVerdict against the definition it replaces: enumerate both
+// cells under max_cell_enum, keep the pair as maybe past the caps, and
+// otherwise call the registered similar() p-function on every value pair.
+class SimilarityVerdictTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Document tokens split on whitespace, so "&" and "--" are tokens
+    // with no alphanumeric character: their sub-spans are token-less.
+    auto punct = ParseMarkup("punct", "& -- Alpha & Beta");
+    ASSERT_TRUE(punct.ok());
+    punct_ = corpus_.Add(std::move(punct).value());
+    std::string words;
+    for (int i = 0; i < 31; ++i) words += "w" + std::to_string(i) + " ";
+    auto wide = ParseMarkup("wide", words);
+    ASSERT_TRUE(wide.ok());
+    wide_ = corpus_.Add(std::move(wide).value());
+    catalog_ = std::make_unique<Catalog>(&corpus_);
+    catalog_->RegisterBuiltinFunctions(0.75);
+    threshold_ = *catalog_->TokenSimilarityThreshold("similar");
+  }
+
+  SatResult Reference(const Cell& a, const Cell& b,
+                      const CellOpLimits& limits) {
+    const PFunctionFn& fn = **catalog_->PFunction("similar");
+    std::vector<Value> va;
+    std::vector<Value> vb;
+    bool complete = a.EnumerateValues(corpus_, limits.max_cell_enum, &va);
+    complete = b.EnumerateValues(corpus_, limits.max_cell_enum, &vb) &&
+               complete;
+    if (va.empty() || vb.empty()) return SatResult::kNone;
+    if (!complete || va.size() * vb.size() > limits.max_filter_combos) {
+      return SatResult::kSome;
+    }
+    bool any = false;
+    bool all = true;
+    for (const Value& x : va) {
+      for (const Value& y : vb) {
+        Result<Value> r = fn(corpus_, {x, y});
+        EXPECT_TRUE(r.ok());
+        if (r.ok() && r->AsBool()) {
+          any = true;
+        } else {
+          all = false;
+        }
+      }
+    }
+    if (!any) return SatResult::kNone;
+    return all ? SatResult::kAll : SatResult::kSome;
+  }
+
+  // The verdict (both argument orders) must equal the reference, and the
+  // reference must be `expected`, so each case pins the outcome it covers.
+  void ExpectVerdict(const Cell& a, const Cell& b, SatResult expected,
+                     const CellOpLimits& limits = CellOpLimits()) {
+    EXPECT_EQ(Reference(a, b, limits), expected);
+    PreparedSimCell pa = PrepareSimCell(corpus_, a, limits);
+    PreparedSimCell pb = PrepareSimCell(corpus_, b, limits);
+    EXPECT_EQ(SimilarityVerdict(pa, pb, limits, threshold_), expected);
+    EXPECT_EQ(SimilarityVerdict(pb, pa, limits, threshold_), expected);
+  }
+
+  // A cell of `n` exact values "<prefix>0", "<prefix>1", ...
+  static Cell Words(const std::string& prefix, size_t n) {
+    Cell c;
+    for (size_t i = 0; i < n; ++i) {
+      c.assignments.push_back(
+          Assignment::Exact(Value::String(prefix + std::to_string(i))));
+    }
+    return c;
+  }
+
+  // The wide document's first 31 tokens as one contain: 31 * 32 / 2 = 496
+  // sub-span values.
+  Cell WideContain() const {
+    Cell c;
+    c.assignments.push_back(
+        Assignment::Contain(corpus_.Get(wide_).FullSpan()));
+    return c;
+  }
+
+  Corpus corpus_;
+  DocId punct_ = 0;
+  DocId wide_ = 0;
+  std::unique_ptr<Catalog> catalog_;
+  double threshold_ = 0;
+};
+
+TEST_F(SimilarityVerdictTest, EmptyCellMatchesNothing) {
+  Cell empty;
+  ExpectVerdict(empty, Cell::Exact(Value::String("Alpha")), SatResult::kNone);
+  ExpectVerdict(empty, empty, SatResult::kNone);
+  EXPECT_EQ(PrepareSimCell(corpus_, empty, CellOpLimits()).values, 0u);
+}
+
+TEST_F(SimilarityVerdictTest, ExactCells) {
+  Cell alpha_beta = Cell::Exact(Value::String("Alpha Beta"));
+  ExpectVerdict(alpha_beta, Cell::Exact(Value::String("beta, ALPHA")),
+                SatResult::kAll);
+  ExpectVerdict(alpha_beta, Cell::Exact(Value::String("Alpha Gamma")),
+                SatResult::kNone);
+  Cell two = alpha_beta;
+  two.assignments.push_back(Assignment::Exact(Value::String("Gamma")));
+  ExpectVerdict(two, alpha_beta, SatResult::kSome);
+  // Both token-less: Jaccard of two empty sets is 1.
+  ExpectVerdict(Cell::Exact(Value::String("&")),
+                Cell::Exact(Value::String("--")), SatResult::kAll);
+  ExpectVerdict(Cell::Exact(Value::String("&")), alpha_beta,
+                SatResult::kNone);
+  // Jaccard exactly at the threshold (3 / 4 = 0.75) counts as similar.
+  ExpectVerdict(Cell::Exact(Value::String("a b c")),
+                Cell::Exact(Value::String("a b c d")), SatResult::kAll);
+}
+
+TEST_F(SimilarityVerdictTest, ContainSpansOverPunctuationTokens) {
+  const Document& doc = corpus_.Get(punct_);
+  // "& --": sub-spans "&", "& --", "--" — all token-less.
+  Cell marks;
+  marks.assignments.push_back(Assignment::Contain(Span(punct_, 0, 4)));
+  ASSERT_EQ(marks.ValueCount(corpus_), 3u);
+  ExpectVerdict(marks, Cell::Exact(Value::String("&")), SatResult::kAll);
+  ExpectVerdict(marks, Cell::Exact(Value::String("Alpha")), SatResult::kNone);
+  // The whole document mixes token-less and alphanumeric sub-spans.
+  Cell whole;
+  whole.assignments.push_back(Assignment::Contain(doc.FullSpan()));
+  ExpectVerdict(whole, Cell::Exact(Value::String("&")), SatResult::kSome);
+  ExpectVerdict(whole, Cell::Exact(Value::String("Zeta")), SatResult::kNone);
+  ExpectVerdict(whole, marks, SatResult::kSome);
+}
+
+TEST_F(SimilarityVerdictTest, IndexBoundaryAt512Values) {
+  // 496 sub-spans + 16 or 17 exact values: the last cells a join index
+  // takes, and the first it does not.
+  Cell at = WideContain();
+  for (int i = 0; i < 16; ++i) {
+    at.assignments.push_back(
+        Assignment::Exact(Value::String("x" + std::to_string(i))));
+  }
+  Cell over = at;
+  over.assignments.push_back(Assignment::Exact(Value::String("x16")));
+  const CellOpLimits limits;
+  EXPECT_EQ(PrepareSimCell(corpus_, at, limits).values, kSimIndexMaxValues);
+  EXPECT_EQ(PrepareSimCell(corpus_, over, limits).values,
+            kSimIndexMaxValues + 1);
+  ExpectVerdict(at, Cell::Exact(Value::String("w3")), SatResult::kSome);
+  ExpectVerdict(over, Cell::Exact(Value::String("w3")), SatResult::kSome);
+  ExpectVerdict(at, Cell::Exact(Value::String("nothing")), SatResult::kNone);
+  ExpectVerdict(over, Cell::Exact(Value::String("nothing")),
+                SatResult::kNone);
+  // 512 * 2 = 1024 combinations are still decided; 513 * 2 are not.
+  ExpectVerdict(at, Words("nothing", 2), SatResult::kNone);
+  ExpectVerdict(over, Words("nothing", 2), SatResult::kSome);
+}
+
+TEST_F(SimilarityVerdictTest, CombinationCapAt1024) {
+  // Disjoint tokens everywhere: decided as kNone up to the cap, kept as
+  // maybe one combination past it.
+  ExpectVerdict(Words("a", 32), Words("b", 32), SatResult::kNone);
+  ExpectVerdict(Words("a", 25), Words("b", 41), SatResult::kSome);
+  ExpectVerdict(Words("a", 1024), Words("b", 1), SatResult::kNone);
+  ExpectVerdict(Words("a", 1025), Words("b", 1), SatResult::kSome);
+  // The widest cell still decided by token sets finds its one match.
+  ExpectVerdict(Words("a", 1024), Cell::Exact(Value::String("A1000")),
+                SatResult::kSome);
+}
+
+TEST_F(SimilarityVerdictTest, SmallEnumerationCap) {
+  CellOpLimits small;
+  small.max_cell_enum = 3;
+  ExpectVerdict(Words("a", 3), Words("b", 1), SatResult::kNone, small);
+  ExpectVerdict(Words("a", 4), Words("b", 1), SatResult::kSome, small);
+  ExpectVerdict(WideContain(), Cell::Exact(Value::String("w0")),
+                SatResult::kSome, small);
+  // A cap of zero enumerates nothing, which reads as "no value".
+  CellOpLimits none;
+  none.max_cell_enum = 0;
+  ExpectVerdict(Words("a", 1), Words("a", 1), SatResult::kNone, none);
+}
+
+TEST_F(SimilarityVerdictTest, ExpansionCells) {
+  Cell exp = Cell::Expansion(
+      {Assignment::Contain(Span(punct_, 0, 4)),
+       Assignment::Exact(Value::String("Alpha Beta"))});
+  ExpectVerdict(exp, Cell::Exact(Value::String("beta alpha")),
+                SatResult::kSome);
+  ExpectVerdict(exp, Cell::Exact(Value::String("Gamma")), SatResult::kNone);
+  ExpectVerdict(Cell::Expansion({Assignment::Contain(Span(punct_, 0, 4))}),
+                Cell::Exact(Value::String("&")), SatResult::kAll);
 }
 
 }  // namespace

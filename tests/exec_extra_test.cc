@@ -59,9 +59,11 @@ TEST_F(JoinTest, SimilarityJoinWithBlockingIndex) {
 }
 
 TEST_F(JoinTest, BlockingAndFullScanAgree) {
-  std::vector<std::string> left = {"Alpha Beta Gamma", "Delta Epsilon"};
+  // "&" has no alphanumeric token and TokenIdJaccard(∅, ∅) = 1, so
+  // similar("&", "&") holds: blocking must not drop token-less values.
+  std::vector<std::string> left = {"Alpha Beta Gamma", "Delta Epsilon", "&"};
   std::vector<std::string> small_right = {"Alpha Beta Gamma", "Zeta Eta",
-                                          "Delta Epsilon"};
+                                          "Delta Epsilon", "&"};
   // Small table: index off. Padded table: index on. Same matches.
   std::vector<std::string> big_right = small_right;
   for (int i = 0; i < 40; ++i) {
@@ -78,8 +80,38 @@ TEST_F(JoinTest, BlockingAndFullScanAgree) {
   auto r1 = exec.Execute(*p1);
   auto r2 = exec.Execute(*p2);
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(r1->size(), 2u);
-  EXPECT_EQ(r2->size(), 2u);
+  EXPECT_EQ(r1->size(), 3u);
+  EXPECT_EQ(r2->size(), 3u);
+  EXPECT_EQ(r1->ToString(&corpus_), r2->ToString(&corpus_));
+}
+
+TEST_F(JoinTest, SimilarityFilterOnBoundColumns) {
+  // Both arguments come from one table, so similar() runs as a filter
+  // over bound columns rather than inside a join.
+  CompactTable pairs({"a", "b"});
+  auto add = [&](std::vector<std::string> as, std::vector<std::string> bs) {
+    CompactTuple t;
+    for (auto* vals : {&as, &bs}) {
+      Cell c;
+      for (const std::string& v : *vals) {
+        c.assignments.push_back(Assignment::Exact(Value::String(v)));
+      }
+      t.cells.push_back(std::move(c));
+    }
+    pairs.Add(std::move(t));
+  };
+  add({"Alpha Beta"}, {"beta alpha", "Gamma"});  // some values match
+  add({"&"}, {"-"});                             // both token-less
+  add({"Alpha"}, {"Gamma", "Delta"});            // no value matches
+  ASSERT_TRUE(catalog_->AddTable("p", std::move(pairs)).ok());
+  auto prog = ParseProgram("q(a, b) :- p(a, b), similar(a, b).", *catalog_);
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  Executor exec(*catalog_);
+  auto result = exec.Execute(*prog);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 2u);
+  EXPECT_TRUE(result->tuples()[0].maybe);
+  EXPECT_FALSE(result->tuples()[1].maybe);
 }
 
 TEST_F(JoinTest, ComparisonPushdownIntoCrossJoin) {

@@ -6,6 +6,7 @@
 // morsel-size independent by construction (docs/RUNTIME.md).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "assistant/session.h"
@@ -241,6 +242,67 @@ TEST(DblifeDeterminismTest, FastPathIsIdenticalToLegacyAtAnyThreadCount) {
       EXPECT_EQ(it->second.ToString((*task)->corpus.get()),
                 table.ToString((*legacy_task)->corpus.get()))
           << pred << " at " << threads << " threads";
+    }
+  }
+}
+
+// The prepared similarity join (docs/PERFORMANCE.md) builds its table
+// side — prepared cells and the inverted token index — once per Execute
+// and shares it read-only across morsels and rule tasks. A T9 program
+// refined far enough for bn's title cells to be indexed must still be
+// byte-identical to serial at every thread count and morsel size, with
+// the same number of scored pairs.
+TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
+  constexpr char kRefinedT9[] = R"(
+    an(x, <t1>, <np>) :- amazonPages(x), extractAmazonTN(x, t1, np).
+    bn(y, <t2>, <bp>) :- barnesPages(y), extractBarnes(y, t2, bp).
+    t9(t1) :- an(x, t1, np), bn(y, t2, bp), similar(t1, t2), np < bp.
+    extractAmazonTN(x, t1, np) :- from(x, t1), from(x, np),
+        bold_font(t1) = yes, preceded_by(np, "New:") = yes.
+    extractBarnes(y, t2, bp) :- from(y, t2), from(y, bp),
+        bold_font(t2) = yes, italic_font(bp) = distinct_yes.
+  )";
+  auto run = [&](runtime::TaskPool* pool, size_t morsel_docs)
+      -> Result<std::pair<std::string, size_t>> {
+    IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T9", 60));
+    IFLEX_ASSIGN_OR_RETURN(Program prog,
+                           ParseProgram(kRefinedT9, *task->catalog));
+    prog.set_query("t9");
+    ExecOptions options;
+    options.pool = pool;
+    options.morsel_docs = morsel_docs;
+    Executor exec(*task->catalog, options);
+    IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(prog));
+    std::string bytes = result.ToString(task->corpus.get());
+    std::map<std::string, const CompactTable*> idb;  // sorted by predicate
+    for (const auto& [pred, table] : exec.last_idb()) idb[pred] = &table;
+    for (const auto& [pred, table] : idb) {
+      bytes += "\n" + pred + ": " + table->ToString(task->corpus.get());
+    }
+    if (pool == nullptr) {
+      // The join must have blocked: fewer pairs scored than an x bn.
+      const size_t cross = exec.last_idb().at("an").size() *
+                           exec.last_idb().at("bn").size();
+      if (exec.last_idb().at("bn").size() <= 32 ||
+          exec.stats().join_pairs >= cross) {
+        return Status::Internal("similarity join did not use its index");
+      }
+    }
+    return std::make_pair(std::move(bytes), exec.stats().join_pairs);
+  };
+
+  auto serial = run(nullptr, 128);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  for (size_t threads : {1, 2, 8}) {
+    runtime::TaskPool pool(threads);
+    for (size_t morsel_docs : {1, 64, 4096}) {
+      auto r = run(&pool, morsel_docs);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->first, serial->first)
+          << threads << " threads, morsel_docs " << morsel_docs;
+      EXPECT_EQ(r->second, serial->second)
+          << "join_pairs at " << threads << " threads, morsel_docs "
+          << morsel_docs;
     }
   }
 }
