@@ -1,11 +1,10 @@
-// Hot-path micro-benchmarks for the interned fast paths
-// (docs/PERFORMANCE.md): string interning, cached token similarity, the
-// JoinAtom hash equi-join vs the legacy tri-state scan, the Verify
-// memo, and the compiled operator core (rule lowering cost plus the
-// fused verify chain vs the per-literal interpreter). Writes
-// BENCH_MICRO.json; bench/check_regression.py diffs it against the
-// committed baseline. Every workload is seeded/synthetic, so the op
-// counts are exactly reproducible — only the timings move.
+// Hot-path micro-benchmarks (docs/PERFORMANCE.md): string interning,
+// cached token similarity, the JoinAtom tri-state equi-join scan, the
+// Verify memo, and the compiled operator core (rule lowering cost plus
+// fused verify chain throughput). Writes BENCH_MICRO.json;
+// bench/check_regression.py diffs it against the committed baseline.
+// Every workload is seeded/synthetic, so the op counts are exactly
+// reproducible — only the timings move.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -41,8 +40,8 @@ std::string Phrase(size_t i, size_t words) {
 }
 
 // Catalog with r(a,b) |><| s(b,c) on exact numeric keys, sized so the
-// join dominates: every probe key exists, so the scan pays the full
-// |r| x |s| tri-state comparisons the index skips.
+// join dominates: the scan pays the full |r| x |s| tri-state
+// comparisons.
 std::unique_ptr<Catalog> JoinCatalog(Corpus* corpus, size_t r_rows,
                                      size_t s_rows) {
   auto catalog = std::make_unique<Catalog>(corpus);
@@ -67,11 +66,9 @@ std::unique_ptr<Catalog> JoinCatalog(Corpus* corpus, size_t r_rows,
   return catalog;
 }
 
-double JoinSeconds(const Catalog& catalog, const Program& prog, bool fast,
+double JoinSeconds(const Catalog& catalog, const Program& prog,
                    size_t* join_pairs) {
-  ExecOptions options;
-  options.enable_fast_path = fast;
-  Executor exec(catalog, options);
+  Executor exec(catalog);
   Stopwatch watch;
   auto result = exec.Execute(prog);
   double seconds = watch.ElapsedSeconds();
@@ -88,10 +85,8 @@ double JoinSeconds(const Catalog& catalog, const Program& prog, bool fast,
 // table holding one exact token span per row: the driving rule's body is
 // a verify chain (bold_font, numeric) followed by two comparisons — the
 // exact literal sequence rule compilation fuses into a constraint chain
-// and a columnar filter block. Every row survives every literal, so the
-// interpreter pays its full per-literal cost (a table rebuild and a
-// feature re-resolution per constraint, a cell enumeration per
-// comparison) on every tuple.
+// and a columnar filter block. Every row survives every literal, so each
+// tuple takes the whole chain and the whole block.
 std::unique_ptr<Catalog> VerifyCatalog(Corpus* corpus, size_t docs,
                                        size_t tokens_per_doc, size_t* rows) {
   std::vector<DocId> ids;
@@ -183,7 +178,7 @@ int main(int argc, char** argv) {
                   R::N("speedup", legacy_seconds / fast_seconds)});
   }
 
-  // --------------------------------------- join: hash index vs tri-state
+  // ------------------------------------------- join: tri-state scan
   {
     Corpus corpus;
     auto catalog = JoinCatalog(&corpus, 2000, 1000);
@@ -191,23 +186,13 @@ int main(int argc, char** argv) {
     auto prog = ParseProgram("q(a, c) :- r(a, b), s(b, c).", *catalog);
     if (!prog.ok()) return 1;
     prog->set_query("q");
-    size_t scan_pairs = 0, hash_pairs = 0;
-    double scan_seconds =
-        JoinSeconds(*catalog, *prog, /*fast=*/false, &scan_pairs);
-    double hash_seconds =
-        JoinSeconds(*catalog, *prog, /*fast=*/true, &hash_pairs);
-    if (scan_seconds < 0 || hash_seconds < 0) return 1;
-    std::printf("join scan         %8zu pairs %6.3f s\n", scan_pairs,
-                scan_seconds);
-    std::printf("join hash         %8zu pairs %6.3f s  (%.1fx)\n", hash_pairs,
-                hash_seconds, scan_seconds / hash_seconds);
+    size_t pairs = 0;
+    double seconds = JoinSeconds(*catalog, *prog, &pairs);
+    if (seconds < 0) return 1;
+    std::printf("join scan         %8zu pairs %6.3f s\n", pairs, seconds);
     reporter.Row({R::S("case", "join_scan"),
-                  R::N("join_pairs", static_cast<double>(scan_pairs)),
-                  R::N("seconds", scan_seconds)});
-    reporter.Row({R::S("case", "join_hash"),
-                  R::N("join_pairs", static_cast<double>(hash_pairs)),
-                  R::N("seconds", hash_seconds),
-                  R::N("speedup", scan_seconds / hash_seconds)});
+                  R::N("join_pairs", static_cast<double>(pairs)),
+                  R::N("seconds", seconds)});
   }
 
   // ------------------- rule compilation + fused verify chain throughput
@@ -233,7 +218,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < kCompileIters; ++i) {
       plans = 0;
       for (const Rule& rule : prog->rules()) {
-        if (CompileRule(*catalog, rule).has_value()) ++plans;
+        if (CompileRule(*catalog, rule).ok()) ++plans;
       }
     }
     double compile_ms = 1e3 * compile_watch.ElapsedSeconds() / kCompileIters;
@@ -244,69 +229,47 @@ int main(int argc, char** argv) {
                   R::N("plans", static_cast<double>(plans)),
                   R::N("compile_ms", compile_ms)});
 
-    // Fused pass vs interpreter, single thread, best of three. The two
-    // paths must produce identical bytes and identical constraint-cell
-    // counts — the bench exits nonzero on any divergence, so the speedup
-    // row can never be bought with a behaviour change.
-    auto measure = [&](bool enable, std::string* bytes,
-                       size_t* cells) -> double {
-      double best = -1;
-      for (int rep = 0; rep < 3; ++rep) {
-        ExecOptions options;
-        options.enable_rule_compile = enable;
-        Executor exec(*catalog, options);
-        Stopwatch watch;
-        auto result = exec.Execute(*prog);
-        double seconds = watch.ElapsedSeconds();
-        if (!result.ok()) {
-          std::fprintf(stderr, "fused verify bench: %s\n",
-                       result.status().ToString().c_str());
-          return -1;
-        }
-        if (enable && exec.stats().rules_compiled == 0) {
-          std::fprintf(stderr, "fused verify bench: rule did not compile\n");
-          return -1;
-        }
-        std::string got = result->ToString(&corpus);
-        if (bytes->empty()) {
-          *bytes = std::move(got);
-        } else if (got != *bytes) {
-          std::fprintf(stderr, "fused verify bench: bytes diverged\n");
-          return -1;
-        }
-        *cells = exec.stats().constraint_cells;
-        if (best < 0 || seconds < best) best = seconds;
+    // Fused pass, single thread, best of three. Every rep must produce
+    // the same bytes, and each of the 2 constraints must be applied to
+    // every tuple exactly once — the bench exits nonzero otherwise.
+    std::string bytes;
+    size_t cells = 0;
+    double seconds = -1;
+    for (int rep = 0; rep < 3; ++rep) {
+      Executor exec(*catalog);
+      Stopwatch watch;
+      auto result = exec.Execute(*prog);
+      double elapsed = watch.ElapsedSeconds();
+      if (!result.ok()) {
+        std::fprintf(stderr, "fused verify bench: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
       }
-      return best;
-    };
-    std::string interp_bytes, fused_bytes;
-    size_t interp_cells = 0, fused_cells = 0;
-    double interp_seconds = measure(false, &interp_bytes, &interp_cells);
-    double fused_seconds = measure(true, &fused_bytes, &fused_cells);
-    if (interp_seconds < 0 || fused_seconds < 0) return 1;
-    if (interp_bytes != fused_bytes || interp_cells != fused_cells) {
+      std::string got = result->ToString(&corpus);
+      if (bytes.empty()) {
+        bytes = std::move(got);
+      } else if (got != bytes) {
+        std::fprintf(stderr, "fused verify bench: bytes diverged\n");
+        return 1;
+      }
+      cells = exec.stats().constraint_cells;
+      if (seconds < 0 || elapsed < seconds) seconds = elapsed;
+    }
+    if (cells != 2 * rows) {
       std::fprintf(stderr,
-                   "fused verify bench: compiled path diverged from the "
-                   "interpreter\n");
+                   "fused verify bench: %zu constraint cells, expected %zu\n",
+                   cells, 2 * rows);
       return 1;
     }
-    std::printf("verify interp     %8zu cells %6.3f s\n", interp_cells,
-                interp_seconds);
-    std::printf("verify fused      %8zu cells %6.3f s  (%.1fx)\n", fused_cells,
-                fused_seconds, interp_seconds / fused_seconds);
-    // speedup_floor arms the absolute >= 1.3x gate in check_regression.py
-    // (threads = 1, so it is armed on every host); cells_per_second is the
-    // lower-is-regression throughput gate.
+    std::printf("verify fused      %8zu cells %6.3f s\n", cells, seconds);
+    // cells_per_second is the lower-is-regression throughput gate.
     reporter.Row({R::S("case", "fused_verify"),
                   R::N("tuples", static_cast<double>(rows)),
-                  R::N("constraint_cells", static_cast<double>(fused_cells)),
-                  R::N("interp_seconds", interp_seconds),
-                  R::N("seconds", fused_seconds),
-                  R::N("speedup", interp_seconds / fused_seconds),
-                  R::N("speedup_floor", 1.3), R::N("threads", 1),
+                  R::N("constraint_cells", static_cast<double>(cells)),
+                  R::N("seconds", seconds), R::N("threads", 1),
                   R::N("hardware_cores",
                        static_cast<double>(R::hardware_cores())),
-                  R::N("cells_per_second", fused_cells / fused_seconds)});
+                  R::N("cells_per_second", cells / seconds)});
   }
 
   // ------------------------------------------------- verify memo lookups

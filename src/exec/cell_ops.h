@@ -33,10 +33,9 @@ struct CellOpLimits {
 
 /// A constraint with its feature procedure resolved and its memo key base
 /// interned up front, so applying it to a cell pays no registry or
-/// interner lookups. The interpreter prepares per call (same work it
-/// always did); the rule compiler prepares once per (program, corpus)
-/// epoch and reuses the prepared form for every tuple
-/// (docs/PERFORMANCE.md, "Rule compilation").
+/// interner lookups. ApplyConstraintToCell prepares per call; the rule
+/// compiler prepares once per rule evaluation and reuses the prepared
+/// form for every tuple (docs/PERFORMANCE.md, "Rule compilation").
 struct PreparedConstraint {
   ConstraintLit lit;
   const Feature* feature = nullptr;

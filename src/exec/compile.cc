@@ -3,14 +3,97 @@
 #include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
-
-#include "common/strutil.h"
 
 namespace iflex {
 
 namespace {
+
+// Priorities of the two filter kinds, and of a join that shares no
+// variable with the binding: a cross product, so it runs last and carries
+// the filters pushed down into it.
+constexpr int kComparisonPriority = 4;
+constexpr int kPFunctionPriority = 5;
+constexpr int kUnconnectedJoinPriority = 6;
+
+// The literal-selection policy: constraints as soon as their variable is
+// bound, then connected stored-table joins, from, p-predicates,
+// comparisons, p-functions, and unconnected joins last. Returns -1 when
+// the literal is not yet evaluable under `bound`; lower values run
+// earlier. `any_bound` is false only for the empty binding, where the
+// first join is free.
+template <typename BoundFn>
+int LiteralPriority(const Catalog& catalog, const Literal& lit, bool any_bound,
+                    BoundFn&& bound) {
+  switch (lit.kind) {
+    case Literal::Kind::kConstraint:
+      return bound(lit.constraint.var) ? 0 : -1;
+    case Literal::Kind::kComparison: {
+      bool ok = (!lit.cmp.lhs.is_var() || bound(lit.cmp.lhs.var)) &&
+                (!lit.cmp.rhs.is_var() || bound(lit.cmp.rhs.var));
+      return ok ? kComparisonPriority : -1;
+    }
+    case Literal::Kind::kAtom: {
+      const Atom& a = lit.atom;
+      auto kind = catalog.KindOf(a.predicate);
+      PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
+      size_t n_inputs = 0;
+      if (k == PredicateKind::kPPredicate || k == PredicateKind::kBuiltinFrom) {
+        n_inputs = *catalog.InputArityOf(a.predicate);
+      } else if (k == PredicateKind::kPFunction) {
+        n_inputs = a.args.size();
+      }
+      for (size_t i = 0; i < n_inputs; ++i) {
+        if (a.args[i].is_var() && !bound(a.args[i].var)) return -1;
+      }
+      switch (k) {
+        case PredicateKind::kExtensional:
+        case PredicateKind::kIntensional: {
+          if (!any_bound) return 1;  // first join is free
+          for (const Term& t : a.args) {
+            // Shared variable or constant: the join is connected.
+            if (!t.is_var() || bound(t.var)) return 1;
+          }
+          return kUnconnectedJoinPriority;
+        }
+        case PredicateKind::kBuiltinFrom:
+          return 2;
+        case PredicateKind::kPPredicate:
+          return 3;
+        case PredicateKind::kPFunction:
+          return kPFunctionPriority;
+        default:
+          return -1;  // IE predicates must have been unfolded away
+      }
+    }
+  }
+  return -1;
+}
+
+// Lowers a comparison or p-function literal into a filter.
+Result<CompiledFilter> MakeFilter(const Catalog& catalog, Literal lit) {
+  CompiledFilter f;
+  if (lit.kind == Literal::Kind::kComparison) {
+    f.kind = CompiledFilter::Kind::kComparison;
+    f.const_cells.resize(2);
+    if (!lit.cmp.lhs.is_var()) f.const_cells[0] = ConstantCell(lit.cmp.lhs);
+    if (!lit.cmp.rhs.is_var()) f.const_cells[1] = ConstantCell(lit.cmp.rhs);
+  } else {
+    f.kind = CompiledFilter::Kind::kPFunction;
+    IFLEX_ASSIGN_OR_RETURN(f.fn, catalog.PFunction(lit.atom.predicate));
+    f.const_cells.resize(lit.atom.args.size());
+    for (size_t i = 0; i < lit.atom.args.size(); ++i) {
+      if (!lit.atom.args[i].is_var()) {
+        f.const_cells[i] = ConstantCell(lit.atom.args[i]);
+      }
+    }
+  }
+  f.lit = std::move(lit);
+  return f;
+}
 
 // Appends a filter to the plan's trailing filter block, opening a new
 // block when the previous op is not one.
@@ -26,14 +109,13 @@ void AppendFilter(CompiledRule* plan, CompiledFilter f) {
 
 }  // namespace
 
-std::optional<CompiledRule> CompileRule(const Catalog& catalog,
-                                        const Rule& rule) {
+Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
   std::unordered_set<std::string> bound;
   auto is_bound = [&](const std::string& v) { return bound.count(v) > 0; };
 
   std::vector<Literal> pending = rule.body;
-  // Per-variable constraint history in application order, mirroring the
-  // interpreter's history_ map (paper §4.2 re-check).
+  // Per-variable constraint history in application order (paper §4.2
+  // re-check).
   std::unordered_map<std::string, std::vector<PreparedConstraint>> history;
   CompiledRule plan;
 
@@ -48,138 +130,93 @@ std::optional<CompiledRule> CompileRule(const Catalog& catalog,
         best = i;
       }
     }
-    // No evaluable literal left (the interpreter reports the canonical
-    // error) or an unconnected join (filter pushdown and similarity
-    // indexing are interpreter machinery): fall back.
-    if (best == SIZE_MAX || best_prio == 6) return std::nullopt;
+    if (best == SIZE_MAX) {
+      return Status::Internal("no evaluable literal left in rule " +
+                              rule.ToString());
+    }
     Literal lit = std::move(pending[best]);
     pending.erase(pending.begin() + static_cast<ptrdiff_t>(best));
 
-    switch (lit.kind) {
-      case Literal::Kind::kConstraint: {
-        Result<PreparedConstraint> pk =
-            PrepareConstraint(catalog.corpus(), catalog.features(),
-                              lit.constraint, /*want_memo=*/true);
-        if (!pk.ok()) return std::nullopt;  // unknown feature
-        CompiledConstraintStep step;
-        step.k = std::move(*pk);
-        step.history = history[lit.constraint.var];
-        history[lit.constraint.var].push_back(step.k);
-        if (plan.ops.empty() ||
-            plan.ops.back().kind != CompiledOp::Kind::kConstraintChain) {
-          CompiledOp op;
-          op.kind = CompiledOp::Kind::kConstraintChain;
-          plan.ops.push_back(std::move(op));
-        }
-        plan.ops.back().chain.push_back(std::move(step));
-        break;
-      }
-      case Literal::Kind::kComparison: {
-        CompiledFilter f;
-        f.kind = CompiledFilter::Kind::kComparison;
-        f.const_cells.resize(2);
-        if (!lit.cmp.lhs.is_var()) {
-          f.const_cells[0] = ConstantCell(lit.cmp.lhs);
-        }
-        if (!lit.cmp.rhs.is_var()) {
-          f.const_cells[1] = ConstantCell(lit.cmp.rhs);
-        }
-        f.lit = std::move(lit);
-        AppendFilter(&plan, std::move(f));
-        break;
-      }
-      case Literal::Kind::kAtom: {
-        const Atom& a = lit.atom;
-        auto kind = catalog.KindOf(a.predicate);
-        PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-        switch (k) {
-          case PredicateKind::kExtensional:
-          case PredicateKind::kIntensional: {
-            CompiledOp op;
-            op.kind = CompiledOp::Kind::kJoin;
-            op.atom = a;
-            for (const Term& t : a.args) {
-              if (t.is_var()) bound.insert(t.var);
-            }
-            plan.ops.push_back(std::move(op));
-            break;
-          }
-          case PredicateKind::kBuiltinFrom: {
-            // Malformed from() literals stay on the interpreter, which
-            // raises the canonical ApplyFrom error.
-            if (a.args.size() != 2 || !a.args[0].is_var() ||
-                !a.args[1].is_var() || is_bound(a.args[1].var)) {
-              return std::nullopt;
-            }
-            CompiledOp op;
-            op.kind = CompiledOp::Kind::kFrom;
-            op.atom = a;
-            bound.insert(a.args[1].var);
-            plan.ops.push_back(std::move(op));
-            break;
-          }
-          case PredicateKind::kPPredicate: {
-            CompiledOp op;
-            op.kind = CompiledOp::Kind::kPPredicate;
-            op.atom = a;
-            size_t n_inputs = *catalog.InputArityOf(a.predicate);
-            for (size_t i = n_inputs; i < a.args.size(); ++i) {
-              if (a.args[i].is_var()) bound.insert(a.args[i].var);
-            }
-            plan.ops.push_back(std::move(op));
-            break;
-          }
-          case PredicateKind::kPFunction: {
-            Result<const PFunctionFn*> fn = catalog.PFunction(a.predicate);
-            if (!fn.ok()) return std::nullopt;
-            CompiledFilter f;
-            f.kind = CompiledFilter::Kind::kPFunction;
-            f.fn = *fn;
-            f.const_cells.resize(a.args.size());
-            for (size_t i = 0; i < a.args.size(); ++i) {
-              if (!a.args[i].is_var()) {
-                f.const_cells[i] = ConstantCell(a.args[i]);
-              }
-            }
-            f.lit = std::move(lit);
-            AppendFilter(&plan, std::move(f));
-            break;
-          }
-          default:
-            return std::nullopt;  // IE predicate: interpreter reports it
-        }
-        break;
-      }
+    if (best_prio == kComparisonPriority || best_prio == kPFunctionPriority) {
+      IFLEX_ASSIGN_OR_RETURN(CompiledFilter f,
+                             MakeFilter(catalog, std::move(lit)));
+      AppendFilter(&plan, std::move(f));
+      continue;
     }
+    if (lit.kind == Literal::Kind::kConstraint) {
+      IFLEX_ASSIGN_OR_RETURN(
+          PreparedConstraint pk,
+          PrepareConstraint(catalog.corpus(), catalog.features(),
+                            lit.constraint, /*want_memo=*/true));
+      CompiledConstraintStep step;
+      step.k = std::move(pk);
+      step.history = history[lit.constraint.var];
+      history[lit.constraint.var].push_back(step.k);
+      if (plan.ops.empty() ||
+          plan.ops.back().kind != CompiledOp::Kind::kConstraintChain) {
+        CompiledOp op;
+        op.kind = CompiledOp::Kind::kConstraintChain;
+        plan.ops.push_back(std::move(op));
+      }
+      plan.ops.back().chain.push_back(std::move(step));
+      continue;
+    }
+
+    CompiledOp op;
+    op.atom = std::move(lit.atom);
+    const Atom& a = op.atom;
+    auto kind = catalog.KindOf(a.predicate);
+    switch (kind.ok() ? *kind : PredicateKind::kIntensional) {
+      case PredicateKind::kExtensional:
+      case PredicateKind::kIntensional: {
+        op.kind = CompiledOp::Kind::kJoin;
+        for (const Term& t : a.args) {
+          if (t.is_var()) bound.insert(t.var);
+        }
+        if (best_prio != kUnconnectedJoinPriority) break;
+        // Push down every pending comparison or p-function that the join's
+        // variables make evaluable, in body order. None was evaluable
+        // before the join: filters outrank unconnected joins, so it would
+        // have run already.
+        for (size_t i = 0; i < pending.size();) {
+          int prio = LiteralPriority(catalog, pending[i], /*any_bound=*/true,
+                                     is_bound);
+          if (prio != kComparisonPriority && prio != kPFunctionPriority) {
+            ++i;
+            continue;
+          }
+          IFLEX_ASSIGN_OR_RETURN(CompiledFilter f,
+                                 MakeFilter(catalog, std::move(pending[i])));
+          op.filters.push_back(std::move(f));
+          pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
+        }
+        break;
+      }
+      case PredicateKind::kBuiltinFrom:
+        // A malformed from() literal still lowers: ApplyFrom raises its
+        // argument error when the op runs.
+        op.kind = CompiledOp::Kind::kFrom;
+        if (a.args.size() == 2 && a.args[1].is_var()) {
+          bound.insert(a.args[1].var);
+        }
+        break;
+      case PredicateKind::kPPredicate: {
+        op.kind = CompiledOp::Kind::kPPredicate;
+        size_t n_inputs = *catalog.InputArityOf(a.predicate);
+        for (size_t i = n_inputs; i < a.args.size(); ++i) {
+          if (a.args[i].is_var()) bound.insert(a.args[i].var);
+        }
+        break;
+      }
+      default:
+        return Status::Internal("unexpected IE predicate at execution: " +
+                                a.predicate);
+    }
+    plan.ops.push_back(std::move(op));
   }
-  if (plan.ops.empty()) return std::nullopt;  // empty body: interpreter
-  plan.seed_join = plan.ops.front().kind == CompiledOp::Kind::kJoin;
+  plan.seed_join =
+      !plan.ops.empty() && plan.ops.front().kind == CompiledOp::Kind::kJoin;
   return plan;
-}
-
-const CompiledRule* RuleCompileCache::Get(const Catalog& catalog,
-                                          const Rule& rule) {
-  const uint64_t key = Fingerprint64(rule.ToString());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second.get();
-  }
-  // Lower outside the lock: compilation touches only immutable state (the
-  // catalog plus the thread-safe interner), and a racing duplicate insert
-  // keeps the first of two identical plans.
-  std::optional<CompiledRule> plan = CompileRule(catalog, rule);
-  std::unique_ptr<CompiledRule> owned =
-      plan.has_value() ? std::make_unique<CompiledRule>(std::move(*plan))
-                       : nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = plans_.emplace(key, std::move(owned));
-  return it->second.get();
-}
-
-size_t RuleCompileCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
 }
 
 }  // namespace iflex

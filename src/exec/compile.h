@@ -1,74 +1,14 @@
 #ifndef IFLEX_EXEC_COMPILE_H_
 #define IFLEX_EXEC_COMPILE_H_
 
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "alog/ast.h"
 #include "alog/catalog.h"
+#include "common/result.h"
 #include "exec/cell_ops.h"
 
 namespace iflex {
-
-/// The interpreter's literal-selection policy (RuleEvaluator::Priority in
-/// executor.cc delegates here), shared with the rule compiler so compiled
-/// plans replay exactly the sequence of operator choices the interpreter
-/// would make: constraints as soon as their variable is bound, then
-/// connected stored-table joins, from, p-predicates, comparisons,
-/// p-functions, and unconnected joins last. Returns -1 when the literal is
-/// not yet evaluable under `bound`; lower values run earlier. `any_bound`
-/// is false only for the empty binding, where the first join is free.
-template <typename BoundFn>
-int LiteralPriority(const Catalog& catalog, const Literal& lit, bool any_bound,
-                    BoundFn&& bound) {
-  switch (lit.kind) {
-    case Literal::Kind::kConstraint:
-      return bound(lit.constraint.var) ? 0 : -1;
-    case Literal::Kind::kComparison: {
-      bool ok = (!lit.cmp.lhs.is_var() || bound(lit.cmp.lhs.var)) &&
-                (!lit.cmp.rhs.is_var() || bound(lit.cmp.rhs.var));
-      return ok ? 4 : -1;
-    }
-    case Literal::Kind::kAtom: {
-      const Atom& a = lit.atom;
-      auto kind = catalog.KindOf(a.predicate);
-      PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-      size_t n_inputs = 0;
-      if (k == PredicateKind::kPPredicate || k == PredicateKind::kBuiltinFrom) {
-        n_inputs = *catalog.InputArityOf(a.predicate);
-      } else if (k == PredicateKind::kPFunction) {
-        n_inputs = a.args.size();
-      }
-      for (size_t i = 0; i < n_inputs; ++i) {
-        if (a.args[i].is_var() && !bound(a.args[i].var)) return -1;
-      }
-      switch (k) {
-        case PredicateKind::kExtensional:
-        case PredicateKind::kIntensional: {
-          if (!any_bound) return 1;  // first join is free
-          for (const Term& t : a.args) {
-            // Shared variable or constant: the join is connected.
-            if (!t.is_var() || bound(t.var)) return 1;
-          }
-          return 6;  // unconnected join: cross product, run last
-        }
-        case PredicateKind::kBuiltinFrom:
-          return 2;
-        case PredicateKind::kPPredicate:
-          return 3;
-        case PredicateKind::kPFunction:
-          return 5;
-        default:
-          return -1;  // IE predicates must have been unfolded away
-      }
-    }
-  }
-  return -1;
-}
 
 /// One step of a fused constraint chain: the prepared constraint plus the
 /// prepared forms of the same-variable constraints applied earlier in the
@@ -79,15 +19,16 @@ struct CompiledConstraintStep {
   std::vector<PreparedConstraint> history;
 };
 
-/// One filter of a columnar filter block: a comparison or p-function
-/// literal with its constant terms pre-built into one-value cells and the
-/// p-function procedure pre-resolved, so block execution never touches
-/// the catalog or re-parses terms.
+/// One filter of a columnar filter block, or one filter pushed down into
+/// an unconnected join: a comparison or p-function literal with its
+/// constant terms pre-built into one-value cells and the p-function
+/// procedure pre-resolved, so evaluating it never touches the catalog or
+/// re-parses terms.
 struct CompiledFilter {
   enum class Kind : uint8_t { kComparison, kPFunction };
   Kind kind = Kind::kComparison;
-  /// The source literal; irregular rows fall back to the interpreter's
-  /// exact per-tuple evaluation of it.
+  /// The source literal; irregular rows and join pairs take the exact
+  /// per-tuple evaluation of it.
   Literal lit;
   /// Resolved procedure for kPFunction (owned by the catalog).
   const PFunctionFn* fn = nullptr;
@@ -100,7 +41,7 @@ struct CompiledFilter {
 /// A flat operator of a compiled rule plan.
 struct CompiledOp {
   enum class Kind : uint8_t {
-    kJoin,             // connected stored/intensional join (atom)
+    kJoin,             // stored/intensional join (atom, pushed filters)
     kFrom,             // the built-in from(x, y) span extractor (atom)
     kPPredicate,       // procedural predicate (atom)
     kConstraintChain,  // fused run of consecutive constraints (chain)
@@ -109,13 +50,20 @@ struct CompiledOp {
   Kind kind = Kind::kJoin;
   Atom atom;
   std::vector<CompiledConstraintStep> chain;
+  /// kFilterBlock: the block's filters. kJoin: the comparisons and
+  /// p-functions that become evaluable exactly at this join, in body
+  /// order — non-empty only for an unconnected join, where they decide
+  /// each candidate pair so the cross product never materializes.
   std::vector<CompiledFilter> filters;
 };
 
-/// A lowered rule body: the exact operator sequence the interpreter would
-/// execute, with consecutive constraints fused into chains, consecutive
-/// filters grouped into blocks, and all name resolution (features, memo
-/// key bases, p-functions, constants) hoisted out of the per-tuple loops.
+/// A lowered rule body: the operator sequence chosen by the literal
+/// selection policy (constraints as soon as their variable is bound, then
+/// connected stored-table joins, from, p-predicates, comparisons,
+/// p-functions, and unconnected joins last), with consecutive constraints
+/// fused into chains, consecutive filters grouped into blocks, and all
+/// name resolution (features, memo key bases, p-functions, constants)
+/// hoisted out of the per-tuple loops. An empty body gives an empty plan.
 struct CompiledRule {
   std::vector<CompiledOp> ops;
   /// True when ops[0] joins a stored/intensional table against the empty
@@ -123,37 +71,12 @@ struct CompiledRule {
   bool seed_join = false;
 };
 
-/// Lowers one unfolded rule body into a flat compiled plan by simulating
-/// the interpreter's literal selection over the bound-variable set.
-/// Returns nullopt when the body uses a construct the compiler does not
-/// cover — unconnected joins (filter pushdown / similarity indexing stay
-/// interpreter-only), unknown features, malformed from()/IE literals —
-/// and the caller falls back to the interpreter for that rule:
-/// best-effort compilation, in the paper's spirit.
-std::optional<CompiledRule> CompileRule(const Catalog& catalog,
-                                        const Rule& rule);
-
-/// Per-executor cache of compiled plans keyed by the rule's fingerprint.
-/// Entries stay valid for the executor's lifetime: the catalog, corpus
-/// interner, and feature registry a plan bakes in are fixed per executor,
-/// which is exactly the (program, corpus) epoch of a refinement session —
-/// feedback edits change a rule's text and therefore its key, and a new
-/// corpus means a new catalog and a new executor. A null entry records
-/// "not compilable" so uncovered rules are not re-lowered every Execute.
-/// Thread-safe; returned pointers are stable across further inserts.
-class RuleCompileCache {
- public:
-  /// The plan for `rule`, compiling on first sight; nullptr when the rule
-  /// is not compilable.
-  const CompiledRule* Get(const Catalog& catalog, const Rule& rule);
-
-  /// Number of cached entries (compiled and negative), for tests.
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::unique_ptr<CompiledRule>> plans_;
-};
+/// Lowers one unfolded rule body into a compiled plan by simulating
+/// literal selection over the bound-variable set. Fails with
+/// Internal("no evaluable literal left in rule ...") when some literal
+/// can never become evaluable. Malformed from() literals still compile:
+/// the from operator raises their argument errors when it runs.
+Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule);
 
 }  // namespace iflex
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -15,6 +12,7 @@
 #include "common/intern.h"
 #include "common/strutil.h"
 #include "exec/annotate.h"
+#include "exec/compile.h"
 #include "runtime/task_pool.h"
 
 namespace iflex {
@@ -48,71 +46,6 @@ DocId TupleDocId(const CompactTuple& tuple) {
     if (a.value.has_span()) return a.value.span().doc;
   }
   return kInvalidDocId;
-}
-
-// Kill switch for the interned fast paths (hash equi-join, Verify memo):
-// any non-empty IFLEX_DISABLE_FASTPATH forces the legacy scan, which the
-// differential determinism tests compare against byte for byte.
-bool FastPathDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("IFLEX_DISABLE_FASTPATH");
-    return v != nullptr && *v != '\0';
-  }();
-  return disabled;
-}
-
-// Kill switch for the rule-compilation layer alone: any non-empty
-// IFLEX_DISABLE_RULE_COMPILE routes every rule through the interpreter
-// while keeping the other fast paths on — the escape hatch when a compiled
-// plan is suspected, and the differential baseline for the compile
-// determinism suite.
-bool RuleCompileDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("IFLEX_DISABLE_RULE_COMPILE");
-    return v != nullptr && *v != '\0';
-  }();
-  return disabled;
-}
-
-// Appends the equi-join key of a singleton-exact cell to `out`, tagged so
-// two keys collide exactly when CompareValues(kEq) holds for the values:
-// NULL matches only NULL, two numeric-castable values match on the number
-// ("92" joins 92), everything else matches on interned text. Returns
-// false when the cell cannot be hashed — contain/expansion or multi-value
-// cells (tri-state outcomes), NaN (never equal to itself) — and the row
-// or probe must take the legacy scan. Probes pass intern_new = false: a
-// text the build side never interned matches nothing, which the sentinel
-// tag encodes (build keys never contain it).
-bool AppendCellKey(const Cell& cell, StringInterner& interner, bool intern_new,
-                   std::string* out) {
-  if (cell.is_expansion || cell.assignments.size() != 1 ||
-      !cell.assignments[0].is_exact()) {
-    return false;
-  }
-  const Value& v = cell.assignments[0].value;
-  if (v.is_null()) {
-    out->push_back('n');
-    return true;
-  }
-  if (auto n = v.AsNumber()) {
-    if (std::isnan(*n)) return false;
-    double d = *n == 0.0 ? 0.0 : *n;  // -0.0 and +0.0 compare equal
-    out->push_back('#');
-    out->append(reinterpret_cast<const char*>(&d), sizeof(d));
-    return true;
-  }
-  // Text tag; covers kDoc and kBool too — CompareValues falls through to
-  // a text compare for them, and their placeholder texts are injective.
-  ValueId id = intern_new ? interner.Intern(v.AsText())
-                          : interner.Find(v.AsText());
-  if (id == kInvalidValueId) {
-    if (intern_new) return false;  // frozen interner: keep the scan
-    out->push_back('m');           // probe-only miss sentinel
-    return true;
-  }
-  out->push_back('t');
-  out->append(reinterpret_cast<const char*>(&id), sizeof(id));
-  return true;
 }
 
 // The table side of a token-similarity join (docs/PERFORMANCE.md,
@@ -240,9 +173,10 @@ class CounterTally {
 // ----------------------------------------------------------- RuleEvaluator
 //
 // Evaluates one unfolded rule bottom-up over a growing "binding table":
-// a compact table whose columns are the variables bound so far. Literals
-// are consumed in priority order: constraints as soon as their variable is
-// bound (cheap cell narrowing), then connected stored-table joins, then
+// a compact table whose columns are the variables bound so far. The rule
+// is first lowered into a CompiledRule (exec/compile.h), whose op order
+// is the literal-selection policy: constraints as soon as their variable
+// is bound (cheap cell narrowing), then connected stored-table joins, then
 // from / p-predicates / cheap filters, and *unconnected* joins last — with
 // every filter that becomes evaluable at join time pushed down into the
 // join loop, so similarity joins never materialize a raw cross product.
@@ -265,15 +199,10 @@ class RuleEvaluator {
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
 
-  /// Attaches a compiled plan for the next Evaluate; null (the default)
-  /// runs the interpreter. The plan must outlive the evaluation — the
-  /// executor's RuleCompileCache guarantees it.
-  void set_plan(const CompiledRule* plan) { plan_ = plan; }
-
   Result<CompactTable> Evaluate(const Rule& rule) {
     // Top-level evaluation leases its own worker context for the whole
     // rule (morsel sub-evaluators run with the context of the worker
-    // executing the morsel instead — see TryMorselBody). The release at
+    // executing the morsel instead — see RunMorsels). The release at
     // return is the rule-level flush barrier for the memo L1.
     if (ctx_ != nullptr || contexts_ == nullptr) {
       return EvaluateWithContext(rule);
@@ -293,27 +222,15 @@ class RuleEvaluator {
     binding_ = CompactTable(std::vector<std::string>{});
     binding_.Add(CompactTuple{});
     columns_.clear();
-    history_.clear();
     budget_exhausted_ = false;
 
-    if (plan_ != nullptr) {
-      // Compiled fast path (docs/PERFORMANCE.md, "Rule compilation"): the
-      // plan replays the interpreter's exact operator sequence with name
-      // resolution hoisted out of the per-tuple loops, constraints fused
-      // into chains, and filters run columnar.
-      stats_->rules_compiled->Add();
-      IFLEX_ASSIGN_OR_RETURN(bool sharded, TryMorselPlan(rule));
-      if (!sharded) {
-        IFLEX_RETURN_NOT_OK(RunPlan(0));
-      }
-    } else {
-      std::vector<Literal> pending;
-      for (const Literal& lit : rule.body) pending.push_back(lit);
-
-      IFLEX_ASSIGN_OR_RETURN(bool sharded, TryMorselBody(rule, &pending));
-      if (!sharded) {
-        IFLEX_RETURN_NOT_OK(RunPipeline(rule, &pending));
-      }
+    // The plan lives for this evaluation; its morsels share it read-only
+    // (docs/PERFORMANCE.md, "Rule compilation").
+    IFLEX_ASSIGN_OR_RETURN(const CompiledRule plan,
+                           CompileRule(catalog_, rule));
+    IFLEX_ASSIGN_OR_RETURN(bool sharded, TryMorsels(rule, plan));
+    if (!sharded) {
+      IFLEX_RETURN_NOT_OK(RunPlan(plan, 0));
     }
 
     IFLEX_ASSIGN_OR_RETURN(CompactTable projected, Project(rule.head));
@@ -333,42 +250,6 @@ class RuleEvaluator {
       cost.cost()->rows = annotated->size();
     }
     return annotated;
-  }
-
- private:
-  // Index of the lowest-priority evaluable pending literal, SIZE_MAX when
-  // none is evaluable. Depends only on the bound-column set, so every
-  // shard of a sharded body makes the same sequence of choices.
-  size_t SelectBest(const std::vector<Literal>& pending) const {
-    size_t best = SIZE_MAX;
-    int best_prio = INT_MAX;
-    for (size_t i = 0; i < pending.size(); ++i) {
-      int prio = Priority(pending[i]);
-      if (prio >= 0 && prio < best_prio) {
-        best_prio = prio;
-        best = i;
-      }
-    }
-    return best;
-  }
-
-  // Consumes every pending literal in priority order against binding_.
-  Status RunPipeline(const Rule& rule, std::vector<Literal>* pending) {
-    while (!pending->empty()) {
-      IFLEX_RETURN_NOT_OK(stop_.Check("Execute"));
-      size_t best = SelectBest(*pending);
-      if (best == SIZE_MAX) {
-        return Status::Internal("no evaluable literal left in rule " +
-                                rule.ToString());
-      }
-      Literal lit = std::move((*pending)[best]);
-      pending->erase(pending->begin() + static_cast<ptrdiff_t>(best));
-      IFLEX_RETURN_NOT_OK(Apply(lit, pending));
-      if (binding_.size() > options_.max_table_tuples) {
-        IFLEX_RETURN_NOT_OK(OverBudget(&binding_, "intermediate table"));
-      }
-    }
-    return Status::OK();
   }
 
   // Applies the intermediate-tuple budget to an overflowing `table`.
@@ -396,96 +277,40 @@ class RuleEvaluator {
     return Status::OK();
   }
 
-  // Morsel-driven body evaluation (docs/RUNTIME.md). When a pool is
-  // available and the first literal the planner would pick is a
-  // stored/intensional join seeding the empty binding, carve that table
-  // into small fixed-size morsels (ExecOptions::morsel_docs seed tuples
-  // each) and let TaskPool participants pull them one at a time from the
-  // shared batch cursor: a straggler morsel (huge document, irregular
-  // cells) delays only itself, never a coarse shard's worth of siblings.
-  // Each morsel runs "seed join + remaining pipeline" with a leased
-  // WorkerContext (warm scratch buffers + memo L1, flushed at the morsel
-  // boundary), and the morsel bindings are concatenated in morsel order.
-  // Every later operator is per-tuple and literal selection depends only
-  // on the bound-column set (identical across morsels), so the
-  // concatenation equals the serial binding table tuple for tuple;
-  // Project and ψ then run once on the merged table, because cross-tuple
-  // deduplication must see all tuples. Morsel boundaries depend only on
-  // table size and morsel_docs — never on timing or thread count — so any
-  // thread count and any morsel size produce a bit-identical result.
-  // Returns false when the body is not morsel-able (pending is left
-  // untouched and the serial pipeline runs).
-  Result<bool> TryMorselBody(const Rule& rule, std::vector<Literal>* pending) {
-    runtime::TaskPool* pool = options_.pool;
-    // Engage whenever a pool exists — even a 1-thread pool — so the
-    // morsel path's overhead vs the pool-less serial pipeline is directly
-    // measurable (bench_scaling's morsel_overhead_x row) and a 1-thread
-    // pool exercises the exact code path production runs at N threads.
-    if (pool == nullptr) return false;
-    if (!columns_.empty() || pending->size() < 2) return false;
-    size_t best = SelectBest(*pending);
-    if (best == SIZE_MAX) return false;  // serial path reports the error
-    const Literal& lit = (*pending)[best];
-    if (lit.kind != Literal::Kind::kAtom) return false;
-    auto kind = catalog_.KindOf(lit.atom.predicate);
-    PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-    const CompactTable* table = nullptr;
-    if (k == PredicateKind::kExtensional) {
-      IFLEX_ASSIGN_OR_RETURN(table, catalog_.Table(lit.atom.predicate));
-    } else if (k == PredicateKind::kIntensional) {
-      auto it = idb_->find(lit.atom.predicate);
-      if (it == idb_->end()) return false;  // serial path reports the error
-      table = &it->second;
-    } else {
-      return false;
-    }
-    if (table->size() < 2) return false;
-
-    Atom seed = lit.atom;
-    pending->erase(pending->begin() + static_cast<ptrdiff_t>(best));
-    IFLEX_RETURN_NOT_OK(RunMorsels(rule, seed, *table, pending));
-    pending->clear();
-    return true;
-  }
-
-  // Morsel eligibility for the compiled path, mirroring TryMorselBody
-  // condition for condition: a pool exists, the plan has a seed join over
-  // a stored/intensional table of 2+ tuples, and at least one more op
-  // follows it. The morsel machinery itself is shared (RunMorsels), so
-  // compiled and interpreted runs carve identical morsels and merge in
-  // identical order at any thread count.
-  Result<bool> TryMorselPlan(const Rule& rule) {
+  // Morsel-driven body evaluation (docs/RUNTIME.md). Engages when a pool
+  // exists — even a 1-thread pool, so the morsel path's overhead vs the
+  // pool-less serial run is directly measurable (bench_scaling's
+  // morsel_overhead_x row) and a 1-thread pool exercises the exact code
+  // path production runs at N threads — and the plan starts with a seed
+  // join over a stored/intensional table of 2+ tuples followed by at least
+  // one more op. Returns false when the body is not morsel-able, and the
+  // serial plan runs.
+  Result<bool> TryMorsels(const Rule& rule, const CompiledRule& plan) {
     if (options_.pool == nullptr) return false;
-    if (!columns_.empty() || plan_->ops.size() < 2 || !plan_->seed_join) {
-      return false;
-    }
-    const Atom& seed = plan_->ops.front().atom;
-    auto kind = catalog_.KindOf(seed.predicate);
-    PredicateKind k = kind.ok() ? *kind : PredicateKind::kIntensional;
-    const CompactTable* table = nullptr;
-    if (k == PredicateKind::kExtensional) {
-      IFLEX_ASSIGN_OR_RETURN(table, catalog_.Table(seed.predicate));
-    } else if (k == PredicateKind::kIntensional) {
-      auto it = idb_->find(seed.predicate);
-      if (it == idb_->end()) return false;  // serial path reports the error
-      table = &it->second;
-    } else {
-      return false;  // unreachable: seed_join implies a stored join
-    }
+    if (plan.ops.size() < 2 || !plan.seed_join) return false;
+    IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
+                           ResolveJoinTable(plan.ops.front().atom.predicate));
     if (table->size() < 2) return false;
-    IFLEX_RETURN_NOT_OK(RunMorsels(rule, seed, *table, nullptr));
+    IFLEX_RETURN_NOT_OK(RunMorsels(rule, plan, *table));
     return true;
   }
 
-  // The morsel loop proper, shared by the interpreted and compiled paths:
-  // carves `table` into morsels, evaluates "seed join + rest of the body"
-  // per morsel, and merges bindings in morsel order. "Rest" is the
-  // remaining `pending` literals for the interpreter, or the plan's ops
-  // after the seed when this evaluator carries a compiled plan (`pending`
-  // is null then — connected joins never consume pending filters).
-  Status RunMorsels(const Rule& rule, const Atom& seed,
-                    const CompactTable& table,
-                    const std::vector<Literal>* pending) {
+  // The morsel loop proper: carves the seed `table` into small fixed-size
+  // morsels (ExecOptions::morsel_docs seed tuples each) and lets TaskPool
+  // participants pull them one at a time from the shared batch cursor: a
+  // straggler morsel (huge document, irregular cells) delays only itself,
+  // never a coarse shard's worth of siblings. Each morsel runs "seed join +
+  // the plan's remaining ops" with a leased WorkerContext (warm scratch
+  // buffers + memo L1, flushed at the morsel boundary), and the morsel
+  // bindings are concatenated in morsel order. Every later operator is
+  // per-tuple and the plan is shared, so the concatenation equals the
+  // serial binding table tuple for tuple; Project and ψ then run once on
+  // the merged table, because cross-tuple deduplication must see all
+  // tuples. Morsel boundaries depend only on table size and morsel_docs —
+  // never on timing or thread count — so any thread count and any morsel
+  // size produce a bit-identical result.
+  Status RunMorsels(const Rule& rule, const CompiledRule& plan,
+                    const CompactTable& table) {
     runtime::TaskPool* pool = options_.pool;
     size_t n = table.size();
     const size_t morsel_docs = std::max<size_t>(1, options_.morsel_docs);
@@ -502,9 +327,8 @@ class RuleEvaluator {
       resilience::ExecReport report;
     };
 
-    // Seed-join + remaining pipeline (or plan suffix) over the seed
-    // tuples in [lo, hi), running with the worker's leased context (warm
-    // scratch + memo L1).
+    // Seed join + plan suffix over the seed tuples in [lo, hi), running
+    // with the worker's leased context (warm scratch + memo L1).
     auto eval_range = [&](size_t lo, size_t hi, WorkerContext* ctx) {
       MorselOut out;
       out.status = resilience::FailPointStatus("exec.shard");
@@ -515,16 +339,10 @@ class RuleEvaluator {
                         &out.report, contexts_, sim_joins_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.ctx_ = ctx;
-      sub.plan_ = plan_;
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
-      std::vector<Literal> sub_pending;
-      if (pending != nullptr) sub_pending = *pending;
-      out.status = sub.JoinAtom(seed, slice, &sub_pending);
-      if (out.status.ok()) {
-        out.status = plan_ != nullptr ? sub.RunPlan(1)
-                                      : sub.RunPipeline(rule, &sub_pending);
-      }
+      out.status = sub.JoinAtom(plan.ops.front(), slice);
+      if (out.status.ok()) out.status = sub.RunPlan(plan, 1);
       out.valid = out.status.ok();
       out.binding = std::move(sub.binding_);
       out.columns = std::move(sub.columns_);
@@ -622,93 +440,21 @@ class RuleEvaluator {
 
   bool Bound(const std::string& var) const { return columns_.count(var) > 0; }
 
-  bool AtomIsConnected(const Atom& atom) const {
-    if (columns_.empty()) return true;  // first join is free
-    for (const Term& t : atom.args) {
-      if (!t.is_var() || Bound(t.var)) return true;  // shared var / constant
-    }
-    return false;
-  }
+  // ---- Plan execution (docs/PERFORMANCE.md, "Rule compilation").
 
-  // Evaluation priority; -1 when not yet evaluable. Lower runs earlier.
-  // The policy itself lives in LiteralPriority (compile.h), shared with
-  // the rule compiler so compiled plans replay exactly these choices.
-  int Priority(const Literal& lit) const {
-    return LiteralPriority(catalog_, lit, !columns_.empty(),
-                           [this](const std::string& v) { return Bound(v); });
-  }
-
-  Status Apply(const Literal& lit, std::vector<Literal>* pending) {
-    switch (lit.kind) {
-      case Literal::Kind::kConstraint: {
-        obs::TraceSpan span(tracer_, "exec.constraint", lit.constraint.var);
-        return ApplyConstraint(lit.constraint);
-      }
-      case Literal::Kind::kComparison: {
-        obs::TraceSpan span(tracer_, "exec.comparison");
-        return ApplyComparison(lit.cmp);
-      }
-      case Literal::Kind::kAtom: {
-        PredicateKind k = catalog_.Has(lit.atom.predicate)
-                              ? *catalog_.KindOf(lit.atom.predicate)
-                              : PredicateKind::kIntensional;
-        switch (k) {
-          case PredicateKind::kExtensional: {
-            obs::TraceSpan span(tracer_, "exec.join", lit.atom.predicate);
-            IFLEX_ASSIGN_OR_RETURN(const CompactTable* t,
-                                   catalog_.Table(lit.atom.predicate));
-            return JoinAtom(lit.atom, *t, pending);
-          }
-          case PredicateKind::kIntensional: {
-            obs::TraceSpan span(tracer_, "exec.join", lit.atom.predicate);
-            auto it = idb_->find(lit.atom.predicate);
-            if (it == idb_->end()) {
-              return Status::Internal("intensional table not yet computed: " +
-                                      lit.atom.predicate);
-            }
-            return JoinAtom(lit.atom, it->second, pending);
-          }
-          case PredicateKind::kBuiltinFrom: {
-            obs::TraceSpan span(tracer_, "exec.from");
-            return ApplyFrom(lit.atom);
-          }
-          case PredicateKind::kPPredicate: {
-            obs::TraceSpan span(tracer_, "exec.ppred", lit.atom.predicate);
-            return ApplyPPredicate(lit.atom);
-          }
-          case PredicateKind::kPFunction: {
-            obs::TraceSpan span(tracer_, "exec.pfunction", lit.atom.predicate);
-            return ApplyPFunction(lit.atom);
-          }
-          default:
-            return Status::Internal("unexpected IE predicate at execution: " +
-                                    lit.atom.predicate);
-        }
-      }
-    }
-    return Status::Internal("bad literal");
-  }
-
-  // ---- Compiled-plan execution (docs/PERFORMANCE.md, "Rule compilation").
-
-  // Runs plan_->ops[start..): the exact operator sequence RunPipeline
-  // would choose (the compiler replayed the selection policy), with
-  // consecutive constraints fused into one pass and filters run columnar.
-  // `start` is 1 on the morsel path, where the seed join already ran.
-  Status RunPlan(size_t start) {
-    for (size_t oi = start; oi < plan_->ops.size(); ++oi) {
+  // Runs plan.ops[start..): consecutive constraints fused into one pass,
+  // filters run columnar, pushed-down filters inside their join. `start`
+  // is 1 on the morsel path, where the seed join already ran.
+  Status RunPlan(const CompiledRule& plan, size_t start) {
+    for (size_t oi = start; oi < plan.ops.size(); ++oi) {
       IFLEX_RETURN_NOT_OK(stop_.Check("Execute"));
-      const CompiledOp& op = plan_->ops[oi];
+      const CompiledOp& op = plan.ops[oi];
       switch (op.kind) {
         case CompiledOp::Kind::kJoin: {
           obs::TraceSpan span(tracer_, "exec.join", op.atom.predicate);
           IFLEX_ASSIGN_OR_RETURN(const CompactTable* t,
                                  ResolveJoinTable(op.atom.predicate));
-          // Compiled plans carry connected joins only, and connected
-          // joins never consume pending filters (pushdown is for
-          // unconnected joins, which stay on the interpreter).
-          std::vector<Literal> no_pending;
-          IFLEX_RETURN_NOT_OK(JoinAtom(op.atom, *t, &no_pending));
+          IFLEX_RETURN_NOT_OK(JoinAtom(op, *t));
           break;
         }
         case CompiledOp::Kind::kFrom: {
@@ -728,9 +474,8 @@ class RuleEvaluator {
           IFLEX_RETURN_NOT_OK(RunFilterBlock(op));
           break;
       }
-      // Same budget point RunPipeline applies after each literal. Chains
-      // and blocks only shrink the table, so checking once per op is
-      // equivalent to the interpreter's once per pass.
+      // Chains and blocks only shrink the table, so checking once per op
+      // is equivalent to checking after each of their literals.
       if (binding_.size() > options_.max_table_tuples) {
         IFLEX_RETURN_NOT_OK(OverBudget(&binding_, "intermediate table"));
       }
@@ -751,13 +496,12 @@ class RuleEvaluator {
 
   // Fused verify pass: one traversal of the binding table applies a whole
   // run of consecutive constraints to each tuple, dropping dead tuples at
-  // the first failing step — the interpreter's per-constraint table
-  // materializations collapse into one. Constraint application is
-  // per-tuple independent and the chain order equals the interpreter's
-  // pass order, so surviving tuples, their narrowed cells, and the memo
-  // hit/miss totals are byte-identical; per-step charges reconstruct the
-  // interpreter's explain rows (rows = step survivors, verify_calls =
-  // step entrants), keeping the stable explain columns exact.
+  // the first failing step, so the chain materializes one table instead
+  // of one per constraint. Constraint application is per-tuple
+  // independent, so surviving tuples, their narrowed cells, and the memo
+  // hit/miss totals equal those of one pass per constraint in chain
+  // order; per-step charges keep one explain row per constraint (rows =
+  // step survivors, verify_calls = step entrants).
   Status RunConstraintChain(const CompiledOp& op) {
     obs::TraceSpan span(tracer_, "exec.constraint_chain");
     const Corpus& corpus = catalog_.corpus();
@@ -798,9 +542,8 @@ class RuleEvaluator {
     }
     binding_ = std::move(out);
     if (profiling) {
-      // One charge per fused step, mirroring the interpreter's one
-      // CostScope per constraint pass; the chain's wall time is split
-      // evenly with the remainder on the first step.
+      // One charge per fused step; the chain's wall time is split evenly
+      // with the remainder on the first step.
       const uint64_t wall = obs::Tracer::NowNs() - t0;
       for (size_t i = 0; i < n; ++i) {
         obs::Cost c;
@@ -839,10 +582,10 @@ class RuleEvaluator {
   // blocks, runs each filter over a block with an early-out selection
   // vector, and reads singleton-exact cells as flat scalar columns —
   // one CompareValues (or one p-function call) per surviving row instead
-  // of the interpreter's per-tuple cell machinery. Irregular rows
-  // (expansion / multi-value / contain cells) take the interpreter's
-  // exact per-tuple evaluation, so the pass is byte-identical: same
-  // survivors in the same order, same narrowed cells, same maybe flags.
+  // of per-tuple cell enumeration. Irregular rows (expansion / multi-value
+  // / contain cells) take the exact per-tuple evaluation, and the scalar
+  // path agrees with it on singleton-exact rows: same survivors in the
+  // same order, same narrowed cells, same maybe flags.
   Status RunFilterBlock(const CompiledOp& op) {
     obs::TraceSpan span(tracer_, "exec.filter_block");
     const Corpus& corpus = catalog_.corpus();
@@ -940,8 +683,7 @@ class RuleEvaluator {
               if (!r.ok()) return r.status();
               keep = r->AsBool();
             } else {
-              IFLEX_ASSIGN_OR_RETURN(SatResult r,
-                                     EvalFilter(f.lit, t, columns_));
+              IFLEX_ASSIGN_OR_RETURN(SatResult r, EvalFilter(f, t, columns_));
               keep = r != SatResult::kNone;
               if (keep) t.maybe = t.maybe || r == SatResult::kSome;
             }
@@ -975,36 +717,34 @@ class RuleEvaluator {
     return Status::OK();
   }
 
-  // Tri-state evaluation of a filter literal against a tuple whose columns
-  // are described by `cols`.
-  Result<SatResult> EvalFilter(const Literal& lit, const CompactTuple& tuple,
-                               const std::unordered_map<std::string, size_t>& cols) {
+  // Tri-state evaluation of a filter against a tuple whose columns are
+  // described by `cols`.
+  Result<SatResult> EvalFilter(
+      const CompiledFilter& f, const CompactTuple& tuple,
+      const std::unordered_map<std::string, size_t>& cols) {
     const Corpus& corpus = catalog_.corpus();
-    auto cell_for = [&](const Term& t) -> Cell {
-      if (t.is_var()) return tuple.cells[cols.at(t.var)];
-      return ConstantCell(t);
+    // The cell a term reads: its column, or the constant cell the compiler
+    // built for term position `pos`.
+    auto cell_for = [&](const Term& t, size_t pos) -> const Cell& {
+      return t.is_var() ? tuple.cells[cols.at(t.var)] : f.const_cells[pos];
     };
-    if (lit.kind == Literal::Kind::kComparison) {
-      return CompareCells(corpus, cell_for(lit.cmp.lhs), lit.cmp.op,
-                          cell_for(lit.cmp.rhs), options_.limits,
-                          lit.cmp.rhs_offset);
+    if (f.kind == CompiledFilter::Kind::kComparison) {
+      const Comparison& cmp = f.lit.cmp;
+      return CompareCells(corpus, cell_for(cmp.lhs, 0), cmp.op,
+                          cell_for(cmp.rhs, 1), options_.limits,
+                          cmp.rhs_offset);
     }
-    if (lit.kind != Literal::Kind::kAtom) {
-      return Status::Internal("EvalFilter expects a comparison or p-function");
-    }
-    const Atom& atom = lit.atom;
+    const Atom& atom = f.lit.atom;
     // Token-similarity predicates are decided from prepared token-id sets:
     // the same answer as enumerating both cells and calling the function.
     if (std::optional<double> threshold =
             catalog_.TokenSimilarityThreshold(atom.predicate);
         threshold.has_value() && atom.args.size() == 2) {
       return SimilarityVerdict(
-          PrepareSimCell(corpus, cell_for(atom.args[0]), options_.limits),
-          PrepareSimCell(corpus, cell_for(atom.args[1]), options_.limits),
+          PrepareSimCell(corpus, cell_for(atom.args[0], 0), options_.limits),
+          PrepareSimCell(corpus, cell_for(atom.args[1], 1), options_.limits),
           options_.limits, *threshold);
     }
-    IFLEX_ASSIGN_OR_RETURN(const PFunctionFn* fn,
-                           catalog_.PFunction(atom.predicate));
     const size_t n_args = atom.args.size();
     // Enumeration buffers come from the worker context when one is leased
     // (warm across every tuple of a morsel); local_scratch_ otherwise.
@@ -1014,9 +754,9 @@ class RuleEvaluator {
     std::vector<std::vector<Value>>& arg_values = scratch->arg_values;
     bool complete = true;
     for (size_t i = 0; i < n_args; ++i) {
-      Cell c = cell_for(atom.args[i]);
-      complete = c.EnumerateValues(corpus, options_.limits.max_cell_enum,
-                                   &arg_values[i]) &&
+      complete = cell_for(atom.args[i], i)
+                     .EnumerateValues(corpus, options_.limits.max_cell_enum,
+                                      &arg_values[i]) &&
                  complete;
       if (arg_values[i].empty()) return SatResult::kNone;
     }
@@ -1034,7 +774,7 @@ class RuleEvaluator {
       for (size_t i = 0; i < n_args; ++i) {
         args.push_back(arg_values[i][idx[i]]);
       }
-      Result<Value> r = (*fn)(corpus, args);
+      Result<Value> r = (*f.fn)(corpus, args);
       if (!r.ok()) return r.status();
       if (r->AsBool()) {
         any = true;
@@ -1053,13 +793,14 @@ class RuleEvaluator {
     return all ? SatResult::kAll : SatResult::kSome;
   }
 
-  // Natural join of the binding table with a stored/intensional table,
-  // with pushdown of every pending filter that becomes evaluable once the
-  // atom's new columns exist.
-  Status JoinAtom(const Atom& atom, const CompactTable& table,
-                  std::vector<Literal>* pending) {
+  // Natural join of the binding table with a stored/intensional table.
+  // The op's pushed-down filters (an unconnected join's) decide each
+  // candidate pair before its merged tuple is kept.
+  Status JoinAtom(const CompiledOp& op, const CompactTable& table) {
     obs::CostScope cost(cost_model_, scope_, "join", options_.cost_iteration);
     const Corpus& corpus = catalog_.corpus();
+    const Atom& atom = op.atom;
+    const std::vector<CompiledFilter>& filters = op.filters;
     struct NewCol {
       size_t table_col;
       std::string var;
@@ -1099,30 +840,6 @@ class RuleEvaluator {
       merged_cols.emplace(nc.var, merged_cols.size());
     }
 
-    // Pull pending filters that become evaluable exactly now — but only
-    // for *unconnected* joins, where the filter is what keeps the cross
-    // product from materializing. Connected joins leave filters to the
-    // dedicated operators, which also narrow cells.
-    std::vector<Literal> filters;
-    bool connected = AtomIsConnected(atom);
-    for (size_t i = 0; !connected && i < pending->size();) {
-      const Literal& lit = (*pending)[i];
-      bool filterable = false;
-      if (lit.kind == Literal::Kind::kComparison) {
-        filterable = true;
-      } else if (lit.kind == Literal::Kind::kAtom) {
-        auto k = catalog_.KindOf(lit.atom.predicate);
-        filterable = k.ok() && *k == PredicateKind::kPFunction;
-      }
-      if (filterable && !LiteralEvaluable(lit, columns_) &&
-          LiteralEvaluable(lit, merged_cols)) {
-        filters.push_back(lit);
-        pending->erase(pending->begin() + static_cast<ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-
     // Prepared similarity join (docs/PERFORMANCE.md): a token-similarity
     // filter joining one binding column to one new table column (the
     // approximate string join of the paper's TR) reads the table side
@@ -1133,7 +850,7 @@ class RuleEvaluator {
     size_t sim_table_col = 0;
     double sim_threshold = 0;
     for (size_t i = 0; i < filters.size(); ++i) {
-      const Literal& lit = filters[i];
+      const Literal& lit = filters[i].lit;
       if (lit.kind != Literal::Kind::kAtom) continue;
       std::optional<double> threshold =
           catalog_.TokenSimilarityThreshold(lit.atom.predicate);
@@ -1169,119 +886,20 @@ class RuleEvaluator {
                       sim_threshold > 0,
                   options_.limits);
 
-    // Hash equi-join fast path: for joins carrying equality conditions,
-    // key the build side by interned singleton-exact values instead of
-    // scanning binding × table with a tri-state compare per pair.
-    // Constant / intra-table conditions resolve once at build time; rows
-    // whose join cells cannot be hashed (contain/expansion, multi-value,
-    // NaN) go to an `irregular` list that every probe still scans
-    // tri-state, and a probe whose own cells cannot be hashed falls back
-    // to the full scan — so the fast path is byte-identical to the legacy
-    // join (candidates are visited in ascending table order either way).
-    StringInterner& interner = corpus.interner();
-    const bool hash_eligible = options_.enable_fast_path && !conds.empty() &&
-                               table.size() >= 8;
-    // Fail-point site "exec.joinindex": an injected fault degrades to the
-    // legacy scan — slower, never wrong.
-    bool use_hash =
-        hash_eligible && !resilience::FailPointFired("exec.joinindex");
-    std::unordered_map<std::string, std::vector<size_t>> hash_index;
-    std::vector<size_t> irregular;     // rows the index cannot cover
-    std::vector<char> row_some;        // build-time kSome per indexed row
-    std::vector<const EqCond*> probe_conds;  // kVsBinding, in cond order
-    if (use_hash) {
-      for (const EqCond& c : conds) {
-        if (c.kind == EqCond::kVsBinding) probe_conds.push_back(&c);
-      }
-      row_some.assign(table.size(), 0);
-      std::string key;
-      for (size_t ti = 0; ti < table.tuples().size(); ++ti) {
-        const CompactTuple& t = table.tuples()[ti];
-        bool dead = false;
-        bool some = false;
-        for (const EqCond& c : conds) {
-          if (c.kind == EqCond::kVsBinding) continue;
-          const Cell& rhs =
-              c.kind == EqCond::kVsConstant ? c.constant : t.cells[c.other];
-          SatResult r =
-              CellsEqual(corpus, t.cells[c.table_col], rhs, options_.limits);
-          if (r == SatResult::kNone) {
-            dead = true;
-            break;
-          }
-          if (r == SatResult::kSome) some = true;
-        }
-        if (dead) continue;  // dead against every probe
-        row_some[ti] = some ? 1 : 0;
-        key.clear();
-        bool hashable = true;
-        for (const EqCond* c : probe_conds) {
-          if (!AppendCellKey(t.cells[c->table_col], interner,
-                             /*intern_new=*/true, &key)) {
-            hashable = false;
-            break;
-          }
-        }
-        if (hashable) {
-          hash_index[key].push_back(ti);
-        } else {
-          irregular.push_back(ti);
-        }
-      }
-      stats_->join_build_rows->Add(table.size());
-    }
-
     CompactTable out(NewSchema(new_cols));
     std::vector<size_t> candidates;
-    std::vector<char> cand_prechecked;  // conds resolved via the hash key
-    std::string probe_key;
     PreparedSimCell probe;
     std::vector<ValueId> probe_tokens;
     CounterTally pairs(stats_->join_pairs);
     for (const CompactTuple& b : binding_.tuples()) {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
-      candidates.clear();
-      cand_prechecked.clear();
       bool indexed_probe = false;
       if (sim != nullptr) {
         probe = PrepareSimCell(corpus, b.cells[sim_binding_col],
                                options_.limits);
-      }
-      if (sim != nullptr && sim->indexed &&
-          probe.values <= kSimIndexMaxValues) {
-        sim->Candidates(probe, &probe_tokens, &candidates);
-        indexed_probe = true;
-      } else if (use_hash) {
-        probe_key.clear();
-        bool hashable = true;
-        for (const EqCond* c : probe_conds) {
-          if (!AppendCellKey(b.cells[c->other], interner,
-                             /*intern_new=*/false, &probe_key)) {
-            hashable = false;  // tri-state probe: full legacy scan
-            break;
-          }
-        }
-        if (hashable) {
-          stats_->join_probes->Add();
-          if (cost.active()) ++cost.cost()->join_probes;
-          static const std::vector<size_t> kNoRows;
-          auto it = hash_index.find(probe_key);
-          const std::vector<size_t>& bucket =
-              it == hash_index.end() ? kNoRows : it->second;
-          // Merge bucket and irregular rows in ascending table order so
-          // the output order matches the legacy scan exactly.
-          candidates.reserve(bucket.size() + irregular.size());
-          cand_prechecked.reserve(bucket.size() + irregular.size());
-          size_t bi = 0, ii = 0;
-          while (bi < bucket.size() || ii < irregular.size()) {
-            bool take_bucket =
-                ii >= irregular.size() ||
-                (bi < bucket.size() && bucket[bi] < irregular[ii]);
-            candidates.push_back(take_bucket ? bucket[bi++]
-                                             : irregular[ii++]);
-            cand_prechecked.push_back(take_bucket ? 1 : 0);
-          }
+        if (sim->indexed && probe.values <= kSimIndexMaxValues) {
+          sim->Candidates(probe, &probe_tokens, &candidates);
           indexed_probe = true;
         }
       }
@@ -1294,32 +912,26 @@ class RuleEvaluator {
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
         bool dead = false;
         bool some = false;
-        if (ci < cand_prechecked.size() && cand_prechecked[ci]) {
-          // Equality held by key identity; singleton-exact cells compare
-          // kAll, so only the build-time conds can contribute kSome.
-          some = row_some[ti] != 0;
-        } else {
-          for (const EqCond& c : conds) {
-            const Cell& lhs = t.cells[c.table_col];
-            const Cell* rhs = nullptr;
-            switch (c.kind) {
-              case EqCond::kVsBinding:
-                rhs = &b.cells[c.other];
-                break;
-              case EqCond::kVsConstant:
-                rhs = &c.constant;
-                break;
-              case EqCond::kVsTableCol:
-                rhs = &t.cells[c.other];
-                break;
-            }
-            SatResult r = CellsEqual(corpus, lhs, *rhs, options_.limits);
-            if (r == SatResult::kNone) {
-              dead = true;
+        for (const EqCond& c : conds) {
+          const Cell& lhs = t.cells[c.table_col];
+          const Cell* rhs = nullptr;
+          switch (c.kind) {
+            case EqCond::kVsBinding:
+              rhs = &b.cells[c.other];
               break;
-            }
-            if (r == SatResult::kSome) some = true;
+            case EqCond::kVsConstant:
+              rhs = &c.constant;
+              break;
+            case EqCond::kVsTableCol:
+              rhs = &t.cells[c.other];
+              break;
           }
+          SatResult r = CellsEqual(corpus, lhs, *rhs, options_.limits);
+          if (r == SatResult::kNone) {
+            dead = true;
+            break;
+          }
+          if (r == SatResult::kSome) some = true;
         }
         if (dead) continue;
         // Pushed-down filters, in body order. The similarity filter reads
@@ -1339,8 +951,8 @@ class RuleEvaluator {
                                   sim_threshold);
           } else {
             if (!merged.has_value()) merge();
-            IFLEX_ASSIGN_OR_RETURN(r, EvalFilter(filters[fi], *merged,
-                                                 merged_cols));
+            IFLEX_ASSIGN_OR_RETURN(
+                r, EvalFilter(filters[fi], *merged, merged_cols));
           }
           if (r == SatResult::kNone) {
             dead = true;
@@ -1365,24 +977,6 @@ class RuleEvaluator {
       cost.cost()->docs = DistinctDocs();
     }
     return Status::OK();
-  }
-
-  static bool LiteralEvaluable(
-      const Literal& lit,
-      const std::unordered_map<std::string, size_t>& cols) {
-    auto bound = [&](const Term& t) {
-      return !t.is_var() || cols.count(t.var) > 0;
-    };
-    if (lit.kind == Literal::Kind::kComparison) {
-      return bound(lit.cmp.lhs) && bound(lit.cmp.rhs);
-    }
-    if (lit.kind == Literal::Kind::kAtom) {
-      for (const Term& t : lit.atom.args) {
-        if (!bound(t)) return false;
-      }
-      return true;
-    }
-    return false;
   }
 
   template <typename NewColVec>
@@ -1450,59 +1044,12 @@ class RuleEvaluator {
     return schema;
   }
 
-  Status ApplyConstraint(const ConstraintLit& k) {
-    obs::CostScope cost(cost_model_, scope_, "constraint",
-                        options_.cost_iteration);
-    if (cost.active()) cost.cost()->docs = DistinctDocs();
-    const Corpus& corpus = catalog_.corpus();
-    size_t col = columns_.at(k.var);
-    std::vector<ConstraintLit>& hist = history_[k.var];
-    CompactTable out(binding_.schema());
-    for (const CompactTuple& b : binding_.tuples()) {
-      stats_->constraint_cells->Add();
-      if (cost.active()) ++cost.cost()->verify_calls;
-      IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
-      IFLEX_ASSIGN_OR_RETURN(
-          Cell cell,
-          ApplyConstraintToCell(corpus, catalog_.features(), b.cells[col], k,
-                                hist,
-                                ctx_ != nullptr ? ctx_->memo() : nullptr));
-      if (cell.assignments.empty()) continue;  // no value can satisfy k
-      CompactTuple merged = b;
-      merged.cells[col] = std::move(cell);
-      out.Add(std::move(merged));
-    }
-    hist.push_back(k);
-    binding_ = std::move(out);
-    if (cost.active()) cost.cost()->rows = binding_.size();
-    return Status::OK();
-  }
-
-  Status ApplyComparison(const Comparison& cmp) {
-    obs::CostScope cost(cost_model_, scope_, "comparison",
-                        options_.cost_iteration);
-    size_t lhs_col = cmp.lhs.is_var() ? columns_.at(cmp.lhs.var) : SIZE_MAX;
-    size_t rhs_col = cmp.rhs.is_var() ? columns_.at(cmp.rhs.var) : SIZE_MAX;
-    CompactTable out(binding_.schema());
-    for (const CompactTuple& b : binding_.tuples()) {
-      IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
-      CompactTuple merged = b;
-      if (ComparisonOnTuple(cmp, lhs_col, rhs_col, &merged)) {
-        out.Add(std::move(merged));
-      }
-    }
-    binding_ = std::move(out);
-    if (cost.active()) cost.cost()->rows = binding_.size();
-    return Status::OK();
-  }
-
-  // One tuple of ApplyComparison, shared between the interpreter pass and
-  // the compiled filter block's irregular rows: narrow the lhs cell (or
-  // tri-state compare when the lhs is a constant), then narrow the rhs
-  // cell against the narrowed lhs. Column indices are SIZE_MAX for
-  // constant sides. On true, *merged holds the narrowed tuple with its
-  // maybe flag updated; false drops the tuple (a partially narrowed
-  // *merged is then discarded by the caller).
+  // One tuple of a comparison filter (the filter block's irregular rows):
+  // narrow the lhs cell (or tri-state compare when the lhs is a constant),
+  // then narrow the rhs cell against the narrowed lhs. Column indices are
+  // SIZE_MAX for constant sides. On true, *merged holds the narrowed tuple
+  // with its maybe flag updated; false drops the tuple (a partially
+  // narrowed *merged is then discarded by the caller).
   bool ComparisonOnTuple(const Comparison& cmp, size_t lhs_col,
                          size_t rhs_col, CompactTuple* merged) {
     const Corpus& corpus = catalog_.corpus();
@@ -1566,24 +1113,6 @@ class RuleEvaluator {
   Cell CellForTerm(const Term& t, const CompactTuple& b) const {
     if (t.is_var()) return b.cells[columns_.at(t.var)];
     return ConstantCell(t);
-  }
-
-  Status ApplyPFunction(const Atom& atom) {
-    obs::CostScope cost(cost_model_, scope_, "pfunction",
-                        options_.cost_iteration);
-    Literal lit = Literal::OfAtom(atom);
-    CompactTable out(binding_.schema());
-    for (const CompactTuple& b : binding_.tuples()) {
-      IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
-      IFLEX_ASSIGN_OR_RETURN(SatResult r, EvalFilter(lit, b, columns_));
-      if (r == SatResult::kNone) continue;
-      CompactTuple merged = b;
-      merged.maybe = b.maybe || r == SatResult::kSome;
-      out.Add(std::move(merged));
-    }
-    binding_ = std::move(out);
-    if (cost.active()) cost.cost()->rows = binding_.size();
-    return Status::OK();
   }
 
   Status ApplyPPredicate(const Atom& atom) {
@@ -1787,7 +1316,7 @@ class RuleEvaluator {
   resilience::ExecReport* report_;
   // Shared freelist of per-worker state (owned by the Executor) and the
   // context this evaluation runs with: leased by Evaluate for a whole
-  // top-level rule, or assigned by TryMorselBody per morsel. Null context
+  // top-level rule, or assigned by RunMorsels per morsel. Null context
   // falls back to local_scratch_ and the no-memo path.
   WorkerContextPool* contexts_ = nullptr;
   WorkerContext* ctx_ = nullptr;
@@ -1804,14 +1333,9 @@ class RuleEvaluator {
 
   CompactTable binding_;
   std::unordered_map<std::string, size_t> columns_;
-  std::unordered_map<std::string, std::vector<ConstraintLit>> history_;
   // Latched by OverBudget in best-effort mode: once an output table hit
   // the cap, enumeration loops stop adding to it.
   bool budget_exhausted_ = false;
-  // Compiled plan for the rule under evaluation (owned by the Executor's
-  // RuleCompileCache), or null to interpret. Morsel sub-evaluators inherit
-  // it so every shard runs the same path as the whole-table run.
-  const CompiledRule* plan_ = nullptr;
 };
 
 // Dependency-ordered list of intensional predicates needed for the query.
@@ -1893,11 +1417,8 @@ uint64_t PredicateFingerprint(
 
 void ExecCounters::BindTo(obs::MetricRegistry* registry) {
   rules_evaluated = registry->counter("exec.rules_evaluated");
-  rules_compiled = registry->counter("exec.rules_compiled");
   tuples_emitted = registry->counter("exec.tuples_emitted");
   join_pairs = registry->counter("exec.join_pairs");
-  join_probes = registry->counter("exec.join_probes");
-  join_build_rows = registry->counter("exec.join_build_rows");
   constraint_cells = registry->counter("exec.constraint_cells");
   ppred_invocations = registry->counter("exec.ppred_invocations");
   cache_hits = registry->counter("exec.cache_hits");
@@ -1916,16 +1437,7 @@ Executor::Executor(const Catalog& catalog, ExecOptions options)
       tracer_(obs::TracerOrDefault(options.tracer)),
       cost_model_(obs::CostModelOrDefault(options.cost_model)),
       event_log_(obs::EventLogOrDefault(options.event_log)) {
-  if (FastPathDisabledByEnv()) options_.enable_fast_path = false;
-  // Rule compilation is part of the fast path: disabling the fast path
-  // (option or IFLEX_DISABLE_FASTPATH) must also disable the compiled
-  // path, and IFLEX_DISABLE_RULE_COMPILE is the targeted escape hatch.
-  if (!options_.enable_fast_path || RuleCompileDisabledByEnv()) {
-    options_.enable_rule_compile = false;
-  }
-  if (!options_.enable_fast_path) {
-    options_.verify_memo = nullptr;
-  } else if (options_.verify_memo == nullptr) {
+  if (options_.verify_memo == nullptr) {
     // No session-scoped memo supplied: a private one still pays off
     // within one Execute (history re-checks) and across Executes of this
     // executor.
@@ -1944,11 +1456,8 @@ Executor::Executor(const Catalog& catalog, ExecOptions options)
 
 const ExecStats& Executor::stats() const {
   stats_.rules_evaluated = counters_.rules_evaluated->value();
-  stats_.rules_compiled = counters_.rules_compiled->value();
   stats_.tuples_emitted = counters_.tuples_emitted->value();
   stats_.join_pairs = counters_.join_pairs->value();
-  stats_.join_probes = counters_.join_probes->value();
-  stats_.join_build_rows = counters_.join_build_rows->value();
   stats_.intern_hits = counters_.intern_hits->value();
   stats_.verify_memo_hits = counters_.verify_memo_hits->value();
   stats_.constraint_cells = counters_.constraint_cells->value();
@@ -1962,11 +1471,8 @@ const ExecStats& Executor::stats() const {
 
 void Executor::ClearStats() {
   counters_.rules_evaluated->Reset();
-  counters_.rules_compiled->Reset();
   counters_.tuples_emitted->Reset();
   counters_.join_pairs->Reset();
-  counters_.join_probes->Reset();
-  counters_.join_build_rows->Reset();
   counters_.intern_hits->Reset();
   counters_.intern_misses->Reset();
   counters_.verify_memo_hits->Reset();
@@ -2000,8 +1506,7 @@ Result<CompactTable> Executor::Execute(const Program& program,
   // trip detector: deltas across this Execute, not process totals.
   const bool profiling = cost_model_->enabled();
   const uint64_t span_start_ns = obs::Tracer::NowNs();
-  const uint64_t memo_hits_before =
-      options_.verify_memo != nullptr ? options_.verify_memo->hits() : 0;
+  const uint64_t memo_hits_before = options_.verify_memo->hits();
   const uint64_t arena_before = catalog_.corpus().interner().arena_bytes();
   std::vector<std::pair<std::string, uint64_t>> failpoint_hits_before;
   if (resilience::FailPoints::Active()) {
@@ -2035,10 +1540,8 @@ Result<CompactTable> Executor::Execute(const Program& program,
   const TokenCache& token_cache = catalog_.corpus().tokens();
   counters_.intern_hits->Set(interner.hits() + token_cache.hits());
   counters_.intern_misses->Set(interner.misses() + token_cache.misses());
-  if (options_.verify_memo != nullptr) {
-    counters_.verify_memo_hits->Set(options_.verify_memo->hits());
-    counters_.verify_memo_misses->Set(options_.verify_memo->misses());
-  }
+  counters_.verify_memo_hits->Set(options_.verify_memo->hits());
+  counters_.verify_memo_misses->Set(options_.verify_memo->misses());
   if (report_->degraded) {
     metrics_->counter("resilience.degraded_runs")->Add();
     metrics_->counter("resilience.docs_failed")
@@ -2059,9 +1562,7 @@ Result<CompactTable> Executor::Execute(const Program& program,
     // account for this time, and the coverage ratio must not double-count.
     obs::Cost caches;
     caches.count = 1;
-    if (options_.verify_memo != nullptr) {
-      caches.memo_hits = options_.verify_memo->hits() - memo_hits_before;
-    }
+    caches.memo_hits = options_.verify_memo->hits() - memo_hits_before;
     caches.arena_bytes =
         catalog_.corpus().interner().arena_bytes() - arena_before;
     cost_model_->Charge(
@@ -2232,18 +1733,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
       }
       return Status::OK();
     };
-    // Compiled plans, looked up (and lowered on first sight) before the
-    // rule fan-out so plan pointers are fixed while workers run. A null
-    // plan interprets the rule. Fail-point site "exec.compile": an
-    // injected fault degrades that rule to the interpreter — slower,
-    // never wrong.
-    std::vector<const CompiledRule*> plans(rules.size(), nullptr);
-    if (options_.enable_rule_compile) {
-      for (size_t i = 0; i < rules.size(); ++i) {
-        if (resilience::FailPointFired("exec.compile")) continue;
-        plans[i] = compile_cache_.Get(catalog_, *rules[i]);
-      }
-    }
     if (options_.pool != nullptr && rules.size() > 1) {
       // Rule-per-task fan-out; merging in rule order reproduces the
       // serial append exactly, and a failing rule reports the same error
@@ -2256,7 +1745,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                 RuleEvaluator eval(catalog_, options_, &idb, &counters_,
                                    tracer_, &reports[i], &contexts_,
                                    &sim_joins);
-                eval.set_plan(plans[i]);
                 return eval.Evaluate(*rules[i]);
               });
       for (size_t i = 0; i < rules.size(); ++i) {
@@ -2267,7 +1755,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
       for (size_t i = 0; i < rules.size(); ++i) {
         RuleEvaluator eval(catalog_, options_, &idb, &counters_, tracer_,
                            report_, &contexts_, &sim_joins);
-        eval.set_plan(plans[i]);
         IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], eval.Evaluate(*rules[i])));
       }
     }

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "ctable/compact_table.h"
 #include "exec/cell_ops.h"
-#include "exec/compile.h"
 #include "exec/verify_memo.h"
 #include "exec/worker_context.h"
 #include "obs/cost_model.h"
@@ -77,25 +76,9 @@ struct ExecOptions {
   /// Degradation sink; null keeps the report inside the Executor (read it
   /// via Executor::report()). Cleared at the start of every Execute.
   resilience::ExecReport* report = nullptr;
-  /// Interned fast paths: the hash equi-join in JoinAtom and the Verify
-  /// memo. Off forces the legacy tri-state scan and direct feature calls
-  /// everywhere — results are byte-identical either way (the differential
-  /// determinism tests enforce it). Also forced off by setting the
-  /// IFLEX_DISABLE_FASTPATH environment variable.
-  bool enable_fast_path = true;
-  /// Rule compilation (docs/PERFORMANCE.md, "Rule compilation"): lower
-  /// each rule body into a flat CompiledRule plan — fused constraint
-  /// chains, columnar filter blocks — cached per executor, with per-rule
-  /// fallback to the interpreter for uncovered constructs. Results are
-  /// byte-identical either way (the compile determinism suite enforces
-  /// it). Forced off when enable_fast_path is off (including via
-  /// IFLEX_DISABLE_FASTPATH) or when the IFLEX_DISABLE_RULE_COMPILE
-  /// environment variable is set.
-  bool enable_rule_compile = true;
   /// Verify/VerifyText memo shared across executors (the assistant points
   /// every iteration and simulation at one session-scoped memo). Null
-  /// gives the executor a private memo; ignored when enable_fast_path is
-  /// off.
+  /// gives the executor a private memo.
   VerifyMemo* verify_memo = nullptr;
   /// Attribution profiler (docs/OBSERVABILITY.md): when enabled, every
   /// operator application is charged to a (rule, operator, iteration)
@@ -122,16 +105,8 @@ struct ExecStats {
   size_t rules_evaluated = 0;
   size_t tuples_emitted = 0;
   size_t join_pairs = 0;
-  /// Hash equi-join fast path: probes answered from the build-side index,
-  /// and rows it indexed. Zero when every join took the legacy scan.
-  size_t join_probes = 0;
-  size_t join_build_rows = 0;
   size_t constraint_cells = 0;
   size_t ppred_invocations = 0;
-  /// Rule evaluations that ran through a compiled plan (vs the
-  /// interpreter). Zero when rule compilation is disabled or every rule
-  /// fell back.
-  size_t rules_compiled = 0;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   /// Cumulative totals of the session-shared caches at the end of the
@@ -160,11 +135,8 @@ struct ExecCounters {
   obs::Counter* rules_evaluated = nullptr;
   obs::Counter* tuples_emitted = nullptr;
   obs::Counter* join_pairs = nullptr;
-  obs::Counter* join_probes = nullptr;
-  obs::Counter* join_build_rows = nullptr;
   obs::Counter* constraint_cells = nullptr;
   obs::Counter* ppred_invocations = nullptr;
-  obs::Counter* rules_compiled = nullptr;
   obs::Counter* cache_hits = nullptr;
   obs::Counter* cache_misses = nullptr;
   obs::Counter* process_assignments = nullptr;
@@ -331,10 +303,6 @@ class Executor {
   /// Per-worker execution state (scratch buffers + memo L1), recycled
   /// across morsels/rules via a freelist (docs/RUNTIME.md).
   WorkerContextPool contexts_;
-  /// Compiled-plan cache, one per executor: plans bake in pointers into
-  /// the catalog / feature registry, whose lifetime the executor already
-  /// bounds. Rule fingerprints key the (program, corpus) epoch.
-  RuleCompileCache compile_cache_;
   std::unique_ptr<VerifyMemo> owned_verify_memo_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_;

@@ -47,7 +47,7 @@ struct WorkerContext {
   uint64_t epoch = 0;
 
   /// The memo front to hand to cell ops: null when no shared memo is
-  /// bound (fast path off), so callers keep the legacy no-memo behavior.
+  /// bound, so callers skip memoization.
   VerifyMemoL1* memo() { return memo_l1.bound() ? &memo_l1 : nullptr; }
 };
 

@@ -63,10 +63,9 @@ void AppendCostColumns(const Cost& c, bool stable_only, uint64_t span_ns,
                        std::string* out) {
   char buf[192];
   if (stable_only) {
-    std::snprintf(buf, sizeof(buf), " %10llu %10llu %10llu",
+    std::snprintf(buf, sizeof(buf), " %10llu %10llu",
                   static_cast<unsigned long long>(c.rows),
-                  static_cast<unsigned long long>(c.verify_calls),
-                  static_cast<unsigned long long>(c.join_probes));
+                  static_cast<unsigned long long>(c.verify_calls));
     *out += buf;
     return;
   }
@@ -76,14 +75,12 @@ void AppendCostColumns(const Cost& c, bool stable_only, uint64_t span_ns,
                    : 100.0 * static_cast<double>(c.wall_ns) /
                          static_cast<double>(span_ns);
   std::snprintf(buf, sizeof(buf),
-                " %8llu %10.3f %6.1f %10llu %10llu %10llu %9llu %10llu"
-                " %10llu",
+                " %8llu %10.3f %6.1f %10llu %10llu %10llu %9llu %10llu",
                 static_cast<unsigned long long>(c.count), wall_ms, pct,
                 static_cast<unsigned long long>(c.docs),
                 static_cast<unsigned long long>(c.rows),
                 static_cast<unsigned long long>(c.verify_calls),
                 static_cast<unsigned long long>(c.memo_hits),
-                static_cast<unsigned long long>(c.join_probes),
                 static_cast<unsigned long long>(c.arena_bytes));
   *out += buf;
 }
@@ -102,12 +99,12 @@ std::string ExplainReport::ToText(bool stable_only) const {
   if (stable_only) {
     out +=
         "iter scope                    op              "
-        "       rows     verify     probes\n";
+        "       rows     verify\n";
   } else {
     out +=
         "iter scope                    op              "
         "    count    wall_ms    pct       docs       rows     verify"
-        "  memohits     probes      arena\n";
+        "  memohits      arena\n";
   }
   for (const Row& row : rows) {
     AppendKeyColumns(row.key, &out);
@@ -145,7 +142,6 @@ void WriteCostJson(const Cost& c, JsonWriter* w) {
   w->Key("rows").Number(c.rows);
   w->Key("verify_calls").Number(c.verify_calls);
   w->Key("memo_hits").Number(c.memo_hits);
-  w->Key("join_probes").Number(c.join_probes);
   w->Key("arena_bytes").Number(c.arena_bytes);
   w->EndObject();
 }

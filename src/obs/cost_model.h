@@ -34,9 +34,9 @@ struct CostKey {
 };
 
 /// What one key was charged. The columns split into two classes
-/// (docs/OBSERVABILITY.md): *stable* columns — rows, verify_calls,
-/// join_probes — whose per-key sums are thread-count invariant because
-/// document shards partition the binding rows, and *unstable* columns —
+/// (docs/OBSERVABILITY.md): *stable* columns — rows, verify_calls — whose
+/// per-key sums are thread-count invariant because document shards
+/// partition the binding rows, and *unstable* columns —
 /// count (one charge per Apply call, so it scales with the shard count),
 /// wall_ns, docs (per-shard distinct-document sums double-count a
 /// document whose rows straddle a shard boundary), memo_hits
@@ -49,7 +49,6 @@ struct Cost {
   uint64_t rows = 0;          // rows produced
   uint64_t verify_calls = 0;  // Verify evaluations (memo hits included)
   uint64_t memo_hits = 0;     // Verify-memo hits observed locally
-  uint64_t join_probes = 0;   // hash-join probe lookups
   uint64_t arena_bytes = 0;   // interner arena growth attributed here
 
   void Add(const Cost& o) {
@@ -59,7 +58,6 @@ struct Cost {
     rows += o.rows;
     verify_calls += o.verify_calls;
     memo_hits += o.memo_hits;
-    join_probes += o.join_probes;
     arena_bytes += o.arena_bytes;
   }
 };
@@ -77,7 +75,7 @@ struct ExplainReport {
   uint64_t span_ns = 0;
 
   /// Sorted fixed-width table. With stable_only, only the thread-count
-  /// invariant columns are printed (iter/scope/op/rows/verify/probes) —
+  /// invariant columns are printed (iter/scope/op/rows/verify) —
   /// byte-identical across thread counts for a fixed scenario, which is
   /// what explain_determinism_test pins.
   std::string ToText(bool stable_only = false) const;

@@ -287,105 +287,6 @@ TEST_F(ChaosTest, DeadlineBoundHoldsUnderInjectedDelays) {
       << "deadline enforcement took too long";
 }
 
-// --------------------------------------------------------- exec.joinindex
-
-// A fault in the hash equi-join index must degrade to the legacy
-// tri-state scan — identical answer, just slower — and, per the shared
-// cache rule, the Verify memo must not be populated while faults are
-// armed. Needs a conds-bearing join over a table past the hash
-// threshold, so it builds its own catalog.
-TEST(JoinIndexChaosTest, IndexFaultDegradesToScanNeverWrongAnswer) {
-  FailPoints::Instance().Clear();
-  Corpus corpus;
-  Catalog catalog(&corpus);
-  auto num = [](double n) { return Cell::Exact(Value::Number(n)); };
-  CompactTable r({"a", "b"});
-  for (int i = 1; i <= 3; ++i) {
-    CompactTuple t;
-    t.cells.push_back(num(i));
-    t.cells.push_back(num(i * 10));
-    r.Add(std::move(t));
-  }
-  ASSERT_TRUE(catalog.AddTable("r", std::move(r)).ok());
-  CompactTable s({"b", "c"});
-  for (int i = 1; i <= 9; ++i) {  // 9 rows: past the hash threshold
-    CompactTuple t;
-    t.cells.push_back(num(i * 10));
-    t.cells.push_back(num(i * 100));
-    s.Add(std::move(t));
-  }
-  ASSERT_TRUE(catalog.AddTable("s", std::move(s)).ok());
-  catalog.RegisterBuiltinFunctions();
-
-  auto prog = ParseProgram("q(a, c) :- r(a, b), s(b, c).", catalog);
-  ASSERT_TRUE(prog.ok()) << prog.status();
-  prog->set_query("q");
-
-  Executor baseline(catalog);
-  auto base = baseline.Execute(*prog);
-  ASSERT_TRUE(base.ok()) << base.status();
-  ASSERT_GT(baseline.stats().join_probes, 0u);  // hash path really runs
-
-  ASSERT_TRUE(
-      FailPoints::Instance().Configure("exec.joinindex=error").ok());
-  Executor exec(catalog);
-  auto result = exec.Execute(*prog);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->ToString(&corpus), base->ToString(&corpus));
-  EXPECT_GT(FailPoints::Instance().HitCount("exec.joinindex"), 0u);
-  // Degraded to the scan: no probes answered from the index.
-  EXPECT_EQ(exec.stats().join_probes, 0u);
-  EXPECT_FALSE(exec.report().degraded);
-  FailPoints::Instance().Clear();
-}
-
-// ------------------------------------------------------------ exec.compile
-
-// A fault at the rule-compilation site must degrade that rule to the
-// interpreter — identical answer, just slower. Firing on every hit, no
-// rule compiles at all and the run is still byte-identical.
-TEST_F(ChaosTest, CompileFaultDegradesToInterpreterNeverWrongAnswer) {
-  auto prog = Parse();
-  ASSERT_TRUE(prog.ok());
-  auto base = Baseline(*prog);
-  ASSERT_TRUE(base.ok());
-  {
-    // The clean baseline really took the compiled path.
-    Executor check(*catalog_);
-    ASSERT_TRUE(check.Execute(*prog).ok());
-    ASSERT_GT(check.stats().rules_compiled, 0u);
-  }
-
-  ASSERT_TRUE(FailPoints::Instance().Configure("exec.compile=error").ok());
-  Executor exec(*catalog_);
-  auto result = exec.Execute(*prog);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->ToString(&corpus_), base->ToString(&corpus_));
-  EXPECT_GT(FailPoints::Instance().HitCount("exec.compile"), 0u);
-  // Degraded to the interpreter: no rule ran through a plan.
-  EXPECT_EQ(exec.stats().rules_compiled, 0u);
-  EXPECT_FALSE(exec.report().degraded);
-}
-
-TEST_F(ChaosTest, TransientCompileFaultRecoversDeterministically) {
-  auto prog = Parse();
-  ASSERT_TRUE(prog.ok());
-  auto base = Baseline(*prog);
-  ASSERT_TRUE(base.ok());
-  // The unfolded program has one q rule, so each Execute draws one hit:
-  // fires on hits 2, 4, ... — compiled, interpreted, compiled, ...
-  // Either way the bytes never change.
-  ASSERT_TRUE(
-      FailPoints::Instance().Configure("exec.compile=error|every:2").ok());
-  for (size_t expect_compiled : {1u, 0u, 1u, 0u}) {
-    Executor exec(*catalog_);
-    auto result = exec.Execute(*prog);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->ToString(&corpus_), base->ToString(&corpus_));
-    EXPECT_EQ(exec.stats().rules_compiled, expect_compiled);
-  }
-}
-
 // ----------------------------------------- nothing armed, nothing changes
 
 TEST_F(ChaosTest, DisarmedFailPointsAreInvisible) {

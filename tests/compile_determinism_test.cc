@@ -1,16 +1,20 @@
-// The compiled operator core (docs/PERFORMANCE.md, "Rule compilation")
-// must be a pure performance change: for every Table-3 scenario, at any
-// morsel size and thread count, a run through compiled plans produces the
-// exact bytes of the legacy interpreter — same result table, same
-// intermediate tables, same memo accounting, same explain attribution.
-// Runs under the `compile` ctest label.
+// Rule compilation (docs/PERFORMANCE.md, "Rule compilation") is the
+// executor's only rule-evaluation path. This suite pins its output: for
+// every Table-3 scenario, at any morsel size and thread count, the result
+// and intermediate tables must match reference fingerprints recorded with
+// the literal-at-a-time interpreter the compiler replaced, together with
+// its work accounting and the paper example's stable explain attribution.
+// It also pins what the compiler lowers a rule into and the errors a body
+// it cannot evaluate reports. Runs under the `compile` ctest label.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/strutil.h"
+#include "exec/compile.h"
 #include "exec/executor.h"
 #include "obs/cost_model.h"
 #include "runtime/task_pool.h"
@@ -20,11 +24,10 @@
 namespace iflex {
 namespace {
 
-// Options every differential run shares. The table budget is tight and
+// Options every scenario run shares. The table budget is tight and
 // best-effort so the dense full-size scenarios (T3, T6, T9) truncate
 // deterministically in seconds instead of materializing multi-million
-// row joins; truncation goes through the same OverBudget sequence points
-// on both paths, so capped runs must still match byte for byte.
+// row joins.
 ExecOptions ScenarioOptions() {
   ExecOptions options;
   options.best_effort = true;
@@ -33,8 +36,9 @@ ExecOptions ScenarioOptions() {
 }
 
 struct RunOutput {
-  std::string result;
-  std::vector<std::pair<std::string, std::string>> idb;  // sorted by pred
+  // Fingerprint64 of the result bytes followed by every intermediate
+  // table's bytes in predicate order.
+  uint64_t fingerprint = 0;
   ExecStats stats;
   bool degraded = false;
 };
@@ -43,91 +47,127 @@ Result<RunOutput> RunScenario(const TaskInstance& task, ExecOptions options) {
   Executor exec(*task.catalog, options);
   IFLEX_ASSIGN_OR_RETURN(CompactTable table,
                          exec.Execute(task.initial_program));
-  RunOutput out;
-  out.result = table.ToString(task.corpus.get());
-  for (const auto& [pred, t] : exec.last_idb()) {
-    out.idb.emplace_back(pred, t.ToString(task.corpus.get()));
+  std::string bytes = table.ToString(task.corpus.get());
+  std::map<std::string, const CompactTable*> idb;  // sorted by predicate
+  for (const auto& [pred, t] : exec.last_idb()) idb[pred] = &t;
+  for (const auto& [pred, t] : idb) {
+    bytes += "\n" + pred + ": " + t->ToString(task.corpus.get());
   }
-  std::sort(out.idb.begin(), out.idb.end());
+  RunOutput out;
+  out.fingerprint = Fingerprint64(bytes);
   out.stats = exec.stats();
   out.degraded = exec.report().degraded;
   return out;
 }
 
-// All 27 Table-3 scenarios (9 tasks x 3 corpus sizes): the interpreter
-// (enable_rule_compile = false) is the reference; the compiled path must
-// reproduce it serially and across the morsel/thread grid.
-TEST(CompileDeterminismTest, CompiledMatchesInterpreterOnAllScenarios) {
+// One reference row per Table-3 scenario (9 tasks x 3 corpus sizes), run
+// serially under ScenarioOptions() on the task's initial program.
+struct Reference {
+  const char* task;
+  size_t scale;
+  uint64_t fingerprint;
+  bool degraded;
+  size_t constraint_cells;
+  size_t ppred_invocations;
+  size_t tuples_emitted;
+  size_t verify_memo_hits;
+  size_t process_assignments;
+};
+
+constexpr Reference kReference[] = {
+    {"T1", 10, 0x86d186b76ad4f3a5ull, false, 0, 0, 20, 0, 40},
+    {"T1", 100, 0xb7c34ca94024806cull, false, 0, 0, 200, 0, 400},
+    {"T1", 250, 0xc3928365513fb963ull, false, 0, 0, 500, 0, 1000},
+    {"T2", 10, 0x13cb49c84bb26d37ull, false, 0, 0, 12, 0, 32},
+    {"T2", 100, 0x209bea4f3ea6355eull, false, 0, 0, 124, 0, 324},
+    {"T2", 242, 0x3765b6e7e5572167ull, false, 0, 0, 306, 0, 790},
+    {"T3", 10, 0x510dc4d3ebbb27edull, false, 0, 0, 1030, 0, 1060},
+    {"T3", 100, 0xa1c86d8691a810bfull, true, 0, 0, 20300, 0, 20600},
+    {"T3", 517, 0x7be1f13cb2dc4c05ull, true, 0, 0, 1009, 0, 2018},
+    {"T4", 10, 0x3f38d8c8fe43567bull, false, 0, 0, 20, 0, 40},
+    {"T4", 100, 0x71ec9688515427ecull, false, 0, 0, 200, 0, 400},
+    {"T4", 312, 0x68179551c7484852ull, false, 0, 0, 624, 0, 1248},
+    {"T5", 100, 0xbedae63716135018ull, false, 0, 0, 200, 0, 500},
+    {"T5", 500, 0x1bc23f00303f08f2ull, false, 0, 0, 1000, 0, 2500},
+    {"T5", 2136, 0x54ea71548be033ffull, false, 0, 0, 4272, 0, 10680},
+    {"T6", 100, 0x7110a7bde4e5ebd2ull, false, 0, 0, 10200, 0, 10500},
+    {"T6", 500, 0x70e74ae1806d1f5cull, true, 0, 0, 21000, 0, 22500},
+    {"T6", 1798, 0x27e01c94644baac7ull, true, 0, 0, 23596, 0, 28990},
+    {"T7", 100, 0xcedfbff82db88327ull, false, 0, 0, 200, 0, 400},
+    {"T7", 500, 0x66ef077facc127a1ull, false, 0, 0, 1000, 0, 2000},
+    {"T7", 5000, 0xa12ef62e0fab5273ull, false, 0, 0, 10000, 0, 20000},
+    {"T8", 100, 0x163d04de9dfa2e67ull, false, 0, 0, 200, 0, 600},
+    {"T8", 500, 0x27e4d5f49f0362bbull, false, 0, 0, 1000, 0, 3000},
+    {"T8", 2490, 0xb6846e509ae87e70ull, false, 0, 0, 4980, 0, 14940},
+    {"T9", 100, 0xa137b6d52450f71dull, false, 0, 0, 10200, 0, 10600},
+    {"T9", 500, 0xd11f60b05bcbe331ull, true, 0, 0, 21000, 0, 23000},
+    {"T9", 5000, 0xaa569fb79deb7640ull, true, 0, 0, 27490, 0, 42470},
+};
+
+TEST(CompileDeterminismTest, ReferenceCoversEveryScenario) {
+  std::vector<std::string> scenarios;
   for (const std::string& id : AllTaskIds()) {
     for (size_t scale : ScenarioSizes(id)) {
-      const std::string label = id + "@" + std::to_string(scale);
-      auto task = MakeTask(id, scale);
-      ASSERT_TRUE(task.ok()) << label << ": " << task.status();
+      scenarios.push_back(id + "@" + std::to_string(scale));
+    }
+  }
+  std::vector<std::string> rows;
+  for (const Reference& ref : kReference) {
+    rows.push_back(std::string(ref.task) + "@" + std::to_string(ref.scale));
+  }
+  EXPECT_EQ(rows, scenarios);
+}
 
-      ExecOptions interp = ScenarioOptions();
-      interp.enable_rule_compile = false;
-      auto ref = RunScenario(**task, interp);
-      ASSERT_TRUE(ref.ok()) << label << ": " << ref.status();
-      EXPECT_EQ(ref->stats.rules_compiled, 0u) << label;
+// Every scenario reproduces its reference row serially, and the
+// morsel/thread grid reproduces the serial run. Scenarios that truncate
+// serially are compared serial-only: the table budget applies per morsel,
+// so a one-document-morsel run there does morsels x cap work — minutes
+// spent measuring the cap, not the operator core under test.
+TEST(CompileDeterminismTest, AllScenariosMatchTheReference) {
+  for (const Reference& ref : kReference) {
+    const std::string label =
+        std::string(ref.task) + "@" + std::to_string(ref.scale);
+    auto task = MakeTask(ref.task, ref.scale);
+    ASSERT_TRUE(task.ok()) << label << ": " << task.status();
 
-      ExecOptions compiled = ScenarioOptions();
-      auto got = RunScenario(**task, compiled);
-      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
-      // The scenario actually runs through plans, rather than trivially
-      // matching because everything fell back to the interpreter.
-      EXPECT_GT(got->stats.rules_compiled, 0u) << label;
-      EXPECT_EQ(got->result, ref->result) << label;
-      EXPECT_EQ(got->idb, ref->idb) << label;
-      EXPECT_EQ(got->degraded, ref->degraded) << label;
-      // Work accounting, not just answers: fused verify chains must make
-      // exactly the interpreter's per-cell constraint applications and
-      // memo lookups, columnar blocks its p-predicate invocations.
-      EXPECT_EQ(got->stats.constraint_cells, ref->stats.constraint_cells)
-          << label;
-      EXPECT_EQ(got->stats.ppred_invocations, ref->stats.ppred_invocations)
-          << label;
-      EXPECT_EQ(got->stats.tuples_emitted, ref->stats.tuples_emitted) << label;
-      EXPECT_EQ(got->stats.verify_memo_hits, ref->stats.verify_memo_hits)
-          << label;
-      EXPECT_EQ(got->stats.process_assignments, ref->stats.process_assignments)
-          << label;
+    auto serial = RunScenario(**task, ScenarioOptions());
+    ASSERT_TRUE(serial.ok()) << label << ": " << serial.status();
+    EXPECT_EQ(serial->fingerprint, ref.fingerprint) << label;
+    EXPECT_EQ(serial->degraded, ref.degraded) << label;
+    // Work accounting, not just answers.
+    EXPECT_EQ(serial->stats.constraint_cells, ref.constraint_cells) << label;
+    EXPECT_EQ(serial->stats.ppred_invocations, ref.ppred_invocations)
+        << label;
+    EXPECT_EQ(serial->stats.tuples_emitted, ref.tuples_emitted) << label;
+    EXPECT_EQ(serial->stats.verify_memo_hits, ref.verify_memo_hits) << label;
+    EXPECT_EQ(serial->stats.process_assignments, ref.process_assignments)
+        << label;
 
-      // Morsel/thread grid: the compiled morsel path carves the same
-      // morsels and merges in the same order as the interpreter's, so
-      // every cell of the grid reproduces the serial reference bytes.
-      // Scenarios that already truncated serially are compared serial-only:
-      // the table budget applies per morsel, so a one-document-morsel run
-      // there does morsels x cap work — minutes spent measuring the cap,
-      // not the operator core under test.
-      if (ref->degraded) continue;
-      for (size_t threads : {1, 8}) {
-        runtime::TaskPool pool(threads);
-        for (size_t morsel_docs : {1, 64}) {
-          ExecOptions grid = ScenarioOptions();
-          grid.pool = &pool;
-          grid.morsel_docs = morsel_docs;
-          auto r = RunScenario(**task, grid);
-          ASSERT_TRUE(r.ok()) << label << ": " << r.status();
-          EXPECT_GT(r->stats.rules_compiled, 0u) << label;
-          EXPECT_EQ(r->result, ref->result)
-              << label << " at " << threads << " threads, morsel_docs "
-              << morsel_docs;
-          EXPECT_EQ(r->idb, ref->idb)
-              << label << " at " << threads << " threads, morsel_docs "
-              << morsel_docs;
-          EXPECT_EQ(r->stats.process_assignments,
-                    ref->stats.process_assignments)
-              << label << " at " << threads << " threads, morsel_docs "
-              << morsel_docs;
-        }
+    if (serial->degraded) continue;
+    for (size_t threads : {1, 8}) {
+      runtime::TaskPool pool(threads);
+      for (size_t morsel_docs : {1, 64}) {
+        ExecOptions grid = ScenarioOptions();
+        grid.pool = &pool;
+        grid.morsel_docs = morsel_docs;
+        auto r = RunScenario(**task, grid);
+        ASSERT_TRUE(r.ok()) << label << ": " << r.status();
+        EXPECT_EQ(r->fingerprint, serial->fingerprint)
+            << label << " at " << threads << " threads, morsel_docs "
+            << morsel_docs;
+        EXPECT_EQ(r->stats.process_assignments,
+                  serial->stats.process_assignments)
+            << label << " at " << threads << " threads, morsel_docs "
+            << morsel_docs;
       }
     }
   }
 }
 
 // The paper's running example (Figures 1-3), as in paper_example_test:
-// constraints, comparisons, from() and an approx_match p-function, so a
-// compiled plan exercises fused chains and columnar filter blocks.
+// constraints, comparisons, from() and an approx_match p-function pushed
+// into the unconnected schools join, so a plan exercises fused chains,
+// columnar filter blocks and join pushdown.
 constexpr char kPaperProgram[] = R"(
   houses(x, <p>, <a>, <h>) :- housePages(x), extractHouses(x, p, a, h).
   schools(s)? :- schoolPages(y), extractSchools(y, s).
@@ -137,6 +177,26 @@ constexpr char kPaperProgram[] = R"(
                                numeric(p) = yes, numeric(a) = yes.
   extractSchools(y, s) :- from(y, s), bold_font(s) = yes.
 )";
+
+// Stable explain view of the paper example, recorded with the
+// literal-at-a-time interpreter: one row per (rule, operator) it charged.
+constexpr char kPaperStableExplain[] =
+    "iter scope                    op                     rows     verify\n"
+    "  -1 houses                   annotate                  2          0\n"
+    "  -1 houses                   constraint                4          4\n"
+    "  -1 houses                   from                      6          0\n"
+    "  -1 houses                   join                      2          0\n"
+    "  -1 houses                   project                   2          0\n"
+    "  -1 q                        caches                    0          0\n"
+    "  -1 q                        comparison                2          0\n"
+    "  -1 q                        join                      3          0\n"
+    "  -1 q                        project                   1          0\n"
+    "  -1 schools                  annotate                  2          0\n"
+    "  -1 schools                  constraint                2          2\n"
+    "  -1 schools                  from                      2          0\n"
+    "  -1 schools                  join                      2          0\n"
+    "  -1 schools                  project                   2          0\n"
+    "     total                                             32          6\n";
 
 class PaperExampleCompileTest : public ::testing::Test {
  protected:
@@ -188,31 +248,20 @@ class PaperExampleCompileTest : public ::testing::Test {
     catalog_->RegisterBuiltinFunctions(/*similarity_threshold=*/0.4);
   }
 
-  Result<Program> Parse() {
-    IFLEX_ASSIGN_OR_RETURN(Program prog, ParseProgram(kPaperProgram, *catalog_));
-    prog.set_query("q");
-    return prog;
-  }
-
   // Runs the paper query with a fresh profiler and returns the stable
-  // explain view (iter/scope/op/rows/verify/probes).
-  std::string StableExplain(bool rule_compile, runtime::TaskPool* pool) {
-    auto prog = Parse();
+  // explain view (iter/scope/op/rows/verify).
+  std::string StableExplain(runtime::TaskPool* pool) {
+    auto prog = ParseProgram(kPaperProgram, *catalog_);
     EXPECT_TRUE(prog.ok()) << prog.status();
+    prog->set_query("q");
     obs::CostModel model;
     model.set_enabled(true);
     ExecOptions options;
     options.pool = pool;
     options.cost_model = &model;
-    options.enable_rule_compile = rule_compile;
     Executor exec(*catalog_, options);
     auto r = exec.Execute(*prog);
     EXPECT_TRUE(r.ok()) << r.status();
-    if (rule_compile) {
-      EXPECT_GT(exec.stats().rules_compiled, 0u);
-    } else {
-      EXPECT_EQ(exec.stats().rules_compiled, 0u);
-    }
     return model.Report().ToText(/*stable_only=*/true);
   }
 
@@ -220,55 +269,137 @@ class PaperExampleCompileTest : public ::testing::Test {
   std::unique_ptr<Catalog> catalog_;
 };
 
-// Explain cost attribution: fused chains and filter blocks must charge
-// the same (rule, operator) keys with the same stable columns the
-// interpreter's one-pass-per-literal scopes produce, so the stable
-// explain view is byte-identical — serially and across the pool.
-TEST_F(PaperExampleCompileTest, StableExplainMatchesInterpreter) {
-  const std::string expected = StableExplain(/*rule_compile=*/false, nullptr);
-  ASSERT_FALSE(expected.empty());
-  // The reference attributes real work, including constraint and
-  // comparison rows (the fused/columnar operators under test).
-  EXPECT_NE(expected.find("constraint"), std::string::npos) << expected;
-  EXPECT_NE(expected.find("comparison"), std::string::npos) << expected;
-  EXPECT_EQ(StableExplain(/*rule_compile=*/true, nullptr), expected);
+// Explain cost attribution: fused chains and filter blocks charge one
+// (rule, operator) row per literal, so the stable explain view matches
+// the reference — serially and across the pool.
+TEST_F(PaperExampleCompileTest, StableExplainMatchesReference) {
+  EXPECT_EQ(StableExplain(nullptr), kPaperStableExplain);
   for (size_t threads : {1, 8}) {
     runtime::TaskPool pool(threads);
-    EXPECT_EQ(StableExplain(/*rule_compile=*/true, &pool), expected)
+    EXPECT_EQ(StableExplain(&pool), kPaperStableExplain)
         << threads << " threads";
   }
 }
 
-// Gating: rule compilation is part of the fast path. Disabling the fast
-// path (the option IFLEX_DISABLE_FASTPATH maps onto) must force the
-// interpreter, as must the dedicated enable_rule_compile switch (the
-// option IFLEX_DISABLE_RULE_COMPILE maps onto); both gated runs still
-// produce the compiled run's bytes.
-TEST_F(PaperExampleCompileTest, FastPathOffDisablesCompiledPath) {
-  auto prog = Parse();
+// ------------------------------------------------------------ CompileRule
+
+TEST(CompileRuleTest, EveryScenarioRuleCompiles) {
+  for (const std::string& id : AllTaskIds()) {
+    for (size_t scale : ScenarioSizes(id)) {
+      const std::string label = id + "@" + std::to_string(scale);
+      auto task = MakeTask(id, scale);
+      ASSERT_TRUE(task.ok()) << label << ": " << task.status();
+      auto unfolded = (*task)->initial_program.Unfold(*(*task)->catalog);
+      ASSERT_TRUE(unfolded.ok()) << label << ": " << unfolded.status();
+      for (const Rule& rule : unfolded->rules()) {
+        auto plan = CompileRule(*(*task)->catalog, rule);
+        EXPECT_TRUE(plan.ok())
+            << label << ": " << rule.ToString() << ": " << plan.status();
+      }
+    }
+  }
+}
+
+// T9's similarity join is unconnected: bn shares no variable with the
+// binding an leaves, so both filters that need bn's columns ride on the
+// bn join, in body order.
+TEST(CompileRuleTest, UnconnectedJoinCarriesItsPushedFilters) {
+  auto task = MakeTask("T9", 100);
+  ASSERT_TRUE(task.ok()) << task.status();
+  auto unfolded = (*task)->initial_program.Unfold(*(*task)->catalog);
+  ASSERT_TRUE(unfolded.ok()) << unfolded.status();
+  const Rule* t9 = nullptr;
+  for (const Rule& rule : unfolded->rules()) {
+    if (rule.head.predicate == "t9") t9 = &rule;
+  }
+  ASSERT_NE(t9, nullptr);
+  ASSERT_EQ(t9->ToString(),
+            "t9(t1) :- an(x, t1, np), bn(y, t2, bp), similar(t1, t2), "
+            "np < bp.");
+  auto plan = CompileRule(*(*task)->catalog, *t9);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->ops.size(), 2u);
+  EXPECT_TRUE(plan->seed_join);
+  EXPECT_EQ(plan->ops[0].kind, CompiledOp::Kind::kJoin);
+  EXPECT_EQ(plan->ops[0].atom.predicate, "an");
+  EXPECT_TRUE(plan->ops[0].filters.empty());
+  EXPECT_EQ(plan->ops[1].kind, CompiledOp::Kind::kJoin);
+  EXPECT_EQ(plan->ops[1].atom.predicate, "bn");
+  ASSERT_EQ(plan->ops[1].filters.size(), 2u);
+  EXPECT_EQ(plan->ops[1].filters[0].kind, CompiledFilter::Kind::kPFunction);
+  EXPECT_EQ(plan->ops[1].filters[0].lit.ToString(), "similar(t1, t2)");
+  EXPECT_EQ(plan->ops[1].filters[1].kind, CompiledFilter::Kind::kComparison);
+  EXPECT_EQ(plan->ops[1].filters[1].lit.ToString(), "np < bp");
+}
+
+// Bodies the executor cannot evaluate fail with the same statuses the
+// interpreter raised: a stuck body at compile time, a from() whose output
+// is already bound when the op runs. Under best_effort each lands in the
+// report's skipped rules instead.
+class CompileErrorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto doc = ParseMarkup("e1", "Title: <b>Vertigo</b> 1958");
+    ASSERT_TRUE(doc.ok());
+    DocId id = corpus_.Add(std::move(doc).value());
+    catalog_ = std::make_unique<Catalog>(&corpus_);
+    CompactTable pages({"x"});
+    CompactTuple t;
+    t.cells.push_back(Cell::Exact(Value::Doc(id)));
+    pages.Add(std::move(t));
+    ASSERT_TRUE(catalog_->AddTable("ebertPages", std::move(pages)).ok());
+    catalog_->RegisterBuiltinFunctions();
+  }
+
+  Result<Program> Parse(const std::string& text) {
+    IFLEX_ASSIGN_OR_RETURN(Program prog, ParseProgram(text, *catalog_));
+    prog.set_query("q");
+    return prog;
+  }
+
+  // Executes `prog` strictly (returning its status) and under best_effort
+  // (returning the skipped-rule entries).
+  Status RunStrict(const Program& prog) {
+    Executor exec(*catalog_);
+    return exec.Execute(prog).status();
+  }
+  std::vector<std::string> SkippedBestEffort(const Program& prog) {
+    ExecOptions options;
+    options.best_effort = true;
+    Executor exec(*catalog_, options);
+    auto r = exec.Execute(prog);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return exec.report().skipped_rules;
+  }
+
+  Corpus corpus_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
+TEST_F(CompileErrorTest, StuckBodyFailsToCompile) {
+  auto prog = Parse("q(x) :- from(y, x), from(x, y).");
   ASSERT_TRUE(prog.ok()) << prog.status();
+  const std::string expected =
+      "Internal: no evaluable literal left in rule "
+      "q(x) :- from(y, x), from(x, y).";
+  auto plan = CompileRule(*catalog_, prog->rules()[0]);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().ToString(), expected);
+  EXPECT_EQ(RunStrict(*prog).ToString(), expected);
+  EXPECT_EQ(SkippedBestEffort(*prog),
+            std::vector<std::string>{"q: " + expected});
+}
 
-  Executor compiled(*catalog_);
-  auto base = compiled.Execute(*prog);
-  ASSERT_TRUE(base.ok()) << base.status();
-  EXPECT_GT(compiled.stats().rules_compiled, 0u);
-
-  ExecOptions no_fastpath;
-  no_fastpath.enable_fast_path = false;
-  Executor legacy(*catalog_, no_fastpath);
-  auto legacy_result = legacy.Execute(*prog);
-  ASSERT_TRUE(legacy_result.ok()) << legacy_result.status();
-  EXPECT_EQ(legacy.stats().rules_compiled, 0u);
-  EXPECT_EQ(legacy_result->ToString(&corpus_), base->ToString(&corpus_));
-
-  ExecOptions no_compile;
-  no_compile.enable_rule_compile = false;
-  Executor interp(*catalog_, no_compile);
-  auto interp_result = interp.Execute(*prog);
-  ASSERT_TRUE(interp_result.ok()) << interp_result.status();
-  EXPECT_EQ(interp.stats().rules_compiled, 0u);
-  // The interpreter still runs the other fast paths (hash join, memo).
-  EXPECT_EQ(interp_result->ToString(&corpus_), base->ToString(&corpus_));
+TEST_F(CompileErrorTest, FromOutputAlreadyBoundFailsWhenItRuns) {
+  auto prog =
+      Parse("q(x, y) :- ebertPages(x), from(x, t), from(t, y), from(x, y).");
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  const std::string expected =
+      "InvalidArgument: from() output already bound: y";
+  EXPECT_TRUE(CompileRule(*catalog_, prog->rules()[0]).ok());
+  EXPECT_EQ(RunStrict(*prog).ToString(), expected);
+  EXPECT_EQ(SkippedBestEffort(*prog),
+            std::vector<std::string>{"q: " + expected});
 }
 
 }  // namespace

@@ -187,6 +187,67 @@ TEST_F(JoinTest, RepeatedVariableInAtom) {
   EXPECT_EQ(result->size(), 2u);  // (x,x) and (z,z)
 }
 
+// Equi-join over awkward keys: numeric-text "30" joins 30, text keys join
+// text, 999 matches nothing, and a multi-assignment key that may equal
+// either 10 or 20 joins both probes as maybe.
+TEST_F(JoinTest, EquiJoinOverAwkwardKeys) {
+  auto num = [](double n) { return Cell::Exact(Value::Number(n)); };
+  auto str = [](const std::string& s) {
+    return Cell::Exact(Value::String(s));
+  };
+  auto row = [](Cell a, Cell b) {
+    CompactTuple t;
+    t.cells.push_back(std::move(a));
+    t.cells.push_back(std::move(b));
+    return t;
+  };
+  CompactTable r({"a", "b"});
+  r.Add(row(num(1), num(10)));
+  r.Add(row(num(2), num(20)));
+  r.Add(row(num(3), str("30")));
+  r.Add(row(num(4), str("abc")));
+  r.Add(row(num(5), num(999)));
+  ASSERT_TRUE(catalog_->AddTable("r", std::move(r)).ok());
+  CompactTable s({"b", "c"});
+  s.Add(row(num(10), num(100)));
+  s.Add(row(num(20), num(200)));
+  s.Add(row(num(30), num(300)));
+  s.Add(row(str("abc"), num(400)));
+  Cell multi;
+  multi.assignments.push_back(Assignment::Exact(Value::Number(10)));
+  multi.assignments.push_back(Assignment::Exact(Value::Number(20)));
+  s.Add(row(std::move(multi), num(500)));
+  s.Add(row(str("xyz"), num(600)));
+  s.Add(row(num(70), num(700)));
+  s.Add(row(num(80), num(800)));
+  s.Add(row(num(90), num(900)));
+  ASSERT_TRUE(catalog_->AddTable("s", std::move(s)).ok());
+
+  auto prog = ParseProgram("q(a, c) :- r(a, b), s(b, c).", *catalog_);
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  Executor exec(*catalog_);
+  auto result = exec.Execute(*prog);
+  ASSERT_TRUE(result.ok()) << result.status();
+  struct Expected {
+    double a, c;
+    bool maybe;
+  };
+  const std::vector<Expected> expected = {{1, 100, false}, {1, 500, true},
+                                          {2, 200, false}, {2, 500, true},
+                                          {3, 300, false}, {4, 400, false}};
+  ASSERT_EQ(result->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const CompactTuple& t = result->tuples()[i];
+    EXPECT_EQ(t.cells[0].assignments[0].value.AsNumber().value_or(-1),
+              expected[i].a)
+        << "tuple " << i;
+    EXPECT_EQ(t.cells[1].assignments[0].value.AsNumber().value_or(-1),
+              expected[i].c)
+        << "tuple " << i;
+    EXPECT_EQ(t.maybe, expected[i].maybe) << "tuple " << i;
+  }
+}
+
 class PPredExpansionTest : public ::testing::Test {
  protected:
   void SetUp() override {

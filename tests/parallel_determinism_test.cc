@@ -202,25 +202,17 @@ TEST(DblifeDeterminismTest, PanelExtractionIsIdenticalAtAnyThreadCount) {
   }
 }
 
-// Differential fast-path check (docs/PERFORMANCE.md): the interned
-// pipeline — hash equi-join, Verify memo, token-id similarity — must be
-// byte-identical to the legacy tri-state scan path at every thread
-// count. The legacy reference is forced exactly the way the
-// IFLEX_DISABLE_FASTPATH environment variable forces it: by clearing
-// ExecOptions::enable_fast_path.
-TEST(DblifeDeterminismTest, FastPathIsIdenticalToLegacyAtAnyThreadCount) {
-  auto legacy_task = MakeTask("Panel", 40);
-  ASSERT_TRUE(legacy_task.ok()) << legacy_task.status();
-  ExecOptions legacy_options;
-  legacy_options.enable_fast_path = false;
-  Executor legacy(*(*legacy_task)->catalog, legacy_options);
-  auto base = legacy.Execute((*legacy_task)->initial_program);
+// Every intermediate table of the Panel program, not just the query's,
+// must match the serial run at every thread count.
+TEST(DblifeDeterminismTest, EveryIdbTableIsIdenticalAtAnyThreadCount) {
+  auto serial_task = MakeTask("Panel", 40);
+  ASSERT_TRUE(serial_task.ok()) << serial_task.status();
+  Executor serial(*(*serial_task)->catalog);
+  auto base = serial.Execute((*serial_task)->initial_program);
   ASSERT_TRUE(base.ok()) << base.status();
   const std::string expected =
-      base->ToString((*legacy_task)->corpus.get());
+      base->ToString((*serial_task)->corpus.get());
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(legacy.stats().join_probes, 0u);
-  EXPECT_EQ(legacy.stats().verify_memo_hits, 0u);
 
   for (size_t threads : {1, 2, 8}) {
     auto task = MakeTask("Panel", 40);
@@ -228,19 +220,17 @@ TEST(DblifeDeterminismTest, FastPathIsIdenticalToLegacyAtAnyThreadCount) {
     runtime::TaskPool pool(threads);
     ExecOptions options;
     options.pool = &pool;
-    options.enable_fast_path = true;
     Executor exec(*(*task)->catalog, options);
     auto r = exec.Execute((*task)->initial_program);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(r->ToString((*task)->corpus.get()), expected)
         << threads << " threads";
-    // Every intermediate table must match too, not just the query's.
-    ASSERT_EQ(exec.last_idb().size(), legacy.last_idb().size());
-    for (const auto& [pred, table] : legacy.last_idb()) {
+    ASSERT_EQ(exec.last_idb().size(), serial.last_idb().size());
+    for (const auto& [pred, table] : serial.last_idb()) {
       auto it = exec.last_idb().find(pred);
       ASSERT_NE(it, exec.last_idb().end()) << pred;
       EXPECT_EQ(it->second.ToString((*task)->corpus.get()),
-                table.ToString((*legacy_task)->corpus.get()))
+                table.ToString((*serial_task)->corpus.get()))
           << pred << " at " << threads << " threads";
     }
   }
@@ -312,13 +302,12 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
 // must make the same decisions and produce the same final table with a
 // pool as without.
 TEST(SessionDeterminismTest, RefinementSessionIsIdenticalWithPool) {
-  auto run_session = [](runtime::TaskPool* pool, bool fast_path = true)
+  auto run_session = [](runtime::TaskPool* pool)
       -> Result<std::pair<std::string, std::pair<size_t, size_t>>> {
     IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T1", 10));
     SessionOptions options;
     options.strategy = StrategyKind::kSimulation;
     options.pool = pool;
-    options.exec_options.enable_fast_path = fast_path;
     RefinementSession session(*task->catalog, task->initial_program,
                               task->developer.get(), options);
     IFLEX_ASSIGN_OR_RETURN(SessionResult result, session.Run());
@@ -339,14 +328,6 @@ TEST(SessionDeterminismTest, RefinementSessionIsIdenticalWithPool) {
     EXPECT_EQ(parallel->second.second, serial->second.second)
         << "simulations_run at " << threads << " threads";
   }
-
-  // The whole session must also be insensitive to the interned fast
-  // paths: same final table, same questions, same simulation count with
-  // the session-scoped Verify memo and hash joins disabled.
-  auto legacy = run_session(nullptr, /*fast_path=*/false);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(legacy->first, serial->first);
-  EXPECT_EQ(legacy->second, serial->second);
 }
 
 }  // namespace
