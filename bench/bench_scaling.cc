@@ -160,8 +160,8 @@ bool RunScenario(BenchReporter* reporter, const std::string& scenario,
     reporter->Row(std::move(row));
     if (threads == 1) {
       // Pure dispatch overhead of the morsel path: same serial hardware
-      // budget, but work flows through morsel carving, the context pool,
-      // and the L1 flush barriers. Host-independent (a ratio of two runs
+      // budget, but work flows through morsel carving, slice copies and
+      // one sub-evaluator per morsel. Host-independent (a ratio of two runs
       // in this process), so this row carries no hardware_cores and the
       // gate checks it on every machine.
       double overhead =

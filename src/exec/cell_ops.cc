@@ -12,7 +12,7 @@ namespace {
 // Memoized f(span) = v; Verify is a pure function of the key over the
 // frozen corpus, so a cached verdict is exact.
 bool VerifySpan(const Corpus& corpus, const PreparedConstraint& k,
-                const Span& span, VerifyMemoL1* memo) {
+                const Span& span, VerifyMemo* memo) {
   if (memo == nullptr || !k.base_usable) {
     return k.feature->Verify(corpus.Get(span.doc), span, k.lit.param,
                              k.lit.value);
@@ -33,7 +33,7 @@ bool VerifySpan(const Corpus& corpus, const PreparedConstraint& k,
 // document context) is keyed by the interned scalar text.
 std::optional<bool> VerifyScalar(const Corpus& corpus,
                                  const PreparedConstraint& k,
-                                 std::string_view text, VerifyMemoL1* memo) {
+                                 std::string_view text, VerifyMemo* memo) {
   if (memo == nullptr || !k.base_usable) {
     return k.feature->VerifyText(text, k.lit.param, k.lit.value);
   }
@@ -58,7 +58,7 @@ std::optional<bool> VerifyScalar(const Corpus& corpus,
 // constraint `k` to one assignment.
 std::vector<Assignment> ApplyOne(const Corpus& corpus,
                                  const PreparedConstraint& k,
-                                 const Assignment& a, VerifyMemoL1* memo) {
+                                 const Assignment& a, VerifyMemo* memo) {
   std::vector<Assignment> out;
   if (a.is_exact()) {
     const Value& v = a.value;
@@ -142,7 +142,7 @@ Result<PreparedConstraint> PrepareConstraint(const Corpus& corpus,
 Cell ApplyPreparedConstraintToCell(
     const Corpus& corpus, const PreparedConstraint& k,
     const std::vector<PreparedConstraint>& history, const Cell& cell,
-    VerifyMemoL1* memo) {
+    VerifyMemo* memo) {
   Cell out;
   out.is_expansion = cell.is_expansion;
   for (const Assignment& a : cell.assignments) {
@@ -169,7 +169,7 @@ Result<Cell> ApplyConstraintToCell(const Corpus& corpus,
                                    const FeatureRegistry& features,
                                    const Cell& cell, const ConstraintLit& k,
                                    const std::vector<ConstraintLit>& history,
-                                   VerifyMemoL1* memo) {
+                                   VerifyMemo* memo) {
   const bool want_memo = memo != nullptr;
   IFLEX_ASSIGN_OR_RETURN(PreparedConstraint pk,
                          PrepareConstraint(corpus, features, k, want_memo));

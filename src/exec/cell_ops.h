@@ -62,7 +62,7 @@ Result<PreparedConstraint> PrepareConstraint(const Corpus& corpus,
 Cell ApplyPreparedConstraintToCell(
     const Corpus& corpus, const PreparedConstraint& k,
     const std::vector<PreparedConstraint>& history, const Cell& cell,
-    VerifyMemoL1* memo);
+    VerifyMemo* memo);
 
 /// Most values a cell may encode and still take part in a
 /// token-similarity join's inverted index: a join indexes its table only
@@ -103,14 +103,14 @@ SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
 /// assignments go through Verify, contain assignments through Refine, and
 /// every refined assignment is re-checked against the previously applied
 /// constraints `history` for this attribute. Preserves the expansion flag.
-/// With `memo` non-null (a worker's VerifyMemoL1 bound to the session
-/// memo), Verify/VerifyText verdicts are served from (and recorded into)
-/// the memo tiers instead of re-running the feature procedures.
+/// With `memo` non-null (the session's VerifyMemo, shared by every
+/// morsel), Verify/VerifyText verdicts are served from (and recorded
+/// into) it instead of re-running the feature procedures.
 Result<Cell> ApplyConstraintToCell(const Corpus& corpus,
                                    const FeatureRegistry& features,
                                    const Cell& cell, const ConstraintLit& k,
                                    const std::vector<ConstraintLit>& history,
-                                   VerifyMemoL1* memo = nullptr);
+                                   VerifyMemo* memo = nullptr);
 
 /// Evaluates `lhs op (rhs + rhs_offset)` over all possible value pairs of
 /// two cells (either may be a 1-value "constant cell"). Overflowing the

@@ -153,6 +153,27 @@ class SimJoinCache {
       entries_;
 };
 
+// Reusable enumeration buffers for the per-tuple filter hot path
+// (RuleEvaluator::EvalFilter). One EvalFilter call enumerates every
+// argument cell into a vector-of-vectors and walks the cross product;
+// allocating those per call dominated the p-function profile. Each
+// evaluator (one per rule, one per morsel) keeps its set warm across
+// its tuples.
+struct EvalScratch {
+  std::vector<std::vector<Value>> arg_values;
+  std::vector<size_t> idx;
+  std::vector<Value> args;
+
+  // Readies the first `n_args` argument buffers (cleared, capacity kept).
+  void Prepare(size_t n_args) {
+    if (arg_values.size() < n_args) arg_values.resize(n_args);
+    for (size_t i = 0; i < n_args; ++i) arg_values[i].clear();
+    idx.assign(n_args, 0);
+    args.clear();
+    args.reserve(n_args);
+  }
+};
+
 // Tallies a hot counter locally and adds the total once, on scope exit —
 // one shared read-modify-write per operator instead of one per pair.
 class CounterTally {
@@ -185,37 +206,19 @@ class RuleEvaluator {
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, CompactTable>* idb,
                 const ExecCounters* stats, obs::Tracer* tracer,
-                resilience::ExecReport* report, WorkerContextPool* contexts,
-                SimJoinCache* sim_joins)
+                resilience::ExecReport* report, SimJoinCache* sim_joins)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
         stats_(stats),
         tracer_(tracer),
         report_(report),
-        contexts_(contexts),
         sim_joins_(sim_joins),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
 
   Result<CompactTable> Evaluate(const Rule& rule) {
-    // Top-level evaluation leases its own worker context for the whole
-    // rule (morsel sub-evaluators run with the context of the worker
-    // executing the morsel instead — see RunMorsels). The release at
-    // return is the rule-level flush barrier for the memo L1.
-    if (ctx_ != nullptr || contexts_ == nullptr) {
-      return EvaluateWithContext(rule);
-    }
-    WorkerContextLease lease(contexts_);
-    ctx_ = lease.get();
-    Result<CompactTable> out = EvaluateWithContext(rule);
-    ctx_ = nullptr;
-    return out;
-  }
-
- private:
-  Result<CompactTable> EvaluateWithContext(const Rule& rule) {
     obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
     scope_ = rule.head.predicate;
     stats_->rules_evaluated->Add();
@@ -252,6 +255,7 @@ class RuleEvaluator {
     return annotated;
   }
 
+ private:
   // Applies the intermediate-tuple budget to an overflowing `table`.
   // Best-effort mode truncates to the cap, records the event once, and
   // latches budget_exhausted_ so enumeration loops stop growing tables;
@@ -300,8 +304,7 @@ class RuleEvaluator {
   // participants pull them one at a time from the shared batch cursor: a
   // straggler morsel (huge document, irregular cells) delays only itself,
   // never a coarse shard's worth of siblings. Each morsel runs "seed join +
-  // the plan's remaining ops" with a leased WorkerContext (warm scratch
-  // buffers + memo L1, flushed at the morsel boundary), and the morsel
+  // the plan's remaining ops" in its own sub-evaluator, and the morsel
   // bindings are concatenated in morsel order. Every later operator is
   // per-tuple and the plan is shared, so the concatenation equals the
   // serial binding table tuple for tuple; Project and ψ then run once on
@@ -327,18 +330,16 @@ class RuleEvaluator {
       resilience::ExecReport report;
     };
 
-    // Seed join + plan suffix over the seed tuples in [lo, hi), running
-    // with the worker's leased context (warm scratch + memo L1).
-    auto eval_range = [&](size_t lo, size_t hi, WorkerContext* ctx) {
+    // Seed join + plan suffix over the seed tuples in [lo, hi).
+    auto eval_range = [&](size_t lo, size_t hi) {
       MorselOut out;
       out.status = resilience::FailPointStatus("exec.shard");
       if (!out.status.ok()) return out;
       CompactTable slice(table.schema());
       for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
       RuleEvaluator sub(catalog_, options_, idb_, stats_, tracer_,
-                        &out.report, contexts_, sim_joins_);
+                        &out.report, sim_joins_);
       sub.scope_ = scope_;  // morsels charge the same rule
-      sub.ctx_ = ctx;
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
       out.status = sub.JoinAtom(plan.ops.front(), slice);
@@ -351,20 +352,18 @@ class RuleEvaluator {
 
     // One morsel; under best-effort a failing morsel is retried seed
     // tuple by seed tuple, so a single poisoned document drops only
-    // itself (recorded in the report) instead of its whole morsel. The
-    // lease's release is the morsel-boundary flush of the memo L1.
+    // itself (recorded in the report) instead of its whole morsel.
     auto eval_morsel = [&](size_t mi) {
-      WorkerContextLease lease(contexts_);
       size_t lo = mi * morsel_docs;
       size_t hi = std::min(n, lo + morsel_docs);
-      MorselOut out = eval_range(lo, hi, lease.get());
+      MorselOut out = eval_range(lo, hi);
       if (out.status.ok() || !options_.best_effort || out.status.IsStop()) {
         return out;
       }
       MorselOut iso;
       iso.status = Status::OK();
       for (size_t j = lo; j < hi; ++j) {
-        MorselOut one = eval_range(j, j + 1, lease.get());
+        MorselOut one = eval_range(j, j + 1);
         iso.report.Merge(one.report);
         if (one.status.IsStop()) {
           iso.status = one.status;
@@ -505,7 +504,6 @@ class RuleEvaluator {
   Status RunConstraintChain(const CompiledOp& op) {
     obs::TraceSpan span(tracer_, "exec.constraint_chain");
     const Corpus& corpus = catalog_.corpus();
-    VerifyMemoL1* memo = ctx_ != nullptr ? ctx_->memo() : nullptr;
     const size_t n = op.chain.size();
     std::vector<size_t> cols(n);
     for (size_t i = 0; i < n; ++i) {
@@ -530,7 +528,7 @@ class RuleEvaluator {
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
         Cell cell = ApplyPreparedConstraintToCell(
             corpus, op.chain[i].k, op.chain[i].history, merged.cells[cols[i]],
-            memo);
+            options_.verify_memo);
         if (cell.assignments.empty()) {
           dead = true;  // no value can satisfy this constraint
           break;
@@ -746,12 +744,9 @@ class RuleEvaluator {
           options_.limits, *threshold);
     }
     const size_t n_args = atom.args.size();
-    // Enumeration buffers come from the worker context when one is leased
-    // (warm across every tuple of a morsel); local_scratch_ otherwise.
-    // Only the first n_args entries of arg_values are live this call.
-    EvalScratch* scratch = ctx_ != nullptr ? &ctx_->scratch : &local_scratch_;
-    scratch->Prepare(n_args);
-    std::vector<std::vector<Value>>& arg_values = scratch->arg_values;
+    // Only the first n_args entries of scratch_.arg_values are live here.
+    scratch_.Prepare(n_args);
+    std::vector<std::vector<Value>>& arg_values = scratch_.arg_values;
     bool complete = true;
     for (size_t i = 0; i < n_args; ++i) {
       complete = cell_for(atom.args[i], i)
@@ -767,8 +762,8 @@ class RuleEvaluator {
     }
     bool any = false;
     bool all = true;
-    std::vector<size_t>& idx = scratch->idx;
-    std::vector<Value>& args = scratch->args;
+    std::vector<size_t>& idx = scratch_.idx;
+    std::vector<Value>& args = scratch_.args;
     while (true) {
       args.clear();
       for (size_t i = 0; i < n_args; ++i) {
@@ -1314,13 +1309,7 @@ class RuleEvaluator {
   const ExecCounters* stats_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
-  // Shared freelist of per-worker state (owned by the Executor) and the
-  // context this evaluation runs with: leased by Evaluate for a whole
-  // top-level rule, or assigned by RunMorsels per morsel. Null context
-  // falls back to local_scratch_ and the no-memo path.
-  WorkerContextPool* contexts_ = nullptr;
-  WorkerContext* ctx_ = nullptr;
-  EvalScratch local_scratch_;
+  EvalScratch scratch_;
   // Prepared similarity-join tables of this Execute, shared by every rule
   // task and morsel (owned by ExecuteInternal).
   SimJoinCache* sim_joins_;
@@ -1423,12 +1412,8 @@ void ExecCounters::BindTo(obs::MetricRegistry* registry) {
   ppred_invocations = registry->counter("exec.ppred_invocations");
   cache_hits = registry->counter("exec.cache_hits");
   cache_misses = registry->counter("exec.cache_misses");
-  process_assignments = registry->counter("exec.process_assignments");
+  process_assignments = registry->gauge("exec.process_assignments");
   process_values = registry->gauge("exec.process_values");
-  intern_hits = registry->counter("exec.intern_hits");
-  intern_misses = registry->counter("exec.intern_misses");
-  verify_memo_hits = registry->counter("exec.verify_memo_hits");
-  verify_memo_misses = registry->counter("exec.verify_memo_misses");
 }
 
 Executor::Executor(const Catalog& catalog, ExecOptions options)
@@ -1458,13 +1443,12 @@ const ExecStats& Executor::stats() const {
   stats_.rules_evaluated = counters_.rules_evaluated->value();
   stats_.tuples_emitted = counters_.tuples_emitted->value();
   stats_.join_pairs = counters_.join_pairs->value();
-  stats_.intern_hits = counters_.intern_hits->value();
-  stats_.verify_memo_hits = counters_.verify_memo_hits->value();
   stats_.constraint_cells = counters_.constraint_cells->value();
   stats_.ppred_invocations = counters_.ppred_invocations->value();
   stats_.cache_hits = counters_.cache_hits->value();
   stats_.cache_misses = counters_.cache_misses->value();
-  stats_.process_assignments = counters_.process_assignments->value();
+  stats_.process_assignments =
+      static_cast<size_t>(counters_.process_assignments->value());
   stats_.process_values = counters_.process_values->value();
   return stats_;
 }
@@ -1473,10 +1457,6 @@ void Executor::ClearStats() {
   counters_.rules_evaluated->Reset();
   counters_.tuples_emitted->Reset();
   counters_.join_pairs->Reset();
-  counters_.intern_hits->Reset();
-  counters_.intern_misses->Reset();
-  counters_.verify_memo_hits->Reset();
-  counters_.verify_memo_misses->Reset();
   counters_.constraint_cells->Reset();
   counters_.ppred_invocations->Reset();
   counters_.cache_hits->Reset();
@@ -1533,15 +1513,6 @@ Result<CompactTable> Executor::Execute(const Program& program,
       metrics_->counter("resilience.cancelled")->Add();
     }
   }
-  // Publish the cumulative totals of the session-shared caches. These are
-  // Set, not Add: interner/token-cache/memo outlive any one executor, so
-  // the totals are session-wide by construction.
-  const StringInterner& interner = catalog_.corpus().interner();
-  const TokenCache& token_cache = catalog_.corpus().tokens();
-  counters_.intern_hits->Set(interner.hits() + token_cache.hits());
-  counters_.intern_misses->Set(interner.misses() + token_cache.misses());
-  counters_.verify_memo_hits->Set(options_.verify_memo->hits());
-  counters_.verify_memo_misses->Set(options_.verify_memo->misses());
   if (report_->degraded) {
     metrics_->counter("resilience.degraded_runs")->Add();
     metrics_->counter("resilience.docs_failed")
@@ -1652,15 +1623,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                                                ReuseCache* cache) {
   obs::TraceSpan exec_span(tracer_, "exec.execute", program.query());
 
-  // New execution epoch: worker contexts acquired during this Execute bind
-  // their memo L1s to the session memo and drop any state cached from a
-  // previous Execute (the memo may have been cleared in between).
-  contexts_.BeginEpoch(options_.verify_memo);
-  // Write-back front for the shared reuse cache: lookups check the
-  // pending batch then the striped cache; inserts buffer locally and
-  // publish once at the end of this Execute (one lock pass per stripe).
-  ReuseCacheL1 cache_l1(cache);
-
   IFLEX_ASSIGN_OR_RETURN(Program unfolded, program.Unfold(catalog_));
   std::unordered_map<std::string, std::vector<const Rule*>> by_head;
   for (const Rule& r : unfolded.rules()) {
@@ -1689,7 +1651,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     IFLEX_RETURN_NOT_OK(stop.Check("Execute"));
     uint64_t fp = PredicateFingerprint(pred, by_head, &fp_memo);
     if (cache != nullptr) {
-      const CompactTable* hit = cache_l1.Lookup(fp);
+      const CompactTable* hit = cache->Lookup(fp);
       if (hit != nullptr) {
         counters_.cache_hits->Add();
         idb.emplace(pred, *hit);
@@ -1743,8 +1705,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
           runtime::ParallelMap<Result<CompactTable>>(
               options_.pool, rules.size(), [&](size_t i) {
                 RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                   tracer_, &reports[i], &contexts_,
-                                   &sim_joins);
+                                   tracer_, &reports[i], &sim_joins);
                 return eval.Evaluate(*rules[i]);
               });
       for (size_t i = 0; i < rules.size(); ++i) {
@@ -1754,7 +1715,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     } else {
       for (size_t i = 0; i < rules.size(); ++i) {
         RuleEvaluator eval(catalog_, options_, &idb, &counters_, tracer_,
-                           report_, &contexts_, &sim_joins);
+                           report_, &sim_joins);
         IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], eval.Evaluate(*rules[i])));
       }
     }
@@ -1768,7 +1729,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     // only — caching it would silently degrade future fault-free
     // iterations, so degraded predicates never enter the cache.
     const bool clean = report_->EventCount() == report_events_before;
-    if (cache != nullptr && clean) cache_l1.Insert(fp, result);
+    if (cache != nullptr && clean) cache->Insert(fp, result);
     idb.emplace(pred, std::move(result));
   }
   gauges.Finalize();

@@ -1,7 +1,6 @@
 #ifndef IFLEX_EXEC_EXECUTOR_H_
 #define IFLEX_EXEC_EXECUTOR_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include "ctable/compact_table.h"
 #include "exec/cell_ops.h"
 #include "exec/verify_memo.h"
-#include "exec/worker_context.h"
 #include "obs/cost_model.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -55,7 +53,7 @@ struct ExecOptions {
   /// Morsel size of the morsel-driven scheduler: how many seed tuples
   /// (≈ documents) one dynamically claimed work unit covers. Small enough
   /// that a straggler document delays only its own morsel, large enough
-  /// to amortize the per-morsel claim + context acquire + L1 flush.
+  /// to amortize the per-morsel claim, slice copy and evaluator setup.
   /// Clamped to ≥ 1. Changing it never changes results, only scheduling.
   size_t morsel_docs = 128;
   /// Time bound on Execute (docs/ROBUSTNESS.md); checked cooperatively in
@@ -109,11 +107,6 @@ struct ExecStats {
   size_t ppred_invocations = 0;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  /// Cumulative totals of the session-shared caches at the end of the
-  /// last Execute: corpus interner / token-cache lookups and Verify-memo
-  /// lookups that hit.
-  size_t intern_hits = 0;
-  size_t verify_memo_hits = 0;
   /// Assignments across *all* intensional tables of the last Execute —
   /// "the number of assignments produced by the extraction process"
   /// (paper §5.1), which the convergence detector monitors. Unlike the
@@ -139,14 +132,9 @@ struct ExecCounters {
   obs::Counter* ppred_invocations = nullptr;
   obs::Counter* cache_hits = nullptr;
   obs::Counter* cache_misses = nullptr;
-  obs::Counter* process_assignments = nullptr;
+  // Gauges: they hold the last Execute's value.
+  obs::Gauge* process_assignments = nullptr;
   obs::Gauge* process_values = nullptr;
-  // Set (not added) at the end of every Execute to the cumulative totals
-  // of the session-shared caches, which outlive any one executor.
-  obs::Counter* intern_hits = nullptr;
-  obs::Counter* intern_misses = nullptr;
-  obs::Counter* verify_memo_hits = nullptr;
-  obs::Counter* verify_memo_misses = nullptr;
 
   void BindTo(obs::MetricRegistry* registry);
 };
@@ -157,104 +145,39 @@ struct ExecCounters {
 /// developer's feedback touches only one extractor, every untouched
 /// predicate is served from cache.
 ///
-/// Thread-safety: Lookup/Insert are synchronized by striped locks, so
-/// concurrent simulation executors can share one cache. Returned table
-/// pointers stay valid across concurrent inserts (node-based map; a
-/// duplicate insert keeps the first copy — harmless, since parallel
-/// execution is deterministic and both copies are identical). Clear() must
-/// not race with readers still holding pointers.
+/// Thread-safety: one mutex guards the map, so concurrent simulation
+/// executors can share one cache; it is taken about once per predicate
+/// per Execute, too rarely to contend (docs/PERFORMANCE.md, "Verify
+/// memo"). Returned table pointers stay valid across concurrent inserts
+/// (node-based map; a duplicate insert keeps the first copy — harmless,
+/// since parallel execution is deterministic and both copies are
+/// identical). Clear() must not race with readers still holding pointers.
 class ReuseCache {
  public:
   const CompactTable* Lookup(uint64_t key) const {
     // Fail-point site "exec.cache": an injected fault degrades to a cache
     // miss — the caller recomputes, trading time for correctness.
     if (resilience::FailPointFired("exec.cache")) return nullptr;
-    const Stripe& s = stripe(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    return it == s.map.end() ? nullptr : &it->second;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    return it == map_.end() ? nullptr : &it->second;
   }
   void Insert(uint64_t key, CompactTable table) {
-    Stripe& s = stripe(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.map.emplace(key, std::move(table));
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.emplace(key, std::move(table));
   }
   void Clear() {
-    for (Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.map.clear();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
   }
   size_t size() const {
-    size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      n += s.map.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return map_.size();
   }
 
  private:
-  // Cache-line-padded stripes, 64 of them: adjacent unpadded mutexes
-  // false-share, and 16 stripes collide too often once 8+ simulation
-  // executors hammer the cache concurrently (same reasoning as
-  // VerifyMemo's stripes; docs/PERFORMANCE.md).
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, CompactTable> map;
-  };
-  static constexpr size_t kStripes = 64;
-
-  Stripe& stripe(uint64_t key) { return stripes_[key % kStripes]; }
-  const Stripe& stripe(uint64_t key) const { return stripes_[key % kStripes]; }
-
-  std::array<Stripe, kStripes> stripes_;
-};
-
-/// Write-back front for one Execute over a shared ReuseCache: lookups
-/// check the local pending set first (then the striped cache), and
-/// inserts buffer locally, flushing to the striped cache in one pass when
-/// the L1 is destroyed at the end of the Execute. Concurrent simulation
-/// executors thus take stripe locks O(predicates) times per Execute for
-/// reads and once per flush for writes, instead of locking per insert.
-/// Delaying publication never changes results — a peer that misses a
-/// not-yet-flushed entry recomputes the identical table (execution is
-/// deterministic) — it only trades a little duplicated work for less
-/// contention; cross-iteration reuse, the case that matters, always sees
-/// flushed entries.
-class ReuseCacheL1 {
- public:
-  /// Null `shared` makes every operation a no-op (the uncached path).
-  explicit ReuseCacheL1(ReuseCache* shared) : shared_(shared) {}
-  ~ReuseCacheL1() { Flush(); }
-  ReuseCacheL1(const ReuseCacheL1&) = delete;
-  ReuseCacheL1& operator=(const ReuseCacheL1&) = delete;
-
-  const CompactTable* Lookup(uint64_t key) const {
-    auto it = pending_.find(key);
-    if (it != pending_.end()) return it->second.get();
-    return shared_ != nullptr ? shared_->Lookup(key) : nullptr;
-  }
-  /// Buffers an insert; unique_ptr storage keeps the pointer returned by
-  /// Lookup stable across further inserts.
-  void Insert(uint64_t key, CompactTable table) {
-    if (shared_ == nullptr) return;
-    pending_.emplace(key,
-                     std::make_unique<CompactTable>(std::move(table)));
-  }
-  /// Publishes buffered entries to the shared cache; idempotent.
-  void Flush() {
-    if (shared_ == nullptr) return;
-    for (auto& [key, table] : pending_) {
-      shared_->Insert(key, std::move(*table));
-    }
-    pending_.clear();
-  }
-  size_t pending() const { return pending_.size(); }
-
- private:
-  ReuseCache* shared_;
-  std::unordered_map<uint64_t, std::unique_ptr<CompactTable>> pending_;
+  mutable std::mutex mu_;
+  std::unordered_map<uint64_t, CompactTable> map_;
 };
 
 /// Evaluates Alog programs over compact tables with superset semantics
@@ -300,9 +223,6 @@ class Executor {
   obs::Tracer* tracer_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
-  /// Per-worker execution state (scratch buffers + memo L1), recycled
-  /// across morsels/rules via a freelist (docs/RUNTIME.md).
-  WorkerContextPool contexts_;
   std::unique_ptr<VerifyMemo> owned_verify_memo_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_;

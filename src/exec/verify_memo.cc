@@ -23,33 +23,6 @@ void VerifyMemo::Insert(const Key& k, int8_t verdict) {
   s.map.emplace(k, verdict);
 }
 
-void VerifyMemo::InsertBatch(
-    const std::vector<std::pair<Key, int8_t>>& entries) {
-  if (entries.empty() || resilience::FailPoints::Active()) return;
-  // One pass per touched stripe, entries applied in batch order within a
-  // stripe (stripe indices hashed once up front). emplace keeps the first
-  // verdict on duplicates — identical by purity, so flush order across
-  // workers never matters.
-  std::vector<uint8_t> idx(entries.size());
-  std::array<bool, kStripes> touched{};
-  for (size_t i = 0; i < entries.size(); ++i) {
-    idx[i] = static_cast<uint8_t>(stripe_index(entries[i].first));
-    touched[idx[i]] = true;
-  }
-  for (size_t si = 0; si < kStripes; ++si) {
-    if (!touched[si]) continue;
-    Stripe& s = stripes_[si];
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (idx[i] == si) s.map.emplace(entries[i].first, entries[i].second);
-    }
-  }
-}
-
-bool VerifyMemoL1::resilience_active_() {
-  return resilience::FailPoints::Active();
-}
-
 void VerifyMemo::Clear() {
   for (Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);

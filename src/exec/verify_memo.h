@@ -7,8 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/intern.h"
 #include "text/span.h"
@@ -26,12 +24,12 @@ namespace iflex {
 /// the corpus interner, which are stable for the corpus lifetime; subset
 /// catalogs share the corpus, so entries carry across iterations.
 ///
-/// Lifecycle mirrors ReuseCache: striped locks make Lookup/Insert safe
-/// from concurrent simulation executors, the owner (RefinementSession or
-/// a standalone Executor) clears it with the caches it lives next to, and
-/// Insert is suppressed while any fail point is armed so degraded /
-/// fault-injected runs never populate it (the analog of keeping degraded
-/// tables out of the reuse cache).
+/// Thread-safety: Lookup/Insert lock one stripe of the key space, so
+/// concurrent morsels and simulation executors call the memo directly.
+/// The owner (RefinementSession or a standalone Executor) clears it with
+/// the caches it lives next to, and Insert is suppressed while any fail
+/// point is armed so degraded / fault-injected runs never populate it
+/// (the analog of keeping degraded tables out of the reuse cache).
 class VerifyMemo {
  public:
   struct Key {
@@ -72,17 +70,6 @@ class VerifyMemo {
   /// must not populate the memo).
   void Insert(const Key& k, int8_t verdict);
 
-  /// Batched Insert: groups entries by stripe and takes each stripe lock
-  /// once, so a worker flushing a morsel's verdicts pays O(stripes touched)
-  /// lock acquisitions instead of O(entries). Same fail-point suppression
-  /// as Insert.
-  void InsertBatch(const std::vector<std::pair<Key, int8_t>>& entries);
-
-  /// Folds hits a VerifyMemoL1 answered locally into the shared counter,
-  /// keeping hits()+misses() equal to the total lookups the execution
-  /// performed no matter which tier answered them.
-  void AddHits(uint64_t n) { hits_.fetch_add(n, std::memory_order_relaxed); }
-
   void Clear();
   size_t size() const;
 
@@ -90,110 +77,25 @@ class VerifyMemo {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  // Each stripe is padded to its own cache line: with the natural layout
-  // adjacent stripe mutexes share lines and 8 workers hammering different
-  // stripes still false-share. 64 stripes (up from 16) keeps the expected
-  // collision rate low at 8+ workers.
+  // Every constraint check of every morsel goes through here, so unlike
+  // ReuseCache (one mutex) the memo keeps 64 stripes, each padded to its
+  // own cache line so adjacent stripe mutexes do not false-share: a
+  // single-mutex memo lost on the pooled full-data pass
+  // (docs/PERFORMANCE.md, "Verify memo").
   struct alignas(64) Stripe {
     mutable std::mutex mu;
     std::unordered_map<Key, int8_t, KeyHash> map;
   };
   static constexpr size_t kStripes = 64;
 
-  size_t stripe_index(const Key& k) const { return KeyHash{}(k) % kStripes; }
-  Stripe& stripe(const Key& k) { return stripes_[stripe_index(k)]; }
+  Stripe& stripe(const Key& k) { return stripes_[KeyHash{}(k) % kStripes]; }
   const Stripe& stripe(const Key& k) const {
-    return stripes_[stripe_index(k)];
+    return stripes_[KeyHash{}(k) % kStripes];
   }
 
   std::array<Stripe, kStripes> stripes_;
   alignas(64) mutable std::atomic<uint64_t> hits_{0};
   alignas(64) mutable std::atomic<uint64_t> misses_{0};
-};
-
-/// Per-worker L1 in front of a shared VerifyMemo (docs/RUNTIME.md, morsel
-/// scheduler). Lives inside a WorkerContext, so the hot verify path takes
-/// zero shared stripe locks for repeated verdicts: local hits are answered
-/// from a private map, and new verdicts are buffered and flushed to the
-/// striped memo in one batched pass at morsel boundaries.
-///
-/// Counter contract: a local hit is folded into the shared memo's hit
-/// count at Flush (AddHits), and a local miss delegates to the shared
-/// Lookup which counts itself — so hits()+misses() totals match a run
-/// without any L1. Verdicts are pure functions of the frozen corpus, so
-/// serving them from any tier (or recomputing while an insert is still
-/// buffered) yields byte-identical results; only lock traffic changes.
-class VerifyMemoL1 {
- public:
-  using Key = VerifyMemo::Key;
-
-  /// Binds to `shared` and clears all local state (call when a worker
-  /// context is recycled across executions). Null detaches.
-  void Reset(VerifyMemo* shared) {
-    FlushTo(shared_);
-    shared_ = shared;
-    local_.clear();
-  }
-
-  bool bound() const { return shared_ != nullptr; }
-  VerifyMemo* shared() const { return shared_; }
-
-  std::optional<int8_t> Lookup(const Key& k) {
-    auto it = local_.find(k);
-    if (it != local_.end()) {
-      ++local_hits_;
-      return it->second;
-    }
-    auto cached = shared_->Lookup(k);  // counts its own hit/miss
-    if (cached && local_.size() < kMaxLocal) local_.emplace(k, *cached);
-    return cached;
-  }
-
-  void Insert(const Key& k, int8_t verdict) {
-    // Mirror VerifyMemo::Insert's suppression: degraded / fault-injected
-    // runs must not populate any memo tier, local included.
-    if (resilience_active_()) return;
-    if (local_.size() >= kMaxLocal) {
-      // Bounded memory: spill the read cache and keep going. Pending
-      // inserts spill with it (flushed early, not dropped).
-      Flush();
-      local_.clear();
-    }
-    if (local_.emplace(k, verdict).second) pending_.emplace_back(k, verdict);
-  }
-
-  /// Pushes buffered inserts into the shared memo (one batched striped
-  /// pass) and folds locally-answered hits into its counters. Called at
-  /// morsel boundaries by WorkerContext release; idempotent.
-  void Flush() { FlushTo(shared_); }
-
-  size_t pending() const { return pending_.size(); }
-
- private:
-  static bool resilience_active_();
-
-  void FlushTo(VerifyMemo* shared) {
-    if (shared == nullptr) {
-      pending_.clear();
-      local_hits_ = 0;
-      return;
-    }
-    if (!pending_.empty()) {
-      shared->InsertBatch(pending_);
-      pending_.clear();
-    }
-    if (local_hits_ > 0) {
-      shared->AddHits(local_hits_);
-      local_hits_ = 0;
-    }
-  }
-
-  static constexpr size_t kMaxLocal = 1 << 16;
-
-  VerifyMemo* shared_ = nullptr;
-  std::unordered_map<Key, int8_t, VerifyMemo::KeyHash> local_;
-  std::vector<std::pair<Key, int8_t>> pending_;
-  uint64_t local_hits_ = 0;
 };
 
 }  // namespace iflex

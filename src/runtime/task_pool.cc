@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "resilience/failpoint.h"
 
@@ -41,11 +42,6 @@ TaskPool::~TaskPool() {
     wake_cv_.notify_all();
   }
   for (std::thread& t : workers_) t.join();
-}
-
-TaskPool* TaskPool::Default() {
-  static TaskPool* pool = new TaskPool(0);
-  return pool;
 }
 
 void TaskPool::Submit(std::function<void()> fn) {

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -13,8 +12,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "resilience/failpoint.h"
 
 namespace iflex {
 namespace runtime {
@@ -26,10 +23,10 @@ namespace runtime {
 ///     nested subtasks cache-hot), thieves steal from the back (FIFO, grabs
 ///     the oldest — largest — pending work first, which is what balances
 ///     skewed task sizes);
-///   - joins are *helping*: a thread that waits on a batch (ParallelFor,
-///     Future::Wait) executes queued tasks instead of blocking, so nested
-///     ParallelFor from inside a worker can never deadlock — worst case the
-///     calling worker runs the whole inner batch itself;
+///   - joins are *helping*: a thread that waits on a batch (ParallelFor)
+///     executes queued tasks instead of blocking, so nested ParallelFor
+///     from inside a worker can never deadlock — worst case the calling
+///     worker runs the whole inner batch itself;
 ///   - `threads == 1` (or a null pool passed to the free functions) runs
 ///     everything inline on the caller with no locking at all.
 ///
@@ -52,11 +49,8 @@ class TaskPool {
   /// Total execution width (workers + the joining caller).
   size_t thread_count() const { return workers_.size() + 1; }
 
-  /// Process-wide pool sized to the hardware; created on first use.
-  static TaskPool* Default();
-
-  /// Enqueues one fire-and-forget task. Prefer ParallelFor/ParallelMap /
-  /// Async — they own completion tracking and exception propagation.
+  /// Enqueues one fire-and-forget task. Prefer ParallelFor/ParallelMap —
+  /// they own completion tracking and exception propagation.
   void Submit(std::function<void()> fn);
 
   /// Runs queued tasks on the calling thread until `done()` returns true;
@@ -110,90 +104,6 @@ class TaskPool {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
 };
-
-namespace internal {
-
-template <typename T>
-struct FutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-  std::optional<T> value;
-  std::exception_ptr error;
-};
-
-}  // namespace internal
-
-/// Join handle for one Async task. Get() helps the pool while waiting (so
-/// it is safe to call from inside another pool task) and rethrows the
-/// task's exception, if any.
-template <typename T>
-class Future {
- public:
-  Future() = default;
-
-  bool valid() const { return state_ != nullptr; }
-
-  T Get() {
-    auto* s = state_.get();
-    if (pool_ != nullptr) {
-      pool_->HelpUntil([s] {
-        std::lock_guard<std::mutex> lock(s->mu);
-        return s->ready;
-      });
-    } else {
-      // Null-pool Async ran inline; the state is already ready.
-      std::unique_lock<std::mutex> lock(s->mu);
-      s->cv.wait(lock, [s] { return s->ready; });
-    }
-    if (s->error) std::rethrow_exception(s->error);
-    return std::move(*s->value);
-  }
-
- private:
-  template <typename U, typename Fn>
-  friend Future<U> Async(TaskPool* pool, Fn&& fn);
-
-  TaskPool* pool_ = nullptr;
-  std::shared_ptr<internal::FutureState<T>> state_;
-};
-
-/// Spawns fn() on the pool and returns its join handle. A null pool runs
-/// fn inline (the handle is already ready).
-template <typename T, typename Fn>
-Future<T> Async(TaskPool* pool, Fn&& fn) {
-  Future<T> out;
-  out.state_ = std::make_shared<internal::FutureState<T>>();
-  auto state = out.state_;
-  auto run = [state, fn = std::forward<Fn>(fn)]() mutable {
-    std::exception_ptr error;
-    std::optional<T> value;
-    try {
-      // Fail-point site "runtime.task" (also armed in ParallelFor chunks).
-      resilience::FailPointMaybeThrow("runtime.task");
-      value.emplace(fn());
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->value = std::move(value);
-    state->error = error;
-    state->ready = true;
-    state->cv.notify_all();
-  };
-  if (pool == nullptr || pool->thread_count() == 1) {
-    out.pool_ = pool;
-    run();
-    if (pool == nullptr) {
-      // No pool to help: surface errors eagerly so Get() never blocks.
-      if (state->error) std::rethrow_exception(state->error);
-    }
-    return out;
-  }
-  out.pool_ = pool;
-  pool->Submit(std::move(run));
-  return out;
-}
 
 /// ParallelFor over a null pool degrades to a plain serial loop.
 inline void ParallelFor(TaskPool* pool, size_t n,

@@ -241,26 +241,41 @@ TEST(DblifeDeterminismTest, EveryIdbTableIsIdenticalAtAnyThreadCount) {
 // and shares it read-only across morsels and rule tasks. A T9 program
 // refined far enough for bn's title cells to be indexed must still be
 // byte-identical to serial at every thread count and morsel size, with
-// the same number of scored pairs.
+// the same number of scored pairs. Every morsel also calls the one shared
+// Verify memo directly, so a fresh memo must see the same lookups and end
+// with the same entries; which of those lookups hit may differ when two
+// morsels race on one key.
 TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
+  // Each price carries a second constraint: contain cells only reach
+  // Refine, and the memo answers the Verify calls that re-check refined
+  // values against the earlier constraint (paper §4.2).
   constexpr char kRefinedT9[] = R"(
     an(x, <t1>, <np>) :- amazonPages(x), extractAmazonTN(x, t1, np).
     bn(y, <t2>, <bp>) :- barnesPages(y), extractBarnes(y, t2, bp).
     t9(t1) :- an(x, t1, np), bn(y, t2, bp), similar(t1, t2), np < bp.
     extractAmazonTN(x, t1, np) :- from(x, t1), from(x, np),
-        bold_font(t1) = yes, preceded_by(np, "New:") = yes.
+        bold_font(t1) = yes, preceded_by(np, "New:") = yes,
+        numeric(np) = yes.
     extractBarnes(y, t2, bp) :- from(y, t2), from(y, bp),
-        bold_font(t2) = yes, italic_font(bp) = distinct_yes.
+        bold_font(t2) = yes, italic_font(bp) = distinct_yes,
+        numeric(bp) = yes.
   )";
-  auto run = [&](runtime::TaskPool* pool, size_t morsel_docs)
-      -> Result<std::pair<std::string, size_t>> {
+  struct Run {
+    std::string bytes;
+    size_t join_pairs = 0;
+    uint64_t memo_lookups = 0;
+    size_t memo_entries = 0;
+  };
+  auto run = [&](runtime::TaskPool* pool, size_t morsel_docs) -> Result<Run> {
     IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T9", 60));
     IFLEX_ASSIGN_OR_RETURN(Program prog,
                            ParseProgram(kRefinedT9, *task->catalog));
     prog.set_query("t9");
+    VerifyMemo memo;
     ExecOptions options;
     options.pool = pool;
     options.morsel_docs = morsel_docs;
+    options.verify_memo = &memo;
     Executor exec(*task->catalog, options);
     IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(prog));
     std::string bytes = result.ToString(task->corpus.get());
@@ -278,21 +293,27 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
         return Status::Internal("similarity join did not use its index");
       }
     }
-    return std::make_pair(std::move(bytes), exec.stats().join_pairs);
+    return Run{std::move(bytes), exec.stats().join_pairs,
+               memo.hits() + memo.misses(), memo.size()};
   };
 
   auto serial = run(nullptr, 128);
   ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_GT(serial->memo_lookups, 0u) << "no Verify call reached the memo";
   for (size_t threads : {1, 2, 8}) {
     runtime::TaskPool pool(threads);
     for (size_t morsel_docs : {1, 64, 4096}) {
       auto r = run(&pool, morsel_docs);
       ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->first, serial->first)
-          << threads << " threads, morsel_docs " << morsel_docs;
-      EXPECT_EQ(r->second, serial->second)
-          << "join_pairs at " << threads << " threads, morsel_docs "
-          << morsel_docs;
+      const std::string at = std::to_string(threads) +
+                             " threads, morsel_docs " +
+                             std::to_string(morsel_docs);
+      EXPECT_EQ(r->bytes, serial->bytes) << at;
+      EXPECT_EQ(r->join_pairs, serial->join_pairs) << "join_pairs at " << at;
+      EXPECT_EQ(r->memo_lookups, serial->memo_lookups)
+          << "memo lookups at " << at;
+      EXPECT_EQ(r->memo_entries, serial->memo_entries)
+          << "memo entries at " << at;
     }
   }
 }

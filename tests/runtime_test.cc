@@ -59,15 +59,6 @@ TEST(TaskPoolTest, ParallelForPropagatesExceptionToJoiningThread) {
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(TaskPoolTest, FuturePropagatesResultAndException) {
-  TaskPool pool(2);
-  Future<int> good = Async<int>(&pool, [] { return 41 + 1; });
-  EXPECT_EQ(good.Get(), 42);
-  Future<int> bad =
-      Async<int>(&pool, []() -> int { throw std::runtime_error("bad"); });
-  EXPECT_THROW(bad.Get(), std::runtime_error);
-}
-
 TEST(TaskPoolTest, NestedParallelForDoesNotDeadlock) {
   TaskPool pool(2);
   std::atomic<int> count{0};
@@ -76,16 +67,21 @@ TEST(TaskPoolTest, NestedParallelForDoesNotDeadlock) {
   });
   EXPECT_EQ(count.load(), 64);
 
-  // Three levels through the free functions, joining futures inside tasks.
+  // Three levels through the free functions, the nesting production uses:
+  // simulations (ParallelMap) -> a predicate's rules (ParallelMap) ->
+  // one rule's morsels (ParallelFor).
   count.store(0);
-  ParallelFor(&pool, 4, [&](size_t) {
-    Future<int> inner = Async<int>(&pool, [&] {
+  std::vector<int> sims = ParallelMap<int>(&pool, 4, [&](size_t) {
+    std::vector<int> rules = ParallelMap<int>(&pool, 3, [&](size_t) {
       ParallelFor(&pool, 4, [&](size_t) { count.fetch_add(1); });
       return 1;
     });
-    count.fetch_add(inner.Get());
+    int done = 0;
+    for (int r : rules) done += r;
+    return done;
   });
-  EXPECT_EQ(count.load(), 4 * 4 + 4);
+  EXPECT_EQ(sims, (std::vector<int>{3, 3, 3, 3}));
+  EXPECT_EQ(count.load(), 4 * 3 * 4);
 }
 
 TEST(TaskPoolTest, NullAndSingleThreadPoolsRunSerially) {
@@ -98,11 +94,6 @@ TEST(TaskPoolTest, NullAndSingleThreadPoolsRunSerially) {
   order.clear();
   ParallelFor(&one, 5, [&](size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(Async<int>(&one, [] { return 7; }).Get(), 7);
-  // A null pool has no queue to park the error in: Async itself throws.
-  EXPECT_THROW(
-      Async<int>(nullptr, []() -> int { throw std::runtime_error("e"); }),
-      std::runtime_error);
 }
 
 TEST(TaskPoolTest, ParallelMapPreservesIndexOrder) {

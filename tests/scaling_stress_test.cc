@@ -1,22 +1,21 @@
-// Contention stress for the morsel scheduler's per-worker state
-// (docs/RUNTIME.md): 8 OS threads hammer the VerifyMemoL1 / ReuseCacheL1
-// write-back fronts and the WorkerContextPool freelist against their
-// shared striped structures. Runs under the `scaling` ctest label and the
-// tsan-scaling preset — the invariants checked here (counter totals,
-// first-verdict-wins inserts, context recycling) must hold under every
-// interleaving, and TSan must see no races on the flush paths.
+// Contention stress for the two session-shared caches (docs/RUNTIME.md):
+// 8 OS threads call VerifyMemo and ReuseCache directly, the way morsels
+// and concurrent simulation executors do. Runs under the `scaling` ctest
+// label and the tsan-scaling preset — the invariants checked here (one
+// entry per key, first insert wins, exact lookup accounting, stable
+// table pointers) must hold under every interleaving, and TSan must see
+// no races.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "ctable/compact_table.h"
 #include "exec/executor.h"
 #include "exec/verify_memo.h"
-#include "exec/worker_context.h"
 
 namespace iflex {
 namespace {
@@ -34,43 +33,43 @@ VerifyMemo::Key MakeKey(size_t i) {
 // The pure "verdict function" every thread agrees on: inserts for the
 // same key always carry the same verdict, like real Verify results over
 // a frozen corpus.
-int8_t VerdictOf(size_t i) { return static_cast<int8_t>(i % 2); }
+int8_t VerdictOf(size_t i) {
+  return static_cast<int8_t>(static_cast<int>(i % 3) - 1);
+}
 
-// 8 workers lease contexts from one pool, look up / insert overlapping
-// key ranges through their L1s, and flush at "morsel boundaries"
-// (Release). Afterwards the shared memo must hold every key exactly once
-// with the agreed verdict, and hits + misses must equal the total lookup
-// count — the L1 folds its local hits back, so no lookup is lost or
-// double-counted.
-TEST(ScalingStressTest, MemoL1FlushUnderContention) {
+// Holds each thread until all kThreads have started, so their cache
+// writes overlap instead of running one thread after another.
+void StartTogether(std::atomic<size_t>* ready) {
+  ready->fetch_add(1);
+  while (ready->load() < kThreads) std::this_thread::yield();
+}
+
+// 8 threads look up every key (each from its own starting offset, so
+// threads collide on keys all the time) and insert the verdict on a
+// miss, as a constraint check does. Afterwards the memo holds each key
+// exactly once with the agreed verdict, and hits + misses equals the
+// lookups made: no lookup is lost or double-counted.
+TEST(ScalingStressTest, VerifyMemoUnderContention) {
   constexpr size_t kKeys = 4096;
-  constexpr size_t kMorselsPerThread = 32;
-  constexpr size_t kLookupsPerMorsel = 512;
+  constexpr size_t kRounds = 4;
 
   VerifyMemo memo;
-  WorkerContextPool contexts;
-  contexts.BeginEpoch(&memo);
-
   std::atomic<uint64_t> total_lookups{0};
+  std::atomic<size_t> ready{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      StartTogether(&ready);
       uint64_t lookups = 0;
-      for (size_t m = 0; m < kMorselsPerThread; ++m) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        for (size_t i = 0; i < kLookupsPerMorsel; ++i) {
-          // Overlapping strided ranges: plenty of cross-thread key
-          // collisions, plenty of within-thread repeats (L1 hits).
-          size_t key = (t * 13 + m * 251 + i * 7) % kKeys;
-          auto verdict = l1->Lookup(MakeKey(key));
-          ++lookups;
-          if (verdict.has_value()) {
-            EXPECT_EQ(*verdict, VerdictOf(key));
-          } else {
-            l1->Insert(MakeKey(key), VerdictOf(key));
-          }
+      for (size_t i = 0; i < kRounds * kKeys; ++i) {
+        // 7 is coprime with kKeys: every round visits every key once.
+        const size_t key = (t * (kKeys / kThreads) + i * 7) % kKeys;
+        std::optional<int8_t> verdict = memo.Lookup(MakeKey(key));
+        ++lookups;
+        if (verdict.has_value()) {
+          EXPECT_EQ(*verdict, VerdictOf(key)) << "key " << key;
+        } else {
+          memo.Insert(MakeKey(key), VerdictOf(key));
         }
       }
       total_lookups.fetch_add(lookups, std::memory_order_relaxed);
@@ -78,55 +77,69 @@ TEST(ScalingStressTest, MemoL1FlushUnderContention) {
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_LE(memo.size(), kKeys);
-  EXPECT_GT(memo.size(), 0u);
+  EXPECT_EQ(memo.hits() + memo.misses(), total_lookups.load());
+  // Every key missed at least once overall, and at most once per thread:
+  // a thread that missed a key inserted it before its next lookup.
+  EXPECT_GE(memo.misses(), kKeys);
+  EXPECT_LE(memo.misses(), kKeys * kThreads);
+  EXPECT_EQ(memo.size(), kKeys);
   for (size_t i = 0; i < kKeys; ++i) {
-    auto v = memo.Lookup(MakeKey(i));
-    if (v.has_value()) EXPECT_EQ(*v, VerdictOf(i)) << "key " << i;
+    std::optional<int8_t> v = memo.Lookup(MakeKey(i));
+    ASSERT_TRUE(v.has_value()) << "key " << i;
+    EXPECT_EQ(*v, VerdictOf(i)) << "key " << i;
   }
-  // The verification loop above added kKeys lookups of its own.
-  EXPECT_EQ(memo.hits() + memo.misses(),
-            total_lookups.load() + kKeys);
-  // Freelist bound: never more contexts than concurrently live leases.
-  EXPECT_LE(contexts.created(), kThreads);
 }
 
-// Concurrent ReuseCacheL1 owners (one per simulated Execute) buffering
-// inserts for overlapping fingerprints, flushing on destruction. The
-// shared cache must end up with every fingerprint exactly once, carrying
-// one of the (identical, as in real deterministic execution) tables.
-TEST(ScalingStressTest, ReuseCacheL1FlushUnderContention) {
-  constexpr size_t kFingerprints = 256;
-  constexpr size_t kRounds = 16;
+CompactTable TableFor(uint64_t fp) {
+  CompactTable t({"v"});
+  CompactTuple tup;
+  tup.cells.push_back(Cell::Exact(Value::Number(static_cast<double>(fp))));
+  t.Add(std::move(tup));
+  return t;
+}
 
-  auto table_for = [](uint64_t fp) {
-    CompactTable t({"v"});
-    CompactTuple tup;
-    tup.cells.push_back(Cell::Exact(Value::Number(static_cast<double>(fp))));
-    t.Add(std::move(tup));
-    return t;
-  };
+// The fingerprint a cached table was built for, read back from its cell.
+double FingerprintOf(const CompactTable& t) {
+  const Value& v = t.tuples().at(0).cells.at(0).assignments.at(0).value;
+  return v.AsNumber().value_or(-1);
+}
+
+// 8 threads play concurrent simulation executors over one ReuseCache:
+// look a fingerprint up, build and insert its table on a miss, and keep
+// every pointer Lookup returned. While other threads keep inserting, each
+// thread re-reads all the tables it holds. Afterwards every fingerprint
+// is stored once, and every pointer any thread got for it is the stored
+// copy (a duplicate insert keeps the first).
+TEST(ScalingStressTest, ReuseCacheUnderContention) {
+  constexpr size_t kFingerprints = 2048;
+  constexpr size_t kRounds = 4;
 
   ReuseCache cache;
+  std::vector<std::vector<const CompactTable*>> held(
+      kThreads, std::vector<const CompactTable*>(kFingerprints, nullptr));
+  std::atomic<size_t> ready{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      StartTogether(&ready);
+      std::vector<const CompactTable*>& mine = held[t];
       for (size_t r = 0; r < kRounds; ++r) {
-        ReuseCacheL1 l1(&cache);
         for (size_t i = 0; i < kFingerprints; ++i) {
-          uint64_t fp = (t * 31 + r * 17 + i) % kFingerprints;
-          const CompactTable* hit = l1.Lookup(fp);
-          if (hit != nullptr) {
-            ASSERT_EQ(hit->size(), 1u);
-            continue;
+          const uint64_t fp = (t * 31 + r * 17 + i) % kFingerprints;
+          const CompactTable* hit = cache.Lookup(fp);
+          if (hit == nullptr) {
+            cache.Insert(fp, TableFor(fp));
+            hit = cache.Lookup(fp);
+            ASSERT_NE(hit, nullptr) << "fingerprint " << fp;
           }
-          l1.Insert(fp, table_for(fp));
-          // The pending pointer must be stable and readable back.
-          const CompactTable* pending = l1.Lookup(fp);
-          ASSERT_NE(pending, nullptr);
-          EXPECT_EQ(pending->size(), 1u);
+          if (mine[fp] == nullptr) mine[fp] = hit;
+          EXPECT_EQ(hit, mine[fp]) << "fingerprint " << fp;
         }
-      }  // ~ReuseCacheL1 flushes
+        for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
+          if (mine[fp] == nullptr) continue;
+          EXPECT_EQ(FingerprintOf(*mine[fp]), static_cast<double>(fp));
+        }
+      }
     });
   }
   for (auto& th : threads) th.join();
@@ -135,58 +148,11 @@ TEST(ScalingStressTest, ReuseCacheL1FlushUnderContention) {
   for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
     const CompactTable* t = cache.Lookup(fp);
     ASSERT_NE(t, nullptr) << "fingerprint " << fp;
-    EXPECT_EQ(t->size(), 1u);
+    EXPECT_EQ(FingerprintOf(*t), static_cast<double>(fp));
+    for (size_t th = 0; th < kThreads; ++th) {
+      EXPECT_EQ(held[th][fp], t) << "thread " << th << ", fingerprint " << fp;
+    }
   }
-}
-
-// Epoch semantics under churn: BeginEpoch between batches must rebind
-// every recycled context to the new memo and drop the old L1 state, even
-// while other threads are still acquiring.
-TEST(ScalingStressTest, ContextPoolEpochRebindsRecycledContexts) {
-  WorkerContextPool contexts;
-  VerifyMemo memo_a;
-  VerifyMemo memo_b;
-
-  contexts.BeginEpoch(&memo_a);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        EXPECT_EQ(l1->shared(), &memo_a);
-        l1->Insert(MakeKey(i), VerdictOf(i));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  contexts.BeginEpoch(&memo_b);
-  threads.clear();
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) {
-        WorkerContextLease lease(&contexts);
-        VerifyMemoL1* l1 = lease.get()->memo();
-        ASSERT_NE(l1, nullptr);
-        // Recycled contexts must have been rebound, never still pointing
-        // at the previous epoch's memo.
-        EXPECT_EQ(l1->shared(), &memo_b);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Epoch A's flushed inserts stayed in memo A; none leaked into B.
-  EXPECT_GT(memo_a.size(), 0u);
-  EXPECT_EQ(memo_b.size(), 0u);
-
-  // A null epoch detaches: memo() reports no front, preserving the
-  // legacy no-memo behavior in cell ops.
-  contexts.BeginEpoch(nullptr);
-  WorkerContextLease lease(&contexts);
-  EXPECT_EQ(lease.get()->memo(), nullptr);
 }
 
 }  // namespace

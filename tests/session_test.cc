@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "assistant/session.h"
+#include "obs/metrics.h"
 #include "oracle/evaluate.h"
 #include "tasks/task.h"
 #include "xlog/precise.h"
@@ -154,6 +155,37 @@ TEST(SessionTest, SequentialAsksCheaperQuestions) {
   auto sim = RunTask("T2", 30, StrategyKind::kSimulation);
   ASSERT_TRUE(sim.ok());
   EXPECT_GT(sim->session.simulations_run, 0u);
+}
+
+// Counters only count: two identical sessions reporting into one
+// caller-supplied registry must leave every counter — the session's own
+// and the "sim.*" ones simulations merge in — at exactly twice its value
+// after the first. A counter Set() to a running total, or to a
+// per-Execute value, breaks this.
+TEST(SessionMetricsTest, CountersAddUpAcrossSessions) {
+  for (const auto& [id, scale] : {std::make_pair("T2", size_t{100}),
+                                  std::make_pair("T9", size_t{100})}) {
+    const std::string label = std::string(id) + "@" + std::to_string(scale);
+    obs::MetricRegistry registry;
+    auto run = [&, id = id, scale = scale]() -> Status {
+      IFLEX_ASSIGN_OR_RETURN(std::unique_ptr<TaskInstance> task,
+                             MakeTask(id, scale));
+      SessionOptions options;
+      options.strategy = StrategyKind::kSimulation;
+      options.exec_options.metrics = &registry;
+      RefinementSession session(*task->catalog, task->initial_program,
+                                task->developer.get(), options);
+      return session.Run().status();
+    };
+    ASSERT_TRUE(run().ok()) << label;
+    const obs::MetricRegistry::Snapshot first = registry.Snap();
+    ASSERT_TRUE(run().ok()) << label;
+    const obs::MetricRegistry::Snapshot second = registry.Snap();
+    EXPECT_GT(first.counters.at("sim.exec.rules_evaluated"), 0u) << label;
+    for (const auto& [name, value] : first.counters) {
+      EXPECT_EQ(second.counters.at(name), 2 * value) << label << ": " << name;
+    }
+  }
 }
 
 }  // namespace
