@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
     // 8 workers interning overlapping word sets: every op bumps the
     // hit-or-miss atomics, so this is the false-sharing hot spot the
     // cache-line padding in common/intern.h exists for.
-    pool.ParallelFor(kOps, [&](size_t i) {
+    runtime::ParallelFor(&pool, kOps, [&](size_t i) {
       static const char* kStems[] = {"alpha", "bravo", "china", "delta",
                                      "echo",  "fox",   "golf",  "hotel"};
       interner.Intern(std::string(kStems[i % 8]) + std::to_string(i % 1499));

@@ -258,14 +258,14 @@ std::vector<std::string> SessionLog::Compact(
   // its old value — and is dropped outright.)
   std::vector<bool> keep(history.size(), false);
   ptrdiff_t last_query = -1;
-  ptrdiff_t pending_query = -1;
+  ptrdiff_t open_query = -1;
   for (size_t i = 0; i < history.size(); ++i) {
     const std::string verb = FirstToken(history[i]);
     if (verb == "query" && HasSecondToken(history[i])) {
       last_query = static_cast<ptrdiff_t>(i);
-      pending_query = last_query;
-    } else if (verb == "constrain" && pending_query >= 0) {
-      keep[pending_query] = true;
+      open_query = last_query;
+    } else if (verb == "constrain" && open_query >= 0) {
+      keep[open_query] = true;
     }
   }
   if (last_query >= 0) keep[last_query] = true;

@@ -1663,60 +1663,43 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     // Events already in the report before this predicate ran; used below
     // to keep degraded tables out of the reuse cache.
     const size_t report_events_before = report_->EventCount();
+    // Rule-per-task fan-out, a plain loop without a pool. Each rule gets
+    // its own report shard; shards and outputs merge in rule order, so the
+    // result and the error returned (the first failure in rule order) do
+    // not depend on the thread count.
+    std::vector<resilience::ExecReport> reports(rules.size());
+    std::vector<Result<CompactTable>> parts =
+        runtime::ParallelMap<Result<CompactTable>>(
+            options_.pool, rules.size(), [&](size_t i) {
+              RuleEvaluator eval(catalog_, options_, &idb, &counters_,
+                                 tracer_, &reports[i], &sim_joins);
+              return eval.Evaluate(*rules[i]);
+            });
     CompactTable result;
     bool first = true;
-    // Folds one rule's outcome into `result`. Per-rule fault isolation:
-    // under best_effort a failing rule is skipped and recorded — its
-    // siblings' tuples still answer the query (superset semantics over
-    // the surviving rules). Stop codes always propagate.
-    auto merge_rule = [&](const Rule& rule,
-                          Result<CompactTable> part) -> Status {
+    for (size_t i = 0; i < rules.size(); ++i) {
+      report_->Merge(reports[i]);
+      Result<CompactTable> part = std::move(parts[i]);
+      // Per-rule fault isolation: under best_effort a failing rule is
+      // skipped and recorded — its siblings' tuples still answer the
+      // query (superset semantics over the surviving rules). Stop codes
+      // always propagate.
       if (!part.ok()) {
-        if (options_.best_effort && !part.status().IsStop()) {
-          report_->AddSkippedRule(pred + ": " + part.status().ToString());
-          if (event_log_->ShouldLog(obs::LogLevel::kWarn)) {
-            event_log_->Warn("exec.rule",
-                             StringPrintf("rule for %s skipped: %s",
-                                          pred.c_str(),
-                                          part.status().ToString().c_str()));
-          }
-          return Status::OK();
+        if (!options_.best_effort || part.status().IsStop()) {
+          return part.status();
         }
-        return part.status();
-      }
-      (void)rule;
-      if (first) {
+        report_->AddSkippedRule(pred + ": " + part.status().ToString());
+        if (event_log_->ShouldLog(obs::LogLevel::kWarn)) {
+          event_log_->Warn("exec.rule",
+                           StringPrintf("rule for %s skipped: %s",
+                                        pred.c_str(),
+                                        part.status().ToString().c_str()));
+        }
+      } else if (first) {
         result = std::move(*part);
         first = false;
       } else {
-        for (CompactTuple& tup : part->tuples()) {
-          result.Add(std::move(tup));
-        }
-      }
-      return Status::OK();
-    };
-    if (options_.pool != nullptr && rules.size() > 1) {
-      // Rule-per-task fan-out; merging in rule order reproduces the
-      // serial append exactly, and a failing rule reports the same error
-      // the serial loop would (the first failure in rule order). Each
-      // task gets its own report shard, merged in rule order too.
-      std::vector<resilience::ExecReport> reports(rules.size());
-      std::vector<Result<CompactTable>> parts =
-          runtime::ParallelMap<Result<CompactTable>>(
-              options_.pool, rules.size(), [&](size_t i) {
-                RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                   tracer_, &reports[i], &sim_joins);
-                return eval.Evaluate(*rules[i]);
-              });
-      for (size_t i = 0; i < rules.size(); ++i) {
-        report_->Merge(reports[i]);
-        IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], std::move(parts[i])));
-      }
-    } else {
-      for (size_t i = 0; i < rules.size(); ++i) {
-        RuleEvaluator eval(catalog_, options_, &idb, &counters_, tracer_,
-                           report_, &sim_joins);
-        IFLEX_RETURN_NOT_OK(merge_rule(*rules[i], eval.Evaluate(*rules[i])));
+        for (CompactTuple& tup : part->tuples()) result.Add(std::move(tup));
       }
     }
     if (first) {

@@ -42,7 +42,7 @@ class JsonWriter {
     Prefix();
     AppendQuoted(k);
     out_.push_back(':');
-    pending_value_ = true;
+    after_key_ = true;
     return *this;
   }
   JsonWriter& String(std::string_view v) {
@@ -74,8 +74,8 @@ class JsonWriter {
   enum class State : uint8_t { kObjectFirst, kObject, kArrayFirst, kArray };
 
   void Prefix() {
-    if (pending_value_) {  // value directly after a Key(): no comma
-      pending_value_ = false;
+    if (after_key_) {  // value directly after a Key(): no comma
+      after_key_ = false;
       return;
     }
     if (stack_.empty()) return;
@@ -97,7 +97,7 @@ class JsonWriter {
 
   std::string out_;
   std::vector<State> stack_;
-  bool pending_value_ = false;
+  bool after_key_ = false;
 };
 
 }  // namespace obs

@@ -96,10 +96,6 @@ void MetricRegistry::MergeInto(MetricRegistry* dst,
     name.assign(prefix).append(key);
     dst->counter(name)->Add(value);
   }
-  for (const auto& [key, value] : snap.gauges) {
-    name.assign(prefix).append(key);
-    dst->gauge(name)->Add(value);
-  }
   for (const auto& [key, data] : snap.histograms) {
     if (data.count == 0) continue;
     name.assign(prefix).append(key);

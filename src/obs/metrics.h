@@ -178,8 +178,10 @@ class MetricRegistry {
   };
   Snapshot Snap() const;
 
-  /// Folds every metric into `dst` under `<prefix><name>`: counters and
-  /// gauges add their values, histograms MergeFrom. Used to surface
+  /// Folds counters and histograms into `dst` under `<prefix><name>`:
+  /// counters add their values, histograms fold count/sum/min/max and
+  /// samples. Gauges hold one registry's last value, which no sum of
+  /// registries means, so they are not merged. Used to surface
   /// simulation-private registries in the parent as "sim.*" after a
   /// simulation ends. Safe for concurrent callers on `dst`; a no-op when
   /// dst == this.

@@ -6,13 +6,13 @@ namespace iflex {
 
 void MarkupLayer::Add(uint32_t begin, uint32_t end) {
   if (begin >= end) return;
-  pending_.emplace_back(begin, end);
+  unsorted_.emplace_back(begin, end);
 }
 
 void MarkupLayer::Normalize() const {
-  if (pending_.empty()) return;
-  ranges_.insert(ranges_.end(), pending_.begin(), pending_.end());
-  pending_.clear();
+  if (unsorted_.empty()) return;
+  ranges_.insert(ranges_.end(), unsorted_.begin(), unsorted_.end());
+  unsorted_.clear();
   std::sort(ranges_.begin(), ranges_.end());
   std::vector<std::pair<uint32_t, uint32_t>> merged;
   for (const auto& r : ranges_) {

@@ -64,13 +64,13 @@ class MarkupLayer {
   /// layer up front so reads after registration are genuinely read-only.
   void Freeze() { Normalize(); }
 
-  bool empty() const { return ranges_.empty() && pending_.empty(); }
+  bool empty() const { return ranges_.empty() && unsorted_.empty(); }
 
  private:
   void Normalize() const;
 
   mutable std::vector<std::pair<uint32_t, uint32_t>> ranges_;
-  mutable std::vector<std::pair<uint32_t, uint32_t>> pending_;
+  mutable std::vector<std::pair<uint32_t, uint32_t>> unsorted_;
 };
 
 }  // namespace iflex

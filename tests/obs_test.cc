@@ -330,6 +330,38 @@ TEST(MetricsTest, ExportsCarryHistogramPercentiles) {
   EXPECT_NE(text.find("p99=99.01"), std::string::npos) << text;
 }
 
+// MergeInto folds a simulation-private registry into its parent: counters
+// add, histograms fold their aggregates, and gauges — one registry's last
+// value — are left alone on both sides.
+TEST(MetricsTest, MergeIntoFoldsCountersAndHistogramsOnly) {
+  MetricRegistry src;
+  src.counter("c")->Add(3);
+  src.gauge("g")->Set(5);
+  src.gauge("only_src")->Set(9);
+  src.histogram("h")->Record(1);
+  src.histogram("h")->Record(4);
+
+  MetricRegistry dst;
+  dst.counter("sim.c")->Add(2);
+  dst.gauge("sim.g")->Set(7);
+  dst.histogram("sim.h")->Record(10);
+
+  src.MergeInto(&dst, "sim.");
+  src.MergeInto(&dst, "sim.");
+  MetricRegistry::Snapshot snap = dst.Snap();
+  EXPECT_EQ(snap.counters.at("sim.c"), 2u + 3u + 3u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("sim.g"), 7.0);
+  EXPECT_EQ(snap.gauges.count("sim.only_src"), 0u);
+  const auto& h = snap.histograms.at("sim.h");
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_DOUBLE_EQ(h.sum, 10.0 + 1 + 4 + 1 + 4);
+  EXPECT_DOUBLE_EQ(h.min, 1.0);
+  EXPECT_DOUBLE_EQ(h.max, 10.0);
+  // The source is read, never changed.
+  EXPECT_EQ(src.counter("c")->value(), 3u);
+  EXPECT_DOUBLE_EQ(src.gauge("g")->value(), 5.0);
+}
+
 // ---------------------------------------------------------------------------
 // Tracer + spans
 // ---------------------------------------------------------------------------

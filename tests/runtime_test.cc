@@ -1,6 +1,7 @@
-// Tests for the work-stealing task pool (src/runtime/): full coverage
-// under skewed task sizes, exception propagation to the joining thread,
-// and nested ParallelFor (helping joins must never deadlock).
+// Tests for the task pool (src/runtime/): full coverage under skewed
+// task sizes, exception propagation to the joining thread, nested
+// ParallelFor (helping joins must never deadlock), several callers on one
+// pool, and idle workers that sleep instead of spinning.
 #include "runtime/task_pool.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
@@ -20,7 +22,7 @@ namespace {
 TEST(TaskPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   TaskPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -29,8 +31,8 @@ TEST(TaskPoolTest, SkewedTasksCompleteAndSpreadAcrossThreads) {
   std::atomic<uint64_t> sum{0};
   std::mutex mu;
   std::set<std::thread::id> tids;
-  pool.ParallelFor(64, [&](size_t i) {
-    // Index 0 is ~100x the rest: work-stealing must keep the remaining
+  ParallelFor(&pool, 64, [&](size_t i) {
+    // Index 0 is ~100x the rest: chunked claiming must keep the remaining
     // indices flowing on the other threads meanwhile.
     auto busy = std::chrono::microseconds(i == 0 ? 20000 : 200);
     auto until = std::chrono::steady_clock::now() + busy;
@@ -46,28 +48,60 @@ TEST(TaskPoolTest, SkewedTasksCompleteAndSpreadAcrossThreads) {
 
 TEST(TaskPoolTest, ParallelForPropagatesExceptionToJoiningThread) {
   TaskPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [](size_t i) {
-                                  if (i == 13) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                }),
+  EXPECT_THROW(ParallelFor(&pool, 100,
+                           [](size_t i) {
+                             if (i == 13) throw std::runtime_error("boom");
+                           }),
                std::runtime_error);
+  // A failure skips the rest of the batch: a thread's next claim comes
+  // after its failed chunk settled, so each of the 4 threads runs at most
+  // one chunk of a batch whose every index throws.
+  std::atomic<int> attempts{0};
+  EXPECT_THROW(ParallelFor(
+                   &pool, 200,
+                   [&](size_t) {
+                     attempts.fetch_add(1);
+                     throw std::runtime_error("every index fails");
+                   },
+                   nullptr, /*grain=*/1),
+               std::runtime_error);
+  EXPECT_GE(attempts.load(), 1);
+  EXPECT_LE(attempts.load(), 4);
   // The pool survives a failed batch.
   std::atomic<int> ok{0};
-  pool.ParallelFor(10, [&](size_t) { ok.fetch_add(1); });
+  ParallelFor(&pool, 10, [&](size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 10);
+}
+
+// stop is polled before every chunk: once an index raises it, every
+// thread's next claim is skipped, so each runs at most one index.
+TEST(TaskPoolTest, StopSkipsTheRestOfTheBatch) {
+  for (size_t threads : {1, 4}) {
+    TaskPool pool(threads);
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> ran{0};
+    ParallelFor(
+        &pool, 200,
+        [&](size_t) {
+          ran.fetch_add(1);
+          stop.store(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        },
+        [&] { return stop.load(); }, /*grain=*/1);
+    EXPECT_GE(ran.load(), 1u) << threads;
+    EXPECT_LE(ran.load(), threads) << threads;
+  }
 }
 
 TEST(TaskPoolTest, NestedParallelForDoesNotDeadlock) {
   TaskPool pool(2);
   std::atomic<int> count{0};
-  pool.ParallelFor(8, [&](size_t) {
-    pool.ParallelFor(8, [&](size_t) { count.fetch_add(1); });
+  ParallelFor(&pool, 8, [&](size_t) {
+    ParallelFor(&pool, 8, [&](size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 64);
 
-  // Three levels through the free functions, the nesting production uses:
+  // Three levels, as production nests them:
   // simulations (ParallelMap) -> a predicate's rules (ParallelMap) ->
   // one rule's morsels (ParallelFor).
   count.store(0);
@@ -108,15 +142,52 @@ TEST(TaskPoolTest, ParallelMapPreservesIndexOrder) {
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(TaskPoolTest, SubmitAndHelpUntilDrainExternalTasks) {
+// Sessions of iflexd share one pool from their connection threads: every
+// caller's nested batches must run every index exactly once.
+TEST(TaskPoolTest, ConcurrentCallersShareOnePool) {
   TaskPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
+  constexpr size_t kCallers = 4;
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(kCallers * kOuter * kInner);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      ParallelFor(&pool, kOuter, [&](size_t i) {
+        ParallelFor(&pool, kInner, [&](size_t j) {
+          hits[(c * kOuter + i) * kInner + j].fetch_add(1);
+        });
+      });
+    });
   }
-  // Main thread is not a pool worker; helping from outside must work too.
-  pool.HelpUntil([&done] { return done.load() == 50; });
-  EXPECT_EQ(done.load(), 50);
+  for (std::thread& t : callers) t.join();
+  for (size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "caller " << k / (kOuter * kInner)
+                                 << " i " << k / kInner % kOuter << " j "
+                                 << k % kInner;
+  }
+}
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + tv.tv_usec / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// Two indices that sleep leave two of the four threads with nothing to
+// claim: they must sleep too, not spin, so the call costs next to no CPU.
+// Sleeping threads burn no CPU on a loaded host or under a sanitizer
+// either, so the bound holds there as well.
+TEST(TaskPoolTest, IdleWorkersSleepWhileABatchRuns) {
+  TaskPool pool(4);
+  const double before = ProcessCpuSeconds();
+  ParallelFor(&pool, 2, [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  });
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
 }
 
 }  // namespace

@@ -185,6 +185,12 @@ TEST(SessionMetricsTest, CountersAddUpAcrossSessions) {
     for (const auto& [name, value] : first.counters) {
       EXPECT_EQ(second.counters.at(name), 2 * value) << label << ": " << name;
     }
+    // Gauges hold one registry's last value; summing them over
+    // simulations means nothing, so none is merged in under "sim.".
+    for (const auto& [name, value] : second.gauges) {
+      EXPECT_NE(name.rfind("sim.", 0), 0u)
+          << label << ": merged gauge " << name << " = " << value;
+    }
   }
 }
 
