@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 
-#include "common/strutil.h"
 #include "obs/cost_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -278,7 +277,7 @@ Result<std::optional<Question>> SimulationStrategy::Next(
   // simulation runs with a private registry / cost model (concurrent
   // executors must not clobber shared gauges), then folds its numbers
   // into these parents when it ends — metrics under a "sim." prefix,
-  // attribution as one ("sim.<feature>", candidate) row.
+  // attribution rows under a "sim:" scope prefix.
   obs::MetricRegistry* parent_metrics = ctx.exec_options.metrics != nullptr
                                             ? ctx.exec_options.metrics
                                             : &obs::DefaultMetrics();
@@ -319,12 +318,33 @@ Result<std::optional<Question>> SimulationStrategy::Next(
     }
   }
 
-  std::optional<Question> best;
-  double best_expected = std::numeric_limits<double>::infinity();
-  double best_expected_values = std::numeric_limits<double>::infinity();
-
+  // Gather: every unasked question with a candidate answer, in (attribute,
+  // feature) order, and one flat list of all their simulations.
+  struct Candidate {
+    Question question;
+    const Feature* feature = nullptr;
+    std::vector<Answer> answers;
+    // The attribute's consuming rule head and its base tuple count; null
+    // when no rule consumes the IE predicate.
+    const std::string* head = nullptr;
+    size_t base_cov = 0;
+  };
+  struct Simulation {
+    size_t candidate;
+    size_t answer;
+  };
+  std::vector<Candidate> candidates;
+  std::vector<Simulation> sims;
   for (const AttributeRef& attr :
        RankAttributes(*ctx.program, *ctx.full_catalog)) {
+    const std::string* head = nullptr;
+    size_t base_cov = 0;
+    auto head_it = consuming_head.find(attr.ie_predicate);
+    if (head_it != consuming_head.end()) {
+      head = &head_it->second;
+      auto cov_it = base_coverage.find(*head);
+      if (cov_it != base_coverage.end()) base_cov = cov_it->second;
+    }
     std::vector<Value> observed;
     bool observed_ready = false;
     for (const std::string& fname : registry.names()) {
@@ -347,130 +367,142 @@ Result<std::optional<Question>> SimulationStrategy::Next(
         }
       }
       if (answers.empty()) continue;
+      for (size_t ai = 0; ai < answers.size(); ++ai) {
+        sims.push_back({candidates.size(), ai});
+      }
+      candidates.push_back(
+          {std::move(q), feature, std::move(answers), head, base_cov});
+    }
+  }
 
-      // Simulate each candidate answer. An answer that *empties* the
-      // subset result is inconsistent with the data (the attribute's true
-      // values are in there), so the developer will never give it; such
-      // answers get probability ~0 rather than rewarding the question.
-      std::vector<double> sizes;
-      auto head_it = consuming_head.find(attr.ie_predicate);
-      size_t base_cov = 0;
-      if (head_it != consuming_head.end()) {
-        auto cov_it = base_coverage.find(head_it->second);
-        if (cov_it != base_coverage.end()) base_cov = cov_it->second;
+  // Simulate: every (question, answer) pair of this call in one pool
+  // batch. Each simulation gets its own Executor over the shared subset
+  // catalog and cache, so they are independent; outcomes land by index
+  // and are folded serially below, which keeps question selection
+  // identical to the serial run. An answer that *empties* the subset
+  // result is inconsistent with the data (the attribute's true values are
+  // in there), so the developer will never give it; such answers get
+  // probability ~0 rather than rewarding the question.
+  struct SimOutcome {
+    bool ran = false;
+    bool keep = false;
+    double size = 0;
+    double pv = 0;
+  };
+  std::vector<SimOutcome> outcomes(sims.size());
+  auto simulate = [&](size_t si) {
+    const Candidate& c = candidates[sims[si].candidate];
+    obs::TraceSpan sim_span(tracer, "strategy.simulate", c.question.feature);
+    Program refined = *ctx.program;
+    Status st = ApplyAnswer(&refined, *ctx.full_catalog, c.question,
+                            c.answers[sims[si].answer]);
+    SimOutcome& out = outcomes[si];
+    out.size = current_size;
+    out.pv = current_values;
+    bool coverage_ok = true;
+    if (st.ok()) {
+      // Each simulation reads its own process_values gauge back; a shared
+      // registry would let concurrent simulations clobber that gauge, so
+      // simulations always get a private one.
+      ExecOptions sim_options = ctx.exec_options;
+      sim_options.metrics = nullptr;
+      obs::CostModel sim_cost;
+      if (profiling) {
+        sim_cost.set_enabled(true);
+        sim_options.cost_model = &sim_cost;
       }
-      std::vector<double> pvalues;
-      // Candidate simulations are independent (each gets its own Executor
-      // over the shared subset catalog/cache), so they fan out across the
-      // pool; outcomes are folded serially in answer order below, which
-      // keeps question selection identical to the serial run.
-      struct SimOutcome {
-        bool ran = false;
-        bool keep = false;
-        double size = 0;
-        double pv = 0;
-      };
-      std::vector<SimOutcome> outcomes;
-      try {
-        outcomes = runtime::ParallelMap<SimOutcome>(
-          ctx.exec_options.pool, answers.size(), [&](size_t ai) {
-            const Answer& a = answers[ai];
-            obs::TraceSpan sim_span(tracer, "strategy.simulate", fname);
-            Program refined = *ctx.program;
-            Status st = ApplyAnswer(&refined, *ctx.full_catalog, q, a);
-            SimOutcome out;
-            out.size = current_size;
-            out.pv = current_values;
-            bool coverage_ok = true;
-            if (st.ok()) {
-              // Each simulation reads its own process_values gauge back;
-              // a shared registry would let concurrent simulations clobber
-              // that gauge, so simulations always get a private one.
-              ExecOptions sim_options = ctx.exec_options;
-              sim_options.metrics = nullptr;
-              obs::CostModel sim_cost;
-              if (profiling) {
-                sim_cost.set_enabled(true);
-                sim_options.cost_model = &sim_cost;
-              }
-              Executor exec(*ctx.subset_catalog, sim_options);
-              Result<CompactTable> r = exec.Execute(refined, ctx.subset_cache);
-              out.ran = true;
-              exec.metrics().MergeInto(parent_metrics, "sim.");
-              if (profiling) {
-                // The candidate's whole simulated execution collapses
-                // into one parent row. Its Execute span joins the
-                // parent's coverage denominator too, so attributed wall
-                // stays a subset of accounted span time.
-                parent_cost->Charge(
-                    obs::CostKey{"sim." + fname,
-                                 StringPrintf("cand%zu", ai),
-                                 ctx.exec_options.cost_iteration},
-                    sim_cost.Total());
-                parent_cost->AddSpan(sim_cost.span_ns());
-              }
-              if (r.ok()) {
-                out.size = ResultSize(*r, corpus);
-                out.pv = exec.stats().process_values;
-                if (head_it != consuming_head.end()) {
-                  auto it = exec.last_idb().find(head_it->second);
-                  // A correct constraint may legitimately drop records that
-                  // simply lack the attribute (journal-year on conference
-                  // entries), so require only that a reasonable share of the
-                  // extractor's tuples survives; total annihilation marks a
-                  // wrong guess.
-                  coverage_ok = it != exec.last_idb().end() &&
-                                static_cast<double>(it->second.size()) >=
-                                    0.25 * static_cast<double>(base_cov);
-                }
-              }
-            }
-            out.keep = out.size > 0 && coverage_ok;
-            return out;
-          });
-      } catch (const std::exception& e) {
-        // A worker exception (simulation bug, injected task fault) aborts
-        // question selection with a clean Status instead of crossing the
-        // pool join unwound.
-        return Status::Internal(
-            std::string("worker exception in simulation: ") + e.what());
+      Executor exec(*ctx.subset_catalog, sim_options);
+      Result<CompactTable> r = exec.Execute(refined, ctx.subset_cache);
+      out.ran = true;
+      exec.metrics().MergeInto(parent_metrics, "sim.");
+      if (profiling) {
+        // Every row of the simulated execution reaches the parent under
+        // "sim:<scope>", summed over candidates. Its Execute span joins
+        // the parent's coverage denominator too, so attributed wall stays
+        // a subset of accounted span time.
+        for (const obs::ExplainReport::Row& row : sim_cost.Report().rows) {
+          parent_cost->Charge(obs::CostKey{"sim:" + row.key.scope,
+                                           row.key.op, row.key.iteration},
+                              row.cost);
+        }
+        parent_cost->AddSpan(sim_cost.span_ns());
       }
-      for (const SimOutcome& out : outcomes) {
-        if (out.ran) ++simulations_run_;
-        if (out.keep) {
-          sizes.push_back(out.size);
-          pvalues.push_back(out.pv);
+      if (r.ok()) {
+        out.size = ResultSize(*r, corpus);
+        out.pv = exec.stats().process_values;
+        if (c.head != nullptr) {
+          auto it = exec.last_idb().find(*c.head);
+          // A correct constraint may legitimately drop records that simply
+          // lack the attribute (journal-year on conference entries), so
+          // require only that a reasonable share of the extractor's tuples
+          // survives; total annihilation marks a wrong guess.
+          coverage_ok = it != exec.last_idb().end() &&
+                        static_cast<double>(it->second.size()) >=
+                            0.25 * static_cast<double>(c.base_cov);
         }
       }
-      if (sizes.empty()) continue;  // no plausible answer: useless question
-      double total = 0;
-      double total_pv = 0;
-      for (double s : sizes) total += s;
-      for (double p : pvalues) total_pv += p;
-      // Parameterized questions carry a high "I do not know" risk: their
-      // candidate parameters are data-derived guesses, and a wrong guess
-      // means the developer cannot confirm it. Weight the no-answer
-      // branch (result unchanged) accordingly, so speculative parameter
-      // questions do not crowd out reliable appearance questions.
-      double alpha_eff =
-          feature->AnswerSpace().empty() ? std::max(0.5, ctx.alpha) : ctx.alpha;
-      double expected = alpha_eff * current_size +
-                        (1.0 - alpha_eff) * total /
-                            static_cast<double>(sizes.size());
-      // Secondary objective: expected value-level narrowing, which breaks
-      // the many ties among questions that cannot yet move the tuple
-      // count (multi-constraint filters like lp < fp + 5 need several
-      // attributes pinned before any tuple drops).
-      double expected_values =
-          alpha_eff * current_values +
-          (1.0 - alpha_eff) * total_pv / static_cast<double>(pvalues.size());
-      if (expected < best_expected - 1e-9 ||
-          (expected < best_expected + 1e-9 &&
-           expected_values < best_expected_values - 1e-9)) {
-        best_expected = expected;
-        best_expected_values = expected_values;
-        best = q;
+    }
+    out.keep = out.size > 0 && coverage_ok;
+  };
+  try {
+    // Grain 1: each simulation is milliseconds of work, so each is claimed
+    // on its own, as morsels are.
+    runtime::ParallelFor(ctx.exec_options.pool, sims.size(), simulate,
+                         /*stop=*/nullptr, /*grain=*/1);
+  } catch (const std::exception& e) {
+    // A worker exception (simulation bug, injected task fault) aborts
+    // question selection with a clean Status instead of crossing the pool
+    // join unwound.
+    return Status::Internal(std::string("worker exception in simulation: ") +
+                            e.what());
+  }
+
+  // Fold, in (attribute, feature, answer) order: `sims` lists each
+  // candidate's answers in turn.
+  std::optional<Question> best;
+  double best_expected = std::numeric_limits<double>::infinity();
+  double best_expected_values = std::numeric_limits<double>::infinity();
+  size_t si = 0;
+  for (const Candidate& c : candidates) {
+    std::vector<double> sizes;
+    std::vector<double> pvalues;
+    for (size_t ai = 0; ai < c.answers.size(); ++ai, ++si) {
+      const SimOutcome& out = outcomes[si];
+      if (out.ran) ++simulations_run_;
+      if (out.keep) {
+        sizes.push_back(out.size);
+        pvalues.push_back(out.pv);
       }
+    }
+    if (sizes.empty()) continue;  // no plausible answer: useless question
+    double total = 0;
+    double total_pv = 0;
+    for (double s : sizes) total += s;
+    for (double p : pvalues) total_pv += p;
+    // Parameterized questions carry a high "I do not know" risk: their
+    // candidate parameters are data-derived guesses, and a wrong guess
+    // means the developer cannot confirm it. Weight the no-answer branch
+    // (result unchanged) accordingly, so speculative parameter questions
+    // do not crowd out reliable appearance questions.
+    double alpha_eff = c.feature->AnswerSpace().empty()
+                           ? std::max(0.5, ctx.alpha)
+                           : ctx.alpha;
+    double expected = alpha_eff * current_size +
+                      (1.0 - alpha_eff) * total /
+                          static_cast<double>(sizes.size());
+    // Secondary objective: expected value-level narrowing, which breaks the
+    // many ties among questions that cannot yet move the tuple count
+    // (multi-constraint filters like lp < fp + 5 need several attributes
+    // pinned before any tuple drops).
+    double expected_values =
+        alpha_eff * current_values +
+        (1.0 - alpha_eff) * total_pv / static_cast<double>(pvalues.size());
+    if (expected < best_expected - 1e-9 ||
+        (expected < best_expected + 1e-9 &&
+         expected_values < best_expected_values - 1e-9)) {
+      best_expected = expected;
+      best_expected_values = expected_values;
+      best = c.question;
     }
   }
   return best;

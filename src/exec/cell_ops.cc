@@ -210,8 +210,14 @@ PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
       out.token_sets.push_back(&tokens.TokensOf(doc.TextOf(s)));
     }
   }
-  // any/all over value pairs does not depend on order or repeats.
-  std::sort(out.token_sets.begin(), out.token_sets.end(), std::less<>());
+  // any/all over value pairs does not depend on order or repeats, so the
+  // sets are de-duplicated and ordered by size for SimilarityVerdict's
+  // size window.
+  std::sort(out.token_sets.begin(), out.token_sets.end(),
+            [](const std::vector<ValueId>* x, const std::vector<ValueId>* y) {
+              if (x->size() != y->size()) return x->size() < y->size();
+              return std::less<>()(x, y);
+            });
   out.token_sets.erase(
       std::unique(out.token_sets.begin(), out.token_sets.end()),
       out.token_sets.end());
@@ -228,18 +234,41 @@ SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
     return SatResult::kSome;  // sound: keep as maybe
   }
   // Both counts are now within min(max_cell_enum, max_filter_combos), so
-  // PrepareSimCell filled both token-set lists.
+  // PrepareSimCell filled both token-set lists, ordered by size.
+  //
+  // Size window (AllPairs): J(A, B) <= min(|A|, |B|) / max(|A|, |B|), and
+  // correctly rounded division is monotone, so a pair whose size ratio
+  // computes below the threshold has a computed Jaccard below it too. For
+  // each A, the sets of B that can reach the threshold are one run of the
+  // size-sorted list around |A|; every set outside it fails the pair.
+  // Both sides of a ratio are nonzero here, and two empty sets (J = 1)
+  // always fall inside.
+  const auto ratio_below = [threshold](size_t small, size_t large) {
+    return static_cast<double>(small) / static_cast<double>(large) <
+           threshold;
+  };
+  const auto& bs = b.token_sets;
   bool any = false;
   bool all = true;
   for (const std::vector<ValueId>* ta : a.token_sets) {
-    for (const std::vector<ValueId>* tb : b.token_sets) {
-      if (TokenIdJaccard(*ta, *tb) >= threshold) {
+    const size_t na_tok = ta->size();
+    auto lo = std::partition_point(
+        bs.begin(), bs.end(), [&](const std::vector<ValueId>* tb) {
+          return tb->size() < na_tok && ratio_below(tb->size(), na_tok);
+        });
+    auto hi = std::partition_point(
+        lo, bs.end(), [&](const std::vector<ValueId>* tb) {
+          return tb->size() <= na_tok || !ratio_below(na_tok, tb->size());
+        });
+    if (lo != bs.begin() || hi != bs.end()) all = false;
+    for (auto it = lo; it != hi && !(any && !all); ++it) {
+      if (TokenIdJaccard(*ta, **it) >= threshold) {
         any = true;
       } else {
         all = false;
       }
-      if (any && !all) return SatResult::kSome;
     }
+    if (any && !all) return SatResult::kSome;
   }
   if (!any) return SatResult::kNone;
   return all ? SatResult::kAll : SatResult::kSome;

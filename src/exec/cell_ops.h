@@ -78,10 +78,11 @@ inline constexpr size_t kSimIndexMaxValues = 512;
 struct PreparedSimCell {
   /// |V(c)|, counted without enumerating.
   size_t values = 0;
-  /// The distinct token-id sets of V(c), as pointers into the corpus
-  /// TokenCache (stable for its lifetime). Filled only when `values` is at
-  /// most max(kSimIndexMaxValues, min(max_cell_enum, max_filter_combos)):
-  /// beyond that no pair is decided by token sets and no index reads them.
+  /// The distinct token-id sets of V(c), ordered by size, as pointers into
+  /// the corpus TokenCache (stable for its lifetime). Filled only when
+  /// `values` is at most max(kSimIndexMaxValues, min(max_cell_enum,
+  /// max_filter_combos)): beyond that no pair is decided by token sets and
+  /// no index reads them.
   std::vector<const std::vector<ValueId>*> token_sets;
 };
 
@@ -94,7 +95,8 @@ PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
 /// prepared cells, with the caps of a p-function filter: kNone when either
 /// cell encodes no value (or max_cell_enum is 0), kSome when either has
 /// more than max_cell_enum values or their value product exceeds
-/// max_filter_combos, else any/all over the token-set pairs. Equal to
+/// max_filter_combos, else any/all over the token-set pairs, skipping the
+/// pairs whose size ratio already rules the threshold out. Equal to
 /// enumerating both cells and calling the registered p-function per pair.
 SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
                             const CellOpLimits& limits, double threshold);

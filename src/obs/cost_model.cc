@@ -26,13 +26,6 @@ ExplainReport CostModel::Report(uint64_t span_ns) const {
   return report;  // map iteration order is already the sort order
 }
 
-Cost CostModel::Total() const {
-  Cost total;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, cost] : costs_) total.Add(cost);
-  return total;
-}
-
 void CostModel::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   costs_.clear();

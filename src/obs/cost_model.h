@@ -13,12 +13,12 @@
 namespace iflex {
 namespace obs {
 
-/// Attribution key: who gets charged. During execution `scope` is the
-/// rule's head predicate and `op` the operator kind ("join", "from",
-/// "constraint", ...); during simulation `scope` is "sim.<strategy>" and
-/// `op` names the candidate. `iteration` is the refinement iteration
-/// (-1 outside a session; the post-session full evaluation uses the
-/// iteration count).
+/// Attribution key: who gets charged. `scope` is the rule's head predicate
+/// and `op` the operator kind ("join", "from", "constraint", ...). A
+/// candidate simulation of question selection charges its rows with the
+/// scope prefixed "sim:" ("sim:t9", "join"), summed over every candidate
+/// of the iteration. `iteration` is the refinement iteration (-1 outside
+/// a session; the post-session full evaluation uses the iteration count).
 struct CostKey {
   std::string scope;
   std::string op;
@@ -111,10 +111,6 @@ class CostModel {
   /// report's coverage denominator; 0 means "use the accumulated
   /// AddSpan total".
   ExplainReport Report(uint64_t span_ns = 0) const;
-
-  /// Column-wise sum of all charges (used to collapse a simulation's
-  /// private model into one candidate row of its parent).
-  Cost Total() const;
 
   void Clear();
 

@@ -90,8 +90,8 @@ void ParallelFor(TaskPool* pool, size_t n,
                  size_t grain = 0);
 
 /// out[i] = fn(i) for i in [0, n), in index order regardless of execution
-/// order — the deterministic-merge primitive the executor and the
-/// simulation strategy build on. T needs no default constructor.
+/// order — the deterministic-merge primitive the executor's rule fan-out
+/// builds on. T needs no default constructor.
 template <typename T, typename Fn>
 std::vector<T> ParallelMap(TaskPool* pool, size_t n, const Fn& fn) {
   std::vector<std::optional<T>> slots(n);

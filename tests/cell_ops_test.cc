@@ -311,6 +311,35 @@ TEST_F(SimilarityVerdictTest, SmallEnumerationCap) {
   ExpectVerdict(Words("a", 1), Words("a", 1), SatResult::kNone, none);
 }
 
+// At θ = 0.75 a set of n tokens can only match sets of 0.75n to n/0.75
+// tokens; the verdict skips every pair outside that window without
+// computing its Jaccard, and must still equal the reference.
+TEST_F(SimilarityVerdictTest, SizeWindowStraddlingCells) {
+  Cell abc = Cell::Exact(Value::String("a b c"));
+  Cell four_and_one = Cell::Exact(Value::String("a b c d"));
+  four_and_one.assignments.push_back(Assignment::Exact(Value::String("a")));
+  // "a b c d" sits exactly at 3 / 4 = 0.75; "a" is outside the window.
+  ExpectVerdict(abc, four_and_one, SatResult::kSome);
+  // 1 and 2 tokens are both outside the window of 5.
+  Cell one_and_two = Cell::Exact(Value::String("a"));
+  one_and_two.assignments.push_back(Assignment::Exact(Value::String("a b")));
+  ExpectVerdict(Cell::Exact(Value::String("a b c d e")), one_and_two,
+                SatResult::kNone);
+  // Sub-spans of 1 to 31 tokens against values of 1, 2 and 6 tokens.
+  const Cell wide = WideContain();
+  const Cell six = Cell::Exact(Value::String("w10 w11 w12 w13 w14 w15"));
+  ExpectVerdict(wide, Cell::Exact(Value::String("w30")), SatResult::kSome);
+  ExpectVerdict(wide, Cell::Exact(Value::String("w4 w5")), SatResult::kSome);
+  ExpectVerdict(wide, six, SatResult::kSome);
+  Cell two_and_six = Cell::Exact(Value::String("w5 w4"));
+  two_and_six.assignments.push_back(six.assignments[0]);
+  ExpectVerdict(wide, two_and_six, SatResult::kSome);
+  // Every window holds sub-spans, but none of them is similar enough.
+  ExpectVerdict(wide, Cell::Exact(Value::String("w0 w2 w4 w6 w8 w10")),
+                SatResult::kNone);
+  ExpectVerdict(wide, Cell::Exact(Value::String("w0 w30")), SatResult::kNone);
+}
+
 TEST_F(SimilarityVerdictTest, ExpansionCells) {
   Cell exp = Cell::Expansion(
       {Assignment::Contain(Span(punct_, 0, 4)),

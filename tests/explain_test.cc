@@ -1,17 +1,23 @@
 // Attribution profiler (src/obs/cost_model.h) + its executor plumbing:
 // inert-when-disabled, per-operator charges on a real execution, the
 // execute-level "caches" row, wall coverage against the recorded span,
-// and the flight-recorder dump a stopped run leaves in its ExecReport.
+// the flight-recorder dump a stopped run leaves in its ExecReport, and the
+// operator rows candidate simulations charge to question selection.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "assistant/strategy.h"
 #include "exec/executor.h"
 #include "obs/cost_model.h"
 #include "obs/event_log.h"
 #include "resilience/deadline.h"
+#include "runtime/task_pool.h"
+#include "tasks/task.h"
 #include "text/markup_parser.h"
 
 namespace iflex {
@@ -55,11 +61,10 @@ TEST(CostModelTest, ChargesAggregateByKeyAndSortDeterministically) {
   EXPECT_EQ(report.rows[2].cost.count, 2u);
   EXPECT_EQ(report.rows[2].cost.rows, 20u);
   EXPECT_EQ(report.total.rows, 40u);
-  EXPECT_EQ(model.Total().rows, 40u);
 
   model.Clear();
   EXPECT_TRUE(model.Report().empty());
-  EXPECT_EQ(model.Total().count, 0u);
+  EXPECT_EQ(model.Report().total.count, 0u);
 }
 
 TEST(CostModelTest, ScopeTimesWallAndChargesOnEnd) {
@@ -277,6 +282,58 @@ TEST_F(ExplainExecutionTest, CleanRunLeavesNoFlightRecorder) {
   EXPECT_TRUE(exec.report().flight_recorder.empty());
   // The run still logged its begin/end breadcrumbs (info level default).
   EXPECT_GE(log.total(), 2u);
+}
+
+// Explain reaches inside question selection: each candidate simulation's
+// operator rows are charged to the session's profile under a "sim:" scope,
+// summed over candidates, instead of one opaque row per candidate. The
+// stable columns do not depend on the pool.
+TEST(ExplainSimulationTest, SimulationsChargeOperatorRows) {
+  auto profile = [](runtime::TaskPool* pool) -> Result<ExplainReport> {
+    IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T9", 60));
+    Catalog subset = task->catalog->CloneWithSampledTables(0.3, 42);
+    ReuseCache cache;
+    std::set<std::string> asked;
+    CostModel model;
+    model.set_enabled(true);
+    StrategyContext ctx;
+    ctx.program = &task->initial_program;
+    ctx.full_catalog = task->catalog.get();
+    ctx.subset_catalog = &subset;
+    ctx.subset_cache = &cache;
+    ctx.asked = &asked;
+    ctx.exec_options.pool = pool;
+    ctx.exec_options.cost_model = &model;
+    SimulationStrategy strategy;
+    IFLEX_ASSIGN_OR_RETURN(std::optional<Question> q, strategy.Next(ctx));
+    if (!q.has_value()) return Status::Internal("no question selected");
+    return model.Report();
+  };
+
+  auto serial = profile(nullptr);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  auto has_row = [&](const std::string& scope, const std::string& op) {
+    for (const ExplainReport::Row& row : serial->rows) {
+      if (row.key.scope == scope && row.key.op == op) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_row("sim:t9", "join"));
+  EXPECT_TRUE(has_row("sim:an", "constraint"));
+  EXPECT_TRUE(has_row("sim:bn", "from"));
+  for (const ExplainReport::Row& row : serial->rows) {
+    EXPECT_EQ(row.key.op.rfind("cand", 0), std::string::npos)
+        << row.key.scope << "/" << row.key.op;
+  }
+
+  const std::string stable = serial->ToText(/*stable_only=*/true);
+  for (size_t threads : {1, 2, 8}) {
+    runtime::TaskPool pool(threads);
+    auto pooled = profile(&pool);
+    ASSERT_TRUE(pooled.ok()) << pooled.status();
+    EXPECT_EQ(pooled->ToText(/*stable_only=*/true), stable)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -3,21 +3,32 @@
 // extraction) and the assistant (concurrent simulation) must produce
 // byte-identical results to the serial run. These tests oversubscribe a
 // small machine happily — the determinism contract is thread-count and
-// morsel-size independent by construction (docs/RUNTIME.md).
+// morsel-size independent by construction (docs/RUNTIME.md). Question
+// selection must also fill the pool — one batch per Next(), not one per
+// question — and a task fault inside that batch must end in a clean Status.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "assistant/session.h"
+#include "assistant/strategy.h"
 #include "exec/executor.h"
 #include "resilience/deadline.h"
+#include "resilience/failpoint.h"
 #include "runtime/task_pool.h"
 #include "tasks/task.h"
 #include "text/markup_parser.h"
 
 namespace iflex {
 namespace {
+
+using resilience::FailPoints;
 
 // The paper's running example (Figures 1-3), as in paper_example_test.
 constexpr char kProgram[] = R"(
@@ -320,35 +331,138 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
 
 // End-to-end: a whole refinement session — subset executions, concurrent
 // candidate simulations, question selection, reuse-mode full evaluation —
-// must make the same decisions and produce the same final table with a
-// pool as without.
+// must ask the same questions, end in the same program and produce the
+// same final table with a pool as without. T1@10 selects with yes/no
+// features; T9@60 joins with similar() and also asks parameterized
+// questions, whose candidates come from probing the subset.
 TEST(SessionDeterminismTest, RefinementSessionIsIdenticalWithPool) {
-  auto run_session = [](runtime::TaskPool* pool)
-      -> Result<std::pair<std::string, std::pair<size_t, size_t>>> {
-    IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T1", 10));
+  struct Outcome {
+    std::string table;
+    std::string program;
+    std::vector<std::string> questions;  // Question::Key()s, in asked order
+    size_t questions_asked = 0;
+    size_t simulations_run = 0;
+  };
+  auto run_session = [](const char* task_id, size_t scale,
+                        runtime::TaskPool* pool) -> Result<Outcome> {
+    IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask(task_id, scale));
     SessionOptions options;
     options.strategy = StrategyKind::kSimulation;
     options.pool = pool;
     RefinementSession session(*task->catalog, task->initial_program,
                               task->developer.get(), options);
     IFLEX_ASSIGN_OR_RETURN(SessionResult result, session.Run());
-    return std::make_pair(
-        result.final_result.ToString(task->corpus.get()),
-        std::make_pair(result.questions_asked, result.simulations_run));
+    Outcome out;
+    out.table = result.final_result.ToString(task->corpus.get());
+    out.program = result.final_program.ToString();
+    for (const IterationRecord& rec : result.iterations) {
+      for (const Question& q : rec.questions) out.questions.push_back(q.Key());
+    }
+    out.questions_asked = result.questions_asked;
+    out.simulations_run = result.simulations_run;
+    return out;
   };
 
-  auto serial = run_session(nullptr);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  for (size_t threads : {2, 8}) {
-    runtime::TaskPool pool(threads);
-    auto parallel = run_session(&pool);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_EQ(parallel->first, serial->first) << threads << " threads";
-    EXPECT_EQ(parallel->second.first, serial->second.first)
-        << "questions_asked at " << threads << " threads";
-    EXPECT_EQ(parallel->second.second, serial->second.second)
-        << "simulations_run at " << threads << " threads";
+  const std::vector<std::pair<const char*, size_t>> scenarios = {{"T1", 10},
+                                                                 {"T9", 60}};
+  for (const auto& [task_id, scale] : scenarios) {
+    const std::string name = std::string(task_id) + "@" + std::to_string(scale);
+    auto serial = run_session(task_id, scale, nullptr);
+    ASSERT_TRUE(serial.ok()) << name << ": " << serial.status();
+    ASSERT_FALSE(serial->questions.empty()) << name;
+    for (size_t threads : {1, 2, 8}) {
+      runtime::TaskPool pool(threads);
+      auto parallel = run_session(task_id, scale, &pool);
+      ASSERT_TRUE(parallel.ok()) << name << ": " << parallel.status();
+      const std::string at = name + " at " + std::to_string(threads) +
+                             " threads";
+      EXPECT_EQ(parallel->questions, serial->questions) << at;
+      EXPECT_EQ(parallel->program, serial->program) << at;
+      EXPECT_EQ(parallel->table, serial->table) << at;
+      EXPECT_EQ(parallel->questions_asked, serial->questions_asked)
+          << "questions_asked, " << at;
+      EXPECT_EQ(parallel->simulations_run, serial->simulations_run)
+          << "simulations_run, " << at;
+    }
   }
+}
+
+// One SimulationStrategy::Next over StrategyTest's subset of T1@30 (see
+// assistant_test.cc), on fresh caches and pools.
+class SimulationBatchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FailPoints::Instance().Clear();
+    auto task = MakeTask("T1", 30);
+    ASSERT_TRUE(task.ok()) << task.status();
+    task_ = std::move(task).value();
+    subset_ = std::make_unique<Catalog>(
+        task_->catalog->CloneWithSampledTables(0.3, 42));
+  }
+
+  // Every fail point is disarmed however a test exits.
+  void TearDown() override { FailPoints::Instance().Clear(); }
+
+  struct Pick {
+    std::string question;
+    size_t simulations = 0;
+    double wall_s = 0;
+  };
+
+  Result<Pick> Next(size_t threads) {
+    runtime::TaskPool pool(threads);
+    ReuseCache cache;
+    std::set<std::string> asked;
+    StrategyContext ctx;
+    ctx.program = &task_->initial_program;
+    ctx.full_catalog = task_->catalog.get();
+    ctx.subset_catalog = subset_.get();
+    ctx.subset_cache = &cache;
+    ctx.asked = &asked;
+    ctx.exec_options.pool = &pool;
+    SimulationStrategy strategy;
+    const auto start = std::chrono::steady_clock::now();
+    IFLEX_ASSIGN_OR_RETURN(std::optional<Question> q, strategy.Next(ctx));
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    if (!q.has_value()) return Status::Internal("no question selected");
+    return Pick{q->Key(), strategy.simulations_run(), wall.count()};
+  }
+
+  std::unique_ptr<TaskInstance> task_;
+  std::unique_ptr<Catalog> subset_;
+};
+
+// Question selection simulates every candidate answer of one Next() in a
+// single pool batch. Each reuse-cache lookup sleeps 10 ms, so the call is
+// mostly sleeping simulations, and a sleeping thread needs no core: four
+// times the threads must more than halve the wall time, on a loaded host
+// too. Batches of one question's 2-3 answers stay near 0.65.
+TEST_F(SimulationBatchTest, OneNextFillsThePool) {
+  ASSERT_TRUE(FailPoints::Instance().Configure("exec.cache=delay:10").ok());
+  auto two = Next(2);
+  ASSERT_TRUE(two.ok()) << two.status();
+  auto eight = Next(8);
+  ASSERT_TRUE(eight.ok()) << eight.status();
+  EXPECT_EQ(eight->question, two->question);
+  EXPECT_EQ(two->simulations, 72u);
+  EXPECT_EQ(eight->simulations, two->simulations);
+  EXPECT_LT(eight->wall_s / two->wall_s, 0.5)
+      << "2 threads: " << two->wall_s << " s, 8 threads: " << eight->wall_s
+      << " s";
+}
+
+// A task fault inside the simulation batch ends question selection with a
+// clean kInternal that names the batch and the fault.
+TEST_F(SimulationBatchTest, TaskFaultAbortsSelectionCleanly) {
+  ASSERT_TRUE(FailPoints::Instance().Configure("runtime.task=error").ok());
+  auto pick = Next(4);
+  ASSERT_FALSE(pick.ok());
+  EXPECT_EQ(pick.status().code(), StatusCode::kInternal);
+  const std::string& message = pick.status().message();
+  EXPECT_NE(message.find("worker exception in simulation"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("runtime.task"), std::string::npos) << message;
 }
 
 }  // namespace
