@@ -11,10 +11,7 @@ std::string Term::ToString() const {
     case Kind::kString:
       return "\"" + str + "\"";
     case Kind::kNumber:
-      if (num == static_cast<int64_t>(num)) {
-        return StringPrintf("%lld", static_cast<long long>(num));
-      }
-      return StringPrintf("%g", num);
+      return FormatNumber(num);
     case Kind::kNull:
       return "null";
   }

@@ -90,7 +90,6 @@ Result<SessionResult> RefinementSession::Run() {
     strategy = std::make_unique<SimulationStrategy>();
   }
 
-  ReuseCache full_cache;
   std::set<std::string> asked;
   ConvergenceDetector detector(options_.convergence_k);
 
@@ -204,6 +203,10 @@ Result<SessionResult> RefinementSession::Run() {
     }
   }
 
+  // Nothing reads the subset's tables and prepared cells after the loop;
+  // freeing them leaves their memory to the full-data pass.
+  subset_cache.Clear();
+
   // Reuse mode: compute the complete result over the full data.
   {
     IFLEX_RETURN_NOT_OK(session_stop.Check("Session::Run"));
@@ -213,8 +216,7 @@ Result<SessionResult> RefinementSession::Run() {
     Stopwatch iter_watch;
     options_.exec_options.cost_iteration = rec.iteration;
     Executor exec(catalog_, options_.exec_options);
-    IFLEX_ASSIGN_OR_RETURN(CompactTable result,
-                           exec.Execute(program_, &full_cache));
+    IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(program_));
     out.report.Merge(exec.report());
     rec.result_tuples = ResultSize(result, catalog_.corpus());
     rec.assignments = exec.stats().process_assignments;

@@ -1,9 +1,11 @@
 #include "common/strutil.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 namespace iflex {
 
@@ -68,15 +70,16 @@ std::optional<double> ParseLooseNumber(std::string_view s) {
   if (s.empty()) return std::nullopt;
   if (s.front() == '$') s.remove_prefix(1);
   if (s.empty()) return std::nullopt;
-  std::string cleaned;
-  cleaned.reserve(s.size());
+  // Validate in place first: most inputs (every sub-span a comparison
+  // enumerates) are rejected at their first character.
   bool seen_digit = false;
   bool seen_dot = false;
+  size_t kept = 0;
   for (size_t i = 0; i < s.size(); ++i) {
     char c = s[i];
     if (std::isdigit(static_cast<unsigned char>(c))) {
       seen_digit = true;
-      cleaned.push_back(c);
+      ++kept;
     } else if (c == ',') {
       // Thousands separator must sit between digits.
       if (!seen_digit || i + 1 >= s.size() ||
@@ -86,19 +89,43 @@ std::optional<double> ParseLooseNumber(std::string_view s) {
     } else if (c == '.') {
       if (seen_dot) return std::nullopt;
       seen_dot = true;
-      cleaned.push_back(c);
+      ++kept;
     } else if (c == '-' && i == 0) {
-      cleaned.push_back(c);
+      ++kept;
     } else {
       return std::nullopt;
     }
   }
   if (!seen_digit) return std::nullopt;
-  return std::strtod(cleaned.c_str(), nullptr);
+  // strtod reads the kept characters, NUL-terminated: from the stack, or
+  // from the heap past 64 characters.
+  char stack[65];
+  std::unique_ptr<char[]> heap;
+  char* buf = stack;
+  if (kept >= sizeof(stack)) {
+    heap = std::make_unique<char[]>(kept + 1);
+    buf = heap.get();
+  }
+  size_t n = 0;
+  for (char c : s) {
+    if (c != ',') buf[n++] = c;
+  }
+  buf[n] = '\0';
+  return std::strtod(buf, nullptr);
 }
 
 bool IsLooseNumber(std::string_view s) {
   return ParseLooseNumber(s).has_value();
+}
+
+std::string FormatNumber(double n) {
+  // The range check keeps the cast defined: converting a double outside
+  // int64 (or inf, or NaN) to an integer is undefined behaviour.
+  if (n >= -9223372036854775808.0 && n < 9223372036854775808.0 &&
+      n == std::trunc(n)) {
+    return StringPrintf("%lld", static_cast<long long>(n));
+  }
+  return StringPrintf("%g", n);
 }
 
 std::string StringPrintf(const char* fmt, ...) {

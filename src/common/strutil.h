@@ -38,6 +38,11 @@ std::optional<double> ParseLooseNumber(std::string_view s);
 /// True when the entire span is numeric in the loose sense above.
 bool IsLooseNumber(std::string_view s);
 
+/// Formats a number the way values and Alog literals print: an integral
+/// value within the int64 range as an integer ("42"), anything else with
+/// %g ("3.5", "1e+30", "inf", "nan").
+std::string FormatNumber(double n);
+
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

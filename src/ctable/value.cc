@@ -54,12 +54,7 @@ Value Value::Number(double n) {
   v.kind_ = Kind::kNumber;
   v.has_num_ = true;
   v.num_ = n;
-  if (n == static_cast<int64_t>(n)) {
-    v.owned_ = std::make_shared<const std::string>(
-        StringPrintf("%lld", static_cast<long long>(n)));
-  } else {
-    v.owned_ = std::make_shared<const std::string>(StringPrintf("%g", n));
-  }
+  v.owned_ = std::make_shared<const std::string>(FormatNumber(n));
   v.text_ = *v.owned_;
   return v;
 }

@@ -1,7 +1,9 @@
 #include "exec/cell_ops.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <utility>
 
 #include "common/strutil.h"
 
@@ -221,6 +223,17 @@ PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
   out.token_sets.erase(
       std::unique(out.token_sets.begin(), out.token_sets.end()),
       out.token_sets.end());
+  if (out.values > kSimIndexMaxValues) return out;
+  // Sorted and de-duplicated in a per-thread buffer, so the cell keeps an
+  // exact-size list and preparation allocates once.
+  thread_local std::vector<ValueId> ids;
+  ids.clear();
+  for (const std::vector<ValueId>* set : out.token_sets) {
+    out.tokenless = out.tokenless || set->empty();
+    ids.insert(ids.end(), set->begin(), set->end());
+  }
+  std::sort(ids.begin(), ids.end());
+  out.tokens.assign(ids.begin(), std::unique(ids.begin(), ids.end()));
   return out;
 }
 
@@ -332,63 +345,326 @@ bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {
 
 namespace {
 
-// Enumerates a cell's values up to the cap. `complete` reports whether the
-// enumeration covered every value.
-std::vector<Value> EnumerateCapped(const Corpus& corpus, const Cell& cell,
-                                   size_t cap, bool* complete) {
-  std::vector<Value> out;
-  *complete = cell.EnumerateValues(corpus, cap, &out);
+// The CompareValues class of a value: which rule decides its comparisons.
+enum class CmpClass : uint8_t { kNull, kNaN, kNumber, kNumericText, kText };
+
+CmpClass ClassOf(const Value& v) {
+  if (v.is_null()) return CmpClass::kNull;
+  if (v.kind() == Value::Kind::kNumber) {
+    return std::isnan(*v.AsNumber()) ? CmpClass::kNaN : CmpClass::kNumber;
+  }
+  return v.AsNumber().has_value() ? CmpClass::kNumericText : CmpClass::kText;
+}
+
+// Calls fn(cls, num, text, exact) for the values of `a` — the values
+// Assignment::EnumerateValues would build, without building them — until
+// fn returns false. `exact` is the exact assignment's value, or null for a
+// contain sub-span. `num` is meaningful for the numeric classes only.
+template <typename Fn>
+void ForEachCmpValue(const Corpus& corpus, const Assignment& a, Fn&& fn) {
+  if (a.is_exact()) {
+    const Value& v = a.value;
+    fn(ClassOf(v), v.AsNumber().value_or(0), v.AsText(), &v);
+    return;
+  }
+  // A contain value is a span value: a text, numeric when it parses as a
+  // loose number (Value::OfSpan).
+  const Document& doc = corpus.Get(a.span.doc);
+  const std::vector<Token>& tokens = doc.tokens();
+  const size_t first = doc.FirstTokenAtOrAfter(a.span.begin);
+  const size_t last = doc.TokensEndingBy(a.span.end);
+  for (size_t i = first; i < last; ++i) {
+    for (size_t j = i; j < last; ++j) {
+      std::string_view text =
+          doc.TextOf(Span(a.span.doc, tokens[i].begin, tokens[j].end));
+      std::optional<double> n = ParseLooseNumber(text);
+      if (!fn(n.has_value() ? CmpClass::kNumericText : CmpClass::kText,
+              n.value_or(0), text, nullptr)) {
+        return;
+      }
+    }
+  }
+}
+
+bool NeedsSorted(CmpOp op) { return op == CmpOp::kEq || op == CmpOp::kNe; }
+
+// Whether some / every pair (x, y) of x in [xmin, xmax] and y in [ymin,
+// ymax] satisfies an ordered `op`; the extremes are attained.
+template <typename T>
+std::pair<bool, bool> OrderedPair(const T& xmin, const T& xmax, CmpOp op,
+                                  const T& ymin, const T& ymax) {
+  switch (op) {
+    case CmpOp::kLt:
+      return {xmin < ymax, xmax < ymin};
+    case CmpOp::kLe:
+      return {xmin <= ymax, xmax <= ymin};
+    case CmpOp::kGt:
+      return {xmax > ymin, xmin > ymax};
+    case CmpOp::kGe:
+      return {xmax >= ymin, xmin >= ymax};
+    case CmpOp::kEq:
+    case CmpOp::kNe:
+      break;
+  }
+  return {false, false};
+}
+
+// Whether two sorted lists share a value: each of the shorter is searched
+// in the longer.
+template <typename T>
+bool Intersects(const std::vector<T>& a, const std::vector<T>& b) {
+  const std::vector<T>& small = a.size() <= b.size() ? a : b;
+  const std::vector<T>& large = a.size() <= b.size() ? b : a;
+  for (const T& x : small) {
+    if (std::binary_search(large.begin(), large.end(), x)) return true;
+  }
+  return false;
+}
+
+// Whether some / every pair of two non-empty classes compared as `op`,
+// given their extremes, sorted lists and whether values of the two
+// classes can be equal at all.
+template <typename T>
+std::pair<bool, bool> ClassPair(const T& xmin, const T& xmax,
+                                const std::vector<T>& xs, CmpOp op,
+                                const T& ymin, const T& ymax,
+                                const std::vector<T>& ys, bool can_equal) {
+  if (!NeedsSorted(op)) return OrderedPair(xmin, xmax, op, ymin, ymax);
+  // Every pair is equal iff both classes hold one and the same value.
+  const bool all_equal =
+      can_equal && xmin == xmax && ymin == ymax && xmin == ymin;
+  const bool some_equal = all_equal || (can_equal && Intersects(xs, ys));
+  if (op == CmpOp::kEq) return {some_equal, all_equal};
+  return {!all_equal, !some_equal};
+}
+
+// Whether `x` satisfies an ordered `op` against some value of [ymin, ymax].
+template <typename T>
+bool OrderedSome(const T& x, CmpOp op, const T& ymin, const T& ymax) {
+  return OrderedPair(x, x, op, ymin, ymax).first;
+}
+
+// Widens [*lo, *hi] to `x`; `seen` counts the values already in it.
+template <typename T>
+void Extend(const T& x, size_t seen, T* lo, T* hi) {
+  if (seen == 0 || x < *lo) *lo = x;
+  if (seen == 0 || x > *hi) *hi = x;
+}
+
+size_t Numeric(const PreparedCmpCell& c) {
+  return c.numbers + c.numeric_texts;
+}
+
+// Whether value (cls, num, text) satisfies `op` against some value of
+// `o` — CompareValues(v, op, o) for some o in V(other), decided from the
+// class counts, extremes and sorted lists.
+bool SomeSatisfied(CmpClass cls, double num, std::string_view text, CmpOp op,
+                   const PreparedCmpCell& o) {
+  const size_t non_null = o.values - o.nulls;
+  switch (cls) {
+    case CmpClass::kNull:
+      if (op == CmpOp::kEq) return o.nulls > 0;
+      return op == CmpOp::kNe && non_null > 0;
+    case CmpClass::kNaN:
+      return op == CmpOp::kNe && o.values > 0;
+    case CmpClass::kNumber:
+    case CmpClass::kNumericText: {
+      const bool as_text = cls == CmpClass::kNumericText && o.texts > 0;
+      if (op == CmpOp::kNe) {
+        // Unequal to a NULL, a NaN and any text; equal to a number only
+        // when every number of `o` is this one.
+        return o.nulls + o.nans + o.texts > 0 ||
+               (Numeric(o) > 0 &&
+                !(o.num_min == o.num_max && o.num_min == num));
+      }
+      if (Numeric(o) > 0) {
+        if (op == CmpOp::kEq) {
+          if (std::binary_search(o.sorted_numbers.begin(),
+                                 o.sorted_numbers.end(), num)) {
+            return true;
+          }
+        } else if (OrderedSome(num, op, o.num_min, o.num_max)) {
+          return true;
+        }
+      }
+      // A numeric text against a text compares as text; it never equals
+      // one.
+      return as_text && op != CmpOp::kEq &&
+             OrderedSome(text, op, o.text_min, o.text_max);
+    }
+    case CmpClass::kText:
+      if (op == CmpOp::kNe) {
+        return o.nulls + o.nans + Numeric(o) > 0 ||
+               (o.texts > 0 &&
+                !(o.text_min == o.text_max && o.text_min == text));
+      }
+      if (op == CmpOp::kEq) {
+        return o.texts > 0 && std::binary_search(o.sorted_texts.begin(),
+                                                 o.sorted_texts.end(), text);
+      }
+      return (o.numeric_texts > 0 &&
+              OrderedSome(text, op, o.numeric_text_min,
+                          o.numeric_text_max)) ||
+             (o.texts > 0 && OrderedSome(text, op, o.text_min, o.text_max));
+  }
+  return false;
+}
+
+}  // namespace
+
+PreparedCmpCell PrepareCmpCell(const Corpus& corpus, const Cell& cell,
+                               CmpOp op, const CellOpLimits& limits,
+                               double offset) {
+  PreparedCmpCell out;
+  // A cell enumerates completely iff |V(c)| <= max_cell_enum.
+  out.values = cell.ValueCount(corpus);
+  if (out.values > limits.max_cell_enum) return out;
+  const bool sorted = NeedsSorted(op);
+  const bool shift = offset != 0;
+  auto add = [&](CmpClass cls, double num, std::string_view text,
+                 const Value* exact) {
+    if (shift) {
+      // Offsets shift numbers; anything else becomes NULL.
+      if (cls == CmpClass::kNull || cls == CmpClass::kText) {
+        cls = CmpClass::kNull;
+      } else {
+        num += offset;
+        cls = std::isnan(num) ? CmpClass::kNaN : CmpClass::kNumber;
+      }
+    }
+    switch (cls) {
+      case CmpClass::kNull:
+        ++out.nulls;
+        return true;
+      case CmpClass::kNaN:
+        ++out.nans;
+        return true;
+      case CmpClass::kNumber:
+        Extend(num, Numeric(out), &out.num_min, &out.num_max);
+        ++out.numbers;
+        if (sorted) out.sorted_numbers.push_back(num);
+        return true;
+      case CmpClass::kNumericText:
+        Extend(num, Numeric(out), &out.num_min, &out.num_max);
+        Extend(text, out.numeric_texts, &out.numeric_text_min,
+               &out.numeric_text_max);
+        ++out.numeric_texts;
+        if (sorted) out.sorted_numbers.push_back(num);
+        break;
+      case CmpClass::kText:
+        Extend(text, out.texts, &out.text_min, &out.text_max);
+        ++out.texts;
+        if (sorted) out.sorted_texts.push_back(text);
+        break;
+    }
+    if (exact != nullptr && !exact->has_span()) out.pinned.push_back(*exact);
+    return true;
+  };
+  for (const Assignment& a : cell.assignments) ForEachCmpValue(corpus, a, add);
+  std::sort(out.sorted_numbers.begin(), out.sorted_numbers.end());
+  std::sort(out.sorted_texts.begin(), out.sorted_texts.end());
+  out.sorted_texts.erase(
+      std::unique(out.sorted_texts.begin(), out.sorted_texts.end()),
+      out.sorted_texts.end());
   return out;
 }
 
-SatResult Combine(bool any, bool all, bool complete) {
-  if (!complete) {
-    // Unknown tail of values: cannot claim kNone or kAll.
-    return SatResult::kSome;
+SatResult ComparePrepared(const PreparedCmpCell& lhs, CmpOp op,
+                          const PreparedCmpCell& rhs,
+                          const CellOpLimits& limits) {
+  const size_t cap = limits.max_cell_enum;
+  if (std::min(lhs.values, cap) == 0 || std::min(rhs.values, cap) == 0) {
+    return SatResult::kNone;
+  }
+  // An unenumerated tail of values: neither kNone nor kAll can be claimed.
+  if (lhs.values > cap || rhs.values > cap) return SatResult::kSome;
+  // The pairs split by class; any/all fold over the non-empty products.
+  bool any = false;
+  bool all = true;
+  auto fold = [&](std::pair<bool, bool> some_every) {
+    any = any || some_every.first;
+    all = all && some_every.second;
+  };
+  auto constant = [&](bool holds) { fold({holds, holds}); };
+  const size_t l_non_null = lhs.values - lhs.nulls;
+  const size_t r_non_null = rhs.values - rhs.nulls;
+  if (lhs.nulls > 0 && rhs.nulls > 0) constant(op == CmpOp::kEq);
+  if ((lhs.nulls > 0 && r_non_null > 0) || (l_non_null > 0 && rhs.nulls > 0)) {
+    constant(op == CmpOp::kNe);
+  }
+  // Pairs that satisfy only `≠`: a NaN against any non-NULL value, and a
+  // kNumber against a value without a loose number.
+  if ((lhs.nans > 0 && r_non_null > 0) || (l_non_null > 0 && rhs.nans > 0) ||
+      (lhs.numbers > 0 && rhs.texts > 0) ||
+      (lhs.texts > 0 && rhs.numbers > 0)) {
+    constant(op == CmpOp::kNe);
+  }
+  if (Numeric(lhs) > 0 && Numeric(rhs) > 0) {
+    fold(ClassPair(lhs.num_min, lhs.num_max, lhs.sorted_numbers, op,
+                   rhs.num_min, rhs.num_max, rhs.sorted_numbers,
+                   /*can_equal=*/true));
+  }
+  static const std::vector<std::string_view> kNoTexts;
+  if (lhs.numeric_texts > 0 && rhs.texts > 0) {
+    fold(ClassPair(lhs.numeric_text_min, lhs.numeric_text_max, kNoTexts, op,
+                   rhs.text_min, rhs.text_max, kNoTexts, /*can_equal=*/false));
+  }
+  if (lhs.texts > 0 && rhs.numeric_texts > 0) {
+    fold(ClassPair(lhs.text_min, lhs.text_max, kNoTexts, op,
+                   rhs.numeric_text_min, rhs.numeric_text_max, kNoTexts,
+                   /*can_equal=*/false));
+  }
+  if (lhs.texts > 0 && rhs.texts > 0) {
+    fold(ClassPair(lhs.text_min, lhs.text_max, lhs.sorted_texts, op,
+                   rhs.text_min, rhs.text_max, rhs.sorted_texts,
+                   /*can_equal=*/true));
   }
   if (all) return SatResult::kAll;
-  if (any) return SatResult::kSome;
-  return SatResult::kNone;
+  return any ? SatResult::kSome : SatResult::kNone;
 }
 
-}  // namespace
-
-namespace {
-
-// Applies the additive comparison offset: numeric values shift, anything
-// else becomes incomparable (NULL).
-void ApplyOffset(std::vector<Value>* values, double offset) {
-  if (offset == 0) return;
-  for (Value& v : *values) {
-    auto n = v.AsNumber();
-    v = n.has_value() ? Value::Number(*n + offset) : Value::Null();
+Cell NarrowCellByPrepared(const Corpus& corpus, const Cell& cell, CmpOp op,
+                          const PreparedCmpCell& other,
+                          const CellOpLimits& limits, bool* partial) {
+  *partial = false;
+  Cell out;
+  out.is_expansion = cell.is_expansion;
+  if (other.values > limits.max_cell_enum) {
+    // Other side too large to enumerate: keep everything, flag partial.
+    *partial = true;
+    out.assignments = cell.assignments;
+    return out;
   }
+  for (const Assignment& a : cell.assignments) {
+    if (a.ValueCount(corpus) > limits.max_cell_enum) {
+      *partial = true;  // not enumerable: keep it, as maybe
+      out.assignments.push_back(a);
+      continue;
+    }
+    bool any = false;
+    bool all = true;
+    ForEachCmpValue(corpus, a,
+                    [&](CmpClass cls, double num, std::string_view text,
+                        const Value*) {
+                      const bool sat = SomeSatisfied(cls, num, text, op, other);
+                      any = any || sat;
+                      all = all && sat;
+                      return !any || all;  // stop once both are settled
+                    });
+    if (any) {
+      out.assignments.push_back(a);
+      if (!all) *partial = true;
+    }
+  }
+  return out;
 }
-
-}  // namespace
 
 SatResult CompareCells(const Corpus& corpus, const Cell& lhs, CmpOp op,
                        const Cell& rhs, const CellOpLimits& limits,
                        double rhs_offset) {
-  bool lc = false;
-  bool rc = false;
-  std::vector<Value> lv = EnumerateCapped(corpus, lhs, limits.max_cell_enum, &lc);
-  std::vector<Value> rv = EnumerateCapped(corpus, rhs, limits.max_cell_enum, &rc);
-  ApplyOffset(&rv, rhs_offset);
-  if (lv.empty() || rv.empty()) return SatResult::kNone;
-  bool any = false;
-  bool all = true;
-  for (const Value& a : lv) {
-    for (const Value& b : rv) {
-      if (CompareValues(a, op, b)) {
-        any = true;
-      } else {
-        all = false;
-      }
-      if (any && !all) return SatResult::kSome;  // early out
-    }
-  }
-  return Combine(any, all, lc && rc);
+  return ComparePrepared(PrepareCmpCell(corpus, lhs, op, limits), op,
+                         PrepareCmpCell(corpus, rhs, op, limits, rhs_offset),
+                         limits);
 }
 
 SatResult CellsEqual(const Corpus& corpus, const Cell& a, const Cell& b,
@@ -399,49 +675,10 @@ SatResult CellsEqual(const Corpus& corpus, const Cell& a, const Cell& b,
 Cell NarrowCellByComparison(const Corpus& corpus, const Cell& cell, CmpOp op,
                             const Cell& other, const CellOpLimits& limits,
                             bool* partial, double other_offset) {
-  *partial = false;
-  bool oc = false;
-  std::vector<Value> ov =
-      EnumerateCapped(corpus, other, limits.max_cell_enum, &oc);
-  ApplyOffset(&ov, other_offset);
-  Cell out;
-  out.is_expansion = cell.is_expansion;
-  if (!oc) {
-    // Other side too large to enumerate: keep everything, flag partial.
-    *partial = true;
-    out.assignments = cell.assignments;
-    return out;
-  }
-  for (const Assignment& a : cell.assignments) {
-    bool complete = false;
-    std::vector<Value> values;
-    Cell single;
-    single.assignments.push_back(a);
-    values = EnumerateCapped(corpus, single, limits.max_cell_enum, &complete);
-    if (!complete) {
-      *partial = true;
-      out.assignments.push_back(a);
-      continue;
-    }
-    bool any = false;
-    bool all = true;
-    for (const Value& v : values) {
-      bool sat = false;
-      for (const Value& o : ov) {
-        if (CompareValues(v, op, o)) {
-          sat = true;
-          break;
-        }
-      }
-      any = any || sat;
-      all = all && sat;
-    }
-    if (any) {
-      out.assignments.push_back(a);
-      if (!all) *partial = true;
-    }
-  }
-  return out;
+  return NarrowCellByPrepared(
+      corpus, cell, op,
+      PrepareCmpCell(corpus, other, op, limits, other_offset), limits,
+      partial);
 }
 
 Cell NarrowCellByEquality(const Corpus& corpus, const Cell& cell,

@@ -1,6 +1,7 @@
 #ifndef IFLEX_EXEC_CELL_OPS_H_
 #define IFLEX_EXEC_CELL_OPS_H_
 
+#include <string_view>
 #include <vector>
 
 #include "alog/ast.h"
@@ -74,7 +75,8 @@ inline constexpr size_t kSimIndexMaxValues = 512;
 /// approx_match(); see Catalog::MarkTokenSimilarity): its value count and
 /// the token-id sets of its values, computed once instead of once per
 /// pair. A join prepares each table cell once per Execute and each probe
-/// cell once (docs/PERFORMANCE.md, "Prepared similarity join").
+/// cell once (docs/PERFORMANCE.md, "Prepared similarity join"); with a
+/// PreparedCellStore, once per session.
 struct PreparedSimCell {
   /// |V(c)|, counted without enumerating.
   size_t values = 0;
@@ -84,6 +86,11 @@ struct PreparedSimCell {
   /// max_filter_combos)): beyond that no pair is decided by token sets and
   /// no index reads them.
   std::vector<const std::vector<ValueId>*> token_sets;
+  /// Sorted distinct token ids over V(c), and whether some value has no
+  /// token ("&", "-"): what a join's inverted index reads. Filled only
+  /// when `values` is at most kSimIndexMaxValues.
+  std::vector<ValueId> tokens;
+  bool tokenless = false;
 };
 
 /// Prepares `cell` for SimilarityVerdict and the join index under
@@ -113,6 +120,60 @@ Result<Cell> ApplyConstraintToCell(const Corpus& corpus,
                                    const Cell& cell, const ConstraintLit& k,
                                    const std::vector<ConstraintLit>& history,
                                    VerifyMemo* memo = nullptr);
+
+/// A cell prepared for comparisons (docs/PERFORMANCE.md, "Prepared
+/// cells"): its values, shifted by a comparison offset, counted by
+/// CompareValues class, with the extremes of each class. Every pair of
+/// classes compares one way: NULL satisfies only `NULL = NULL` and
+/// `≠` against a non-NULL; a NaN, and a kNumber against a value without
+/// a loose number, satisfy only `≠`; two values with numbers compare as
+/// numbers; any other pair compares as text. So the extremes decide
+/// every ordered operator, `≠` reads them too, and `=` searches the
+/// sorted values.
+struct PreparedCmpCell {
+  /// |V(c)|. The fields below are filled only when it is at most
+  /// max_cell_enum; a wider cell is decided by its count alone.
+  size_t values = 0;
+  size_t nulls = 0;
+  size_t nans = 0;           // NaN numbers
+  size_t numbers = 0;        // other kNumber values
+  size_t numeric_texts = 0;  // other values with a loose number
+  size_t texts = 0;          // values without one: spans, strings, docs, bools
+  /// Extremes over numbers and numeric_texts.
+  double num_min = 0;
+  double num_max = 0;
+  std::string_view numeric_text_min, numeric_text_max;
+  std::string_view text_min, text_max;
+  /// Built only when prepared for `=` or `≠`: every number of numbers and
+  /// numeric_texts, and the distinct texts of `texts`, sorted. A numeric
+  /// text never equals a text without a loose number (the class is a
+  /// function of the text), so no other text needs searching.
+  std::vector<double> sorted_numbers;
+  std::vector<std::string_view> sorted_texts;
+  /// Copies of the scalar values whose texts the views above read (span
+  /// texts live in the corpus), so a stored form outlives its cell.
+  std::vector<Value> pinned;
+};
+
+/// Prepares `cell` for `op` with `offset` added to every value, as the
+/// right side of `lhs op (rhs + offset)`: numbers shift, anything else
+/// becomes NULL.
+PreparedCmpCell PrepareCmpCell(const Corpus& corpus, const Cell& cell,
+                               CmpOp op, const CellOpLimits& limits,
+                               double offset = 0);
+
+/// CompareCells over prepared forms, both prepared for `op`: O(1) per
+/// pair of classes for ordered operators and `≠`'s existence, a search of
+/// the sorted values for `=` and `≠`'s universality.
+SatResult ComparePrepared(const PreparedCmpCell& lhs, CmpOp op,
+                          const PreparedCmpCell& rhs,
+                          const CellOpLimits& limits);
+
+/// NarrowCellByComparison against a prepared `other` (prepared for `op`):
+/// each value of `cell` is decided in O(1), or by one search for `=`.
+Cell NarrowCellByPrepared(const Corpus& corpus, const Cell& cell, CmpOp op,
+                          const PreparedCmpCell& other,
+                          const CellOpLimits& limits, bool* partial);
 
 /// Evaluates `lhs op (rhs + rhs_offset)` over all possible value pairs of
 /// two cells (either may be a 1-value "constant cell"). Overflowing the

@@ -48,13 +48,109 @@ DocId TupleDocId(const CompactTuple& tuple) {
   return kInvalidDocId;
 }
 
+// Tallies a hot counter locally and adds the total once, on scope exit —
+// one shared read-modify-write per operator instead of one per pair.
+class CounterTally {
+ public:
+  explicit CounterTally(obs::Counter* counter) : counter_(counter) {}
+  ~CounterTally() {
+    if (n_ != 0) counter_->Add(n_);
+  }
+  CounterTally(const CounterTally&) = delete;
+  CounterTally& operator=(const CounterTally&) = delete;
+  void Add() { ++n_; }
+
+ private:
+  obs::Counter* counter_;
+  uint64_t n_ = 0;
+};
+
+// Prepares cells through the Execute's PreparedCellStore when it has one
+// (the ReuseCache's, kept across Executes), else into caller-owned
+// scratch that lives for one use (docs/PERFORMANCE.md, "Prepared cells").
+// Either way the form is the one PrepareSimCell / PrepareCmpCell returns;
+// the store only decides whether it is kept.
+class CellPreparer {
+ public:
+  CellPreparer(PreparedCellStore* store, const ExecCounters* counters)
+      : store_(store),
+        hits_(counters->cell_prep_hits),
+        misses_(counters->cell_prep_misses) {}
+
+  // True when prepared forms outlive the Execute: callers then need no
+  // storage of their own.
+  bool keeps() const { return store_ != nullptr; }
+
+  const PreparedSimCell& Sim(const Corpus& corpus, const Cell& cell,
+                             const CellOpLimits& limits,
+                             PreparedSimCell* scratch) {
+    if (store_ == nullptr) {
+      *scratch = PrepareSimCell(corpus, cell, limits);
+      return *scratch;
+    }
+    bool hit = false;
+    const PreparedSimCell& p = store_->Sim(corpus, cell, limits, &hit);
+    Tally(hit);
+    return p;
+  }
+
+  const PreparedCmpCell& Cmp(const Corpus& corpus, const Cell& cell,
+                             CmpOp op, const CellOpLimits& limits,
+                             double offset, PreparedCmpCell* scratch) {
+    if (store_ == nullptr) {
+      *scratch = PrepareCmpCell(corpus, cell, op, limits, offset);
+      return *scratch;
+    }
+    bool hit = false;
+    const PreparedCmpCell& p =
+        store_->Cmp(corpus, cell, op, limits, offset, &hit);
+    Tally(hit);
+    return p;
+  }
+
+ private:
+  void Tally(bool hit) {
+    if (hit) {
+      hits_.Add();
+    } else {
+      misses_.Add();
+    }
+  }
+
+  PreparedCellStore* store_;
+  CounterTally hits_;
+  CounterTally misses_;
+};
+
+// One prepared form per tuple of a join table's column, for every probe
+// of one Execute: pointers into the store, or into `owned` when the
+// Execute keeps nothing.
+template <typename Form>
+struct PreparedColumn {
+  std::vector<const Form*> cells;  // by table tuple
+  std::vector<Form> owned;
+
+  // prepare(cell, scratch) returns the tuple's form.
+  template <typename PrepareFn>
+  void Build(const CompactTable& table, size_t col, bool keeps,
+             PrepareFn&& prepare) {
+    cells.reserve(table.size());
+    // Reserved up front, so the pointers into it stay valid.
+    if (!keeps) owned.reserve(table.size());
+    for (const CompactTuple& t : table.tuples()) {
+      cells.push_back(
+          &prepare(t.cells[col], keeps ? nullptr : &owned.emplace_back()));
+    }
+  }
+};
+
 // The table side of a token-similarity join (docs/PERFORMANCE.md,
 // "Prepared similarity join"): the join-column cell of every tuple,
 // prepared, and — when the join may block and every cell has at most
 // kSimIndexMaxValues values — an inverted token index over them. Read-only
 // once built.
 struct PreparedSimTable {
-  std::vector<PreparedSimCell> cells;  // by table tuple
+  PreparedColumn<PreparedSimCell> column;
   bool indexed = false;
   // Token id -> ascending indices of the tuples with a value holding it.
   std::unordered_map<ValueId, std::vector<size_t>> postings;
@@ -62,35 +158,24 @@ struct PreparedSimTable {
   // those match token-less probe values, as TokenIdJaccard(∅, ∅) = 1.
   std::vector<size_t> tokenless;
 
-  // Sorted distinct token ids over `cell`'s values; sets *tokenless when
-  // some value has no token.
-  static void DistinctTokens(const PreparedSimCell& cell,
-                             std::vector<ValueId>* out, bool* tokenless) {
-    out->clear();
-    *tokenless = false;
-    for (const std::vector<ValueId>* set : cell.token_sets) {
-      *tokenless = *tokenless || set->empty();
-      out->insert(out->end(), set->begin(), set->end());
-    }
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
-  }
+  const PreparedSimCell& cell(size_t ti) const { return *column.cells[ti]; }
 
   void Build(const Corpus& corpus, const CompactTable& table, size_t col,
-             bool index_eligible, const CellOpLimits& limits) {
-    cells.reserve(table.size());
+             bool index_eligible, const CellOpLimits& limits,
+             CellPreparer* prep) {
+    column.Build(table, col, prep->keeps(),
+                 [&](const Cell& c, PreparedSimCell* scratch)
+                     -> const PreparedSimCell& {
+                   return prep->Sim(corpus, c, limits, scratch);
+                 });
     bool indexable = index_eligible;
-    for (const CompactTuple& t : table.tuples()) {
-      cells.push_back(PrepareSimCell(corpus, t.cells[col], limits));
-      indexable = indexable && cells.back().values <= kSimIndexMaxValues;
+    for (const PreparedSimCell* c : column.cells) {
+      indexable = indexable && c->values <= kSimIndexMaxValues;
     }
     if (!indexable) return;  // too wide to index: every probe scans
-    std::vector<ValueId> toks;
-    bool has_tokenless = false;
-    for (size_t ti = 0; ti < cells.size(); ++ti) {
-      DistinctTokens(cells[ti], &toks, &has_tokenless);
-      for (ValueId tok : toks) postings[tok].push_back(ti);
-      if (has_tokenless) tokenless.push_back(ti);
+    for (size_t ti = 0; ti < column.cells.size(); ++ti) {
+      for (ValueId tok : cell(ti).tokens) postings[tok].push_back(ti);
+      if (cell(ti).tokenless) tokenless.push_back(ti);
     }
     indexed = true;
   }
@@ -98,18 +183,16 @@ struct PreparedSimTable {
   // Ascending, distinct indices of the tuples that share a token with some
   // value of `probe`, or a token-less value with a token-less one: the
   // only tuples a threshold > 0 can match.
-  void Candidates(const PreparedSimCell& probe, std::vector<ValueId>* toks,
+  void Candidates(const PreparedSimCell& probe,
                   std::vector<size_t>* out) const {
-    bool probe_tokenless = false;
-    DistinctTokens(probe, toks, &probe_tokenless);
     out->clear();
-    for (ValueId tok : *toks) {
+    for (ValueId tok : probe.tokens) {
       auto it = postings.find(tok);
       if (it != postings.end()) {
         out->insert(out->end(), it->second.begin(), it->second.end());
       }
     }
-    if (probe_tokenless) {
+    if (probe.tokenless) {
       out->insert(out->end(), tokenless.begin(), tokenless.end());
     }
     std::sort(out->begin(), out->end());
@@ -117,40 +200,65 @@ struct PreparedSimTable {
   }
 };
 
-// Prepared similarity-join tables of one Execute, keyed by (table,
-// column, index-eligible). Table pointers are stable for the Execute: the
-// catalog's tables and the intensional tables already computed are never
-// mutated while it runs. The first rule task or morsel to ask builds an
-// entry; concurrent askers wait for it, and everyone then reads it
-// without locks.
-class SimJoinCache {
+// The prepared table sides of one Execute's joins, keyed by (table,
+// column, form, parameter): 's' and index eligibility for a similarity
+// table, the operator and the offset's bits for a comparison column.
+// Table pointers are stable for the
+// Execute: the catalog's tables and the intensional tables already
+// computed are never mutated while it runs. The first rule task or morsel
+// to ask builds an entry; concurrent askers wait for it, and everyone
+// then reads it without locks.
+class JoinSideCache {
  public:
-  const PreparedSimTable& Get(const Corpus& corpus, const CompactTable& table,
+  const PreparedSimTable& Sim(const Corpus& corpus, const CompactTable& table,
                               size_t col, bool index_eligible,
-                              const CellOpLimits& limits) {
-    Entry* entry;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      std::unique_ptr<Entry>& slot =
-          entries_[std::make_tuple(&table, col, index_eligible)];
-      if (slot == nullptr) slot = std::make_unique<Entry>();
-      entry = slot.get();
-    }
+                              const CellOpLimits& limits, CellPreparer* prep) {
+    Entry* entry = Slot(Key(&table, col, 's', index_eligible ? 1 : 0));
     std::call_once(entry->once, [&] {
-      entry->table.Build(corpus, table, col, index_eligible, limits);
+      entry->sim.Build(corpus, table, col, index_eligible, limits, prep);
     });
-    return entry->table;
+    return entry->sim;
+  }
+
+  // The comparison forms of column `col` for `op` under `offset`.
+  const PreparedColumn<PreparedCmpCell>& Cmp(const Corpus& corpus,
+                                             const CompactTable& table,
+                                             size_t col, CmpOp op,
+                                             double offset,
+                                             const CellOpLimits& limits,
+                                             CellPreparer* prep) {
+    uint64_t offset_bits = 0;
+    static_assert(sizeof(offset_bits) == sizeof(offset));
+    __builtin_memcpy(&offset_bits, &offset, sizeof(offset));
+    Entry* entry = Slot(Key(&table, col, static_cast<char>(op), offset_bits));
+    std::call_once(entry->once, [&] {
+      entry->cmp.Build(table, col, prep->keeps(),
+                       [&](const Cell& c, PreparedCmpCell* scratch)
+                           -> const PreparedCmpCell& {
+                         return prep->Cmp(corpus, c, op, limits, offset,
+                                          scratch);
+                       });
+    });
+    return entry->cmp;
   }
 
  private:
+  using Key = std::tuple<const CompactTable*, size_t, char, uint64_t>;
   struct Entry {
     std::once_flag once;
-    PreparedSimTable table;
+    PreparedSimTable sim;
+    PreparedColumn<PreparedCmpCell> cmp;
   };
+
+  Entry* Slot(const Key& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<Entry>& slot = entries_[key];
+    if (slot == nullptr) slot = std::make_unique<Entry>();
+    return slot.get();
+  }
+
   std::mutex mu_;
-  std::map<std::tuple<const CompactTable*, size_t, bool>,
-           std::unique_ptr<Entry>>
-      entries_;
+  std::map<Key, std::unique_ptr<Entry>> entries_;
 };
 
 // Reusable enumeration buffers for the per-tuple filter hot path
@@ -174,23 +282,6 @@ struct EvalScratch {
   }
 };
 
-// Tallies a hot counter locally and adds the total once, on scope exit —
-// one shared read-modify-write per operator instead of one per pair.
-class CounterTally {
- public:
-  explicit CounterTally(obs::Counter* counter) : counter_(counter) {}
-  ~CounterTally() {
-    if (n_ != 0) counter_->Add(n_);
-  }
-  CounterTally(const CounterTally&) = delete;
-  CounterTally& operator=(const CounterTally&) = delete;
-  void Add() { ++n_; }
-
- private:
-  obs::Counter* counter_;
-  uint64_t n_ = 0;
-};
-
 // ----------------------------------------------------------- RuleEvaluator
 //
 // Evaluates one unfolded rule bottom-up over a growing "binding table":
@@ -206,14 +297,17 @@ class RuleEvaluator {
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, CompactTable>* idb,
                 const ExecCounters* stats, obs::Tracer* tracer,
-                resilience::ExecReport* report, SimJoinCache* sim_joins)
+                resilience::ExecReport* report, JoinSideCache* join_sides,
+                PreparedCellStore* store)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
         stats_(stats),
         tracer_(tracer),
         report_(report),
-        sim_joins_(sim_joins),
+        join_sides_(join_sides),
+        store_(store),
+        cells_(store, stats),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
@@ -338,7 +432,7 @@ class RuleEvaluator {
       CompactTable slice(table.schema());
       for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
       RuleEvaluator sub(catalog_, options_, idb_, stats_, tracer_,
-                        &out.report, sim_joins_);
+                        &out.report, join_sides_, store_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
@@ -591,6 +685,7 @@ class RuleEvaluator {
     // Column indices per filter: comparison lhs/rhs or p-function args;
     // SIZE_MAX marks a constant term (cell pre-built at compile time).
     std::vector<std::vector<size_t>> fcols(nf);
+    std::vector<ConstSides> consts(nf);
     for (size_t fi = 0; fi < nf; ++fi) {
       const CompiledFilter& f = op.filters[fi];
       if (f.kind == CompiledFilter::Kind::kComparison) {
@@ -598,6 +693,7 @@ class RuleEvaluator {
         fcols[fi] = {
             cmp.lhs.is_var() ? columns_.at(cmp.lhs.var) : SIZE_MAX,
             cmp.rhs.is_var() ? columns_.at(cmp.rhs.var) : SIZE_MAX};
+        consts[fi] = PrepareConstSides(f);
       } else {
         for (const Term& t : f.lit.atom.args) {
           fcols[fi].push_back(t.is_var() ? columns_.at(t.var) : SIZE_MAX);
@@ -651,7 +747,8 @@ class RuleEvaluator {
                       CompareValuesOffset(*rcol[i], FlipOp(cmp.op), *lcol[i],
                                           -cmp.rhs_offset));
             } else {
-              keep = ComparisonOnTuple(cmp, lhs_col, rhs_col, &tuples[sel[i]]);
+              keep = ComparisonOnTuple(cmp, consts[fi], lhs_col, rhs_col,
+                                       &tuples[sel[i]]);
             }
             if (keep) sel[kept++] = sel[i];
           }
@@ -728,9 +825,15 @@ class RuleEvaluator {
     };
     if (f.kind == CompiledFilter::Kind::kComparison) {
       const Comparison& cmp = f.lit.cmp;
-      return CompareCells(corpus, cell_for(cmp.lhs, 0), cmp.op,
-                          cell_for(cmp.rhs, 1), options_.limits,
-                          cmp.rhs_offset);
+      PreparedCmpCell lhs;
+      PreparedCmpCell rhs;
+      return ComparePrepared(
+          cells_.Cmp(corpus, cell_for(cmp.lhs, 0), cmp.op, options_.limits, 0,
+                     &lhs),
+          cmp.op,
+          cells_.Cmp(corpus, cell_for(cmp.rhs, 1), cmp.op, options_.limits,
+                     cmp.rhs_offset, &rhs),
+          options_.limits);
     }
     const Atom& atom = f.lit.atom;
     // Token-similarity predicates are decided from prepared token-id sets:
@@ -738,9 +841,11 @@ class RuleEvaluator {
     if (std::optional<double> threshold =
             catalog_.TokenSimilarityThreshold(atom.predicate);
         threshold.has_value() && atom.args.size() == 2) {
+      PreparedSimCell a;
+      PreparedSimCell b;
       return SimilarityVerdict(
-          PrepareSimCell(corpus, cell_for(atom.args[0], 0), options_.limits),
-          PrepareSimCell(corpus, cell_for(atom.args[1], 1), options_.limits),
+          cells_.Sim(corpus, cell_for(atom.args[0], 0), options_.limits, &a),
+          cells_.Sim(corpus, cell_for(atom.args[1], 1), options_.limits, &b),
           options_.limits, *threshold);
     }
     const size_t n_args = atom.args.size();
@@ -835,6 +940,18 @@ class RuleEvaluator {
       merged_cols.emplace(nc.var, merged_cols.size());
     }
 
+    // The table column a term binds in this join, or SIZE_MAX when it is
+    // not one of the atom's new variables.
+    auto new_table_col = [&](const Term& t) {
+      if (t.is_var()) {
+        for (const NewCol& nc : new_cols) {
+          if (nc.var == t.var) return nc.table_col;
+        }
+      }
+      return SIZE_MAX;
+    };
+    auto bound = [&](const Term& t) { return t.is_var() && Bound(t.var); };
+
     // Prepared similarity join (docs/PERFORMANCE.md): a token-similarity
     // filter joining one binding column to one new table column (the
     // approximate string join of the paper's TR) reads the table side
@@ -853,20 +970,18 @@ class RuleEvaluator {
       if (lit.atom.args.size() != 2) continue;
       const Term& a = lit.atom.args[0];
       const Term& b = lit.atom.args[1];
-      if (!a.is_var() || !b.is_var()) continue;
-      bool a_old = columns_.count(a.var) > 0;
-      bool b_old = columns_.count(b.var) > 0;
-      const Term* old_term = a_old && !b_old ? &a : (!a_old && b_old ? &b : nullptr);
-      const Term* new_term = old_term == &a ? &b : (old_term == &b ? &a : nullptr);
-      if (old_term == nullptr || new_term == nullptr) continue;
-      size_t tcol = SIZE_MAX;
-      for (const NewCol& nc : new_cols) {
-        if (nc.var == new_term->var) tcol = nc.table_col;
+      const size_t a_col = new_table_col(a);
+      const size_t b_col = new_table_col(b);
+      if (bound(a) && b_col != SIZE_MAX) {
+        sim_binding_col = columns_.at(a.var);
+        sim_table_col = b_col;
+      } else if (bound(b) && a_col != SIZE_MAX) {
+        sim_binding_col = columns_.at(b.var);
+        sim_table_col = a_col;
+      } else {
+        continue;
       }
-      if (tcol == SIZE_MAX) continue;
       sim_filter_idx = static_cast<int>(i);
-      sim_binding_col = columns_.at(old_term->var);
-      sim_table_col = tcol;
       sim_threshold = *threshold;
       break;
     }
@@ -875,26 +990,79 @@ class RuleEvaluator {
     const PreparedSimTable* sim =
         sim_filter_idx < 0
             ? nullptr
-            : &sim_joins_->Get(
+            : &join_sides_->Sim(
                   corpus, table, sim_table_col,
                   /*index_eligible=*/conds.empty() && table.size() > 32 &&
                       sim_threshold > 0,
-                  options_.limits);
+                  options_.limits, &cells_);
+
+    // Prepared join comparisons: a comparison between one binding column
+    // and one new table column (T9's `np < bp`) reads the table side
+    // prepared once per Execute and the probe side once per probe row,
+    // both on first use, so a pair costs O(1) — a search for `=` and `≠`
+    // — instead of enumerating both cells.
+    struct JoinCmp {
+      const Comparison* cmp = nullptr;
+      size_t binding_col = 0;
+      size_t table_col = 0;
+      bool binding_is_lhs = false;
+      const PreparedColumn<PreparedCmpCell>* table = nullptr;
+      const PreparedCmpCell* probe = nullptr;  // this probe row's
+      PreparedCmpCell scratch;
+    };
+    std::vector<JoinCmp> join_cmps;
+    join_cmps.reserve(filters.size());  // join_cmp_of points into it
+    std::vector<JoinCmp*> join_cmp_of(filters.size(), nullptr);
+    for (size_t i = 0; i < filters.size(); ++i) {
+      if (filters[i].kind != CompiledFilter::Kind::kComparison) continue;
+      const Comparison& cmp = filters[i].lit.cmp;
+      const bool lhs_binds =
+          bound(cmp.lhs) && new_table_col(cmp.rhs) != SIZE_MAX;
+      if (!lhs_binds &&
+          !(bound(cmp.rhs) && new_table_col(cmp.lhs) != SIZE_MAX)) {
+        continue;
+      }
+      JoinCmp& jc = join_cmps.emplace_back();
+      jc.cmp = &cmp;
+      jc.binding_is_lhs = lhs_binds;
+      jc.binding_col = columns_.at(lhs_binds ? cmp.lhs.var : cmp.rhs.var);
+      jc.table_col = new_table_col(lhs_binds ? cmp.rhs : cmp.lhs);
+      join_cmp_of[i] = &jc;
+    }
+    // lhs op (rhs + offset): the offset goes with the right side.
+    auto join_compare = [&](JoinCmp& jc, const CompactTuple& b, size_t ti) {
+      const Comparison& cmp = *jc.cmp;
+      const double table_offset = jc.binding_is_lhs ? cmp.rhs_offset : 0;
+      const double probe_offset = jc.binding_is_lhs ? 0 : cmp.rhs_offset;
+      if (jc.table == nullptr) {
+        jc.table = &join_sides_->Cmp(corpus, table, jc.table_col, cmp.op,
+                                     table_offset, options_.limits, &cells_);
+      }
+      if (jc.probe == nullptr) {
+        jc.probe = &cells_.Cmp(corpus, b.cells[jc.binding_col], cmp.op,
+                               options_.limits, probe_offset, &jc.scratch);
+      }
+      const PreparedCmpCell& t = *jc.table->cells[ti];
+      return jc.binding_is_lhs
+                 ? ComparePrepared(*jc.probe, cmp.op, t, options_.limits)
+                 : ComparePrepared(t, cmp.op, *jc.probe, options_.limits);
+    };
 
     CompactTable out(NewSchema(new_cols));
     std::vector<size_t> candidates;
-    PreparedSimCell probe;
-    std::vector<ValueId> probe_tokens;
+    PreparedSimCell probe_scratch;
     CounterTally pairs(stats_->join_pairs);
     for (const CompactTuple& b : binding_.tuples()) {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
+      for (JoinCmp& jc : join_cmps) jc.probe = nullptr;
+      const PreparedSimCell* probe = nullptr;
       bool indexed_probe = false;
       if (sim != nullptr) {
-        probe = PrepareSimCell(corpus, b.cells[sim_binding_col],
-                               options_.limits);
-        if (sim->indexed && probe.values <= kSimIndexMaxValues) {
-          sim->Candidates(probe, &probe_tokens, &candidates);
+        probe = &cells_.Sim(corpus, b.cells[sim_binding_col], options_.limits,
+                            &probe_scratch);
+        if (sim->indexed && probe->values <= kSimIndexMaxValues) {
+          sim->Candidates(*probe, &candidates);
           indexed_probe = true;
         }
       }
@@ -929,9 +1097,10 @@ class RuleEvaluator {
           if (r == SatResult::kSome) some = true;
         }
         if (dead) continue;
-        // Pushed-down filters, in body order. The similarity filter reads
-        // the prepared cells, so the merged tuple is built only once
-        // another filter needs it or the pair survives.
+        // Pushed-down filters, in body order. The similarity filter and
+        // the prepared comparisons read prepared cells, so the merged
+        // tuple is built only once another filter needs it or the pair
+        // survives.
         std::optional<CompactTuple> merged;
         auto merge = [&] {
           merged.emplace(b);
@@ -942,8 +1111,10 @@ class RuleEvaluator {
         for (size_t fi = 0; fi < filters.size(); ++fi) {
           SatResult r;
           if (static_cast<int>(fi) == sim_filter_idx) {
-            r = SimilarityVerdict(probe, sim->cells[ti], options_.limits,
+            r = SimilarityVerdict(*probe, sim->cell(ti), options_.limits,
                                   sim_threshold);
+          } else if (join_cmp_of[fi] != nullptr) {
+            r = join_compare(*join_cmp_of[fi], b, ti);
           } else {
             if (!merged.has_value()) merge();
             IFLEX_ASSIGN_OR_RETURN(
@@ -1039,49 +1210,80 @@ class RuleEvaluator {
     return schema;
   }
 
+  // Comparison forms of a filter's constant sides, prepared once per
+  // filter block: `lhs` as compared, `lhs_flipped` as the right side of
+  // the flipped comparison, `rhs` under the offset.
+  struct ConstSides {
+    PreparedCmpCell lhs;
+    PreparedCmpCell lhs_flipped;
+    PreparedCmpCell rhs;
+  };
+
+  ConstSides PrepareConstSides(const CompiledFilter& f) const {
+    const Corpus& corpus = catalog_.corpus();
+    const Comparison& cmp = f.lit.cmp;
+    ConstSides out;
+    if (!cmp.lhs.is_var()) {
+      out.lhs = PrepareCmpCell(corpus, f.const_cells[0], cmp.op,
+                               options_.limits);
+      out.lhs_flipped = PrepareCmpCell(corpus, f.const_cells[0],
+                                       FlipOp(cmp.op), options_.limits,
+                                       -cmp.rhs_offset);
+    }
+    if (!cmp.rhs.is_var()) {
+      out.rhs = PrepareCmpCell(corpus, f.const_cells[1], cmp.op,
+                               options_.limits, cmp.rhs_offset);
+    }
+    return out;
+  }
+
   // One tuple of a comparison filter (the filter block's irregular rows):
   // narrow the lhs cell (or tri-state compare when the lhs is a constant),
   // then narrow the rhs cell against the narrowed lhs. Column indices are
-  // SIZE_MAX for constant sides. On true, *merged holds the narrowed tuple
-  // with its maybe flag updated; false drops the tuple (a partially
-  // narrowed *merged is then discarded by the caller).
-  bool ComparisonOnTuple(const Comparison& cmp, size_t lhs_col,
-                         size_t rhs_col, CompactTuple* merged) {
+  // SIZE_MAX for constant sides, whose forms come from `consts`. On true,
+  // *merged holds the narrowed tuple with its maybe flag updated; false
+  // drops the tuple (a partially narrowed *merged is then discarded by the
+  // caller).
+  bool ComparisonOnTuple(const Comparison& cmp, const ConstSides& consts,
+                         size_t lhs_col, size_t rhs_col,
+                         CompactTuple* merged) {
     const Corpus& corpus = catalog_.corpus();
-    Cell lhs =
-        lhs_col != SIZE_MAX ? merged->cells[lhs_col] : ConstantCell(cmp.lhs);
-    Cell rhs =
-        rhs_col != SIZE_MAX ? merged->cells[rhs_col] : ConstantCell(cmp.rhs);
+    const CellOpLimits& limits = options_.limits;
+    PreparedCmpCell rhs_scratch;
+    PreparedCmpCell lhs_scratch;
+    // The rhs as compared, under the offset.
+    const PreparedCmpCell& rhs =
+        cmp.rhs.is_var() ? cells_.Cmp(corpus, merged->cells[rhs_col], cmp.op,
+                                      limits, cmp.rhs_offset, &rhs_scratch)
+                         : consts.rhs;
     bool maybe = merged->maybe;
-    bool keep;
     if (cmp.lhs.is_var()) {
       bool partial = false;
-      Cell narrowed = NarrowCellByComparison(
-          corpus, lhs, cmp.op, rhs, options_.limits, &partial, cmp.rhs_offset);
-      keep = !narrowed.assignments.empty();
-      if (keep) {
-        merged->cells[lhs_col] = narrowed;
-        maybe = maybe || partial;
-      }
+      Cell narrowed = NarrowCellByPrepared(corpus, merged->cells[lhs_col],
+                                           cmp.op, rhs, limits, &partial);
+      if (narrowed.assignments.empty()) return false;
+      merged->cells[lhs_col] = std::move(narrowed);
+      maybe = maybe || partial;
     } else {
-      SatResult r = CompareCells(corpus, lhs, cmp.op, rhs, options_.limits,
-                                 cmp.rhs_offset);
-      keep = r != SatResult::kNone;
+      SatResult r = ComparePrepared(consts.lhs, cmp.op, rhs, limits);
+      if (r == SatResult::kNone) return false;
       maybe = maybe || r == SatResult::kSome;
     }
-    if (!keep) return false;
     // Also narrow the right side when it is a variable (correlation with
     // the narrowed left side is lost, but the result stays a superset).
     if (cmp.rhs.is_var()) {
       // lhs op rhs+off  <=>  rhs flip(op) lhs-off.
+      const CmpOp flipped = FlipOp(cmp.op);
+      const PreparedCmpCell& lhs =
+          cmp.lhs.is_var()
+              ? cells_.Cmp(corpus, merged->cells[lhs_col], flipped, limits,
+                           -cmp.rhs_offset, &lhs_scratch)
+              : consts.lhs_flipped;
       bool partial = false;
-      CmpOp flipped = FlipOp(cmp.op);
-      Cell narrowed = NarrowCellByComparison(
-          corpus, merged->cells[rhs_col], flipped,
-          cmp.lhs.is_var() ? merged->cells[lhs_col] : lhs, options_.limits,
-          &partial, -cmp.rhs_offset);
+      Cell narrowed = NarrowCellByPrepared(corpus, merged->cells[rhs_col],
+                                           flipped, lhs, limits, &partial);
       if (narrowed.assignments.empty()) return false;
-      merged->cells[rhs_col] = narrowed;
+      merged->cells[rhs_col] = std::move(narrowed);
       maybe = maybe || partial;
     }
     merged->maybe = maybe;
@@ -1310,9 +1512,12 @@ class RuleEvaluator {
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
   EvalScratch scratch_;
-  // Prepared similarity-join tables of this Execute, shared by every rule
-  // task and morsel (owned by ExecuteInternal).
-  SimJoinCache* sim_joins_;
+  // Prepared join table sides of this Execute, shared by every rule task
+  // and morsel (owned by ExecuteInternal).
+  JoinSideCache* join_sides_;
+  // The ReuseCache's prepared cells; null when the Execute has no cache.
+  PreparedCellStore* store_;
+  CellPreparer cells_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
   // Attribution scope: the head predicate of the rule being evaluated.
@@ -1412,6 +1617,8 @@ void ExecCounters::BindTo(obs::MetricRegistry* registry) {
   ppred_invocations = registry->counter("exec.ppred_invocations");
   cache_hits = registry->counter("exec.cache_hits");
   cache_misses = registry->counter("exec.cache_misses");
+  cell_prep_hits = registry->counter("exec.cell_prep_hits");
+  cell_prep_misses = registry->counter("exec.cell_prep_misses");
   process_assignments = registry->gauge("exec.process_assignments");
   process_values = registry->gauge("exec.process_values");
 }
@@ -1461,6 +1668,8 @@ void Executor::ClearStats() {
   counters_.ppred_invocations->Reset();
   counters_.cache_hits->Reset();
   counters_.cache_misses->Reset();
+  counters_.cell_prep_hits->Reset();
+  counters_.cell_prep_misses->Reset();
   counters_.process_assignments->Reset();
   counters_.process_values->Reset();
 }
@@ -1638,9 +1847,10 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
 
   std::unordered_map<std::string, uint64_t> fp_memo;
   std::unordered_map<std::string, CompactTable> idb;
-  // Prepared similarity-join tables, for this Execute only: entries are
-  // keyed by the addresses of the catalog's tables and idb's.
-  SimJoinCache sim_joins;
+  // Prepared join table sides, for this Execute only: entries are keyed
+  // by the addresses of the catalog's tables and idb's.
+  JoinSideCache join_sides;
+  PreparedCellStore* store = cache != nullptr ? &cache->cells() : nullptr;
   // Gauges finalize on every exit path — success, error, early stop —
   // from exactly the tables computed so far (satisfies the "no torn
   // metrics on early exit" contract in docs/ROBUSTNESS.md).
@@ -1672,7 +1882,7 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
         runtime::ParallelMap<Result<CompactTable>>(
             options_.pool, rules.size(), [&](size_t i) {
               RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                 tracer_, &reports[i], &sim_joins);
+                                 tracer_, &reports[i], &join_sides, store);
               return eval.Evaluate(*rules[i]);
             });
     CompactTable result;

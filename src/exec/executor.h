@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "ctable/compact_table.h"
 #include "exec/cell_ops.h"
+#include "exec/cell_store.h"
 #include "exec/verify_memo.h"
 #include "obs/cost_model.h"
 #include "obs/event_log.h"
@@ -132,6 +133,8 @@ struct ExecCounters {
   obs::Counter* ppred_invocations = nullptr;
   obs::Counter* cache_hits = nullptr;
   obs::Counter* cache_misses = nullptr;
+  obs::Counter* cell_prep_hits = nullptr;
+  obs::Counter* cell_prep_misses = nullptr;
   // Gauges: they hold the last Execute's value.
   obs::Gauge* process_assignments = nullptr;
   obs::Gauge* process_values = nullptr;
@@ -143,12 +146,16 @@ struct ExecCounters {
 /// the compact table computed for each intensional predicate — keyed by a
 /// fingerprint of the rules that produce it (transitively). When the
 /// developer's feedback touches only one extractor, every untouched
-/// predicate is served from cache.
+/// predicate is served from cache. Below the predicate level it keeps the
+/// prepared cells of every Execute that used it (cells()), so the
+/// iterations, attribute probes and candidate simulations of a session
+/// prepare each distinct cell once.
 ///
 /// Thread-safety: one mutex guards the map, so concurrent simulation
 /// executors can share one cache; it is taken about once per predicate
 /// per Execute, too rarely to contend (docs/PERFORMANCE.md, "Verify
-/// memo"). Returned table pointers stay valid across concurrent inserts
+/// memo"). The cell store, looked up once per row, stripes its own locks.
+/// Returned table pointers stay valid across concurrent inserts
 /// (node-based map; a duplicate insert keeps the first copy — harmless,
 /// since parallel execution is deterministic and both copies are
 /// identical). Clear() must not race with readers still holding pointers.
@@ -166,18 +173,25 @@ class ReuseCache {
     std::lock_guard<std::mutex> lock(mu_);
     map_.emplace(key, std::move(table));
   }
+  /// Clears the tables and the prepared cells.
   void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      map_.clear();
+    }
+    cells_.Clear();
   }
+  /// Number of cached tables.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
   }
+  PreparedCellStore& cells() { return cells_; }
 
  private:
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, CompactTable> map_;
+  PreparedCellStore cells_;
 };
 
 /// Evaluates Alog programs over compact tables with superset semantics

@@ -299,8 +299,9 @@ bool PrecLabelMaxDistFeature::Verify(const Document& doc, const Span& span,
                                      FeatureValue v) const {
   if (!param.num.has_value()) return NegativeOrUnknown(v);
   auto label = doc.PrecedingLabel(span.begin);
-  bool holds = label.has_value() &&
-               span.begin - label->end <= static_cast<uint32_t>(*param.num);
+  const std::optional<uint64_t> bound = param.LengthBound();
+  bool holds = label.has_value() && bound.has_value() &&
+               span.begin - label->end <= *bound;
   return Polarity(holds, v);
 }
 

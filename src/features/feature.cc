@@ -41,15 +41,15 @@ Result<FeatureValue> FeatureValueFromString(const std::string& s) {
   return Status::ParseError("not a feature value: " + s);
 }
 
+std::optional<uint64_t> FeatureParam::LengthBound() const {
+  if (!num.has_value() || !(*num >= 0)) return std::nullopt;
+  if (*num >= 18446744073709551616.0) return UINT64_MAX;  // 2^64
+  return static_cast<uint64_t>(*num);
+}
+
 std::string FeatureParam::ToString() const {
   if (str.has_value()) return "\"" + *str + "\"";
-  if (num.has_value()) {
-    double n = *num;
-    if (n == static_cast<int64_t>(n)) {
-      return StringPrintf("%lld", static_cast<long long>(n));
-    }
-    return StringPrintf("%g", n);
-  }
+  if (num.has_value()) return FormatNumber(*num);
   return "";
 }
 

@@ -1,6 +1,7 @@
 #ifndef IFLEX_FEATURES_FEATURE_H_
 #define IFLEX_FEATURES_FEATURE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,6 +46,11 @@ struct FeatureParam {
   }
 
   bool has_value() const { return str.has_value() || num.has_value(); }
+  /// The numeric parameter as an inclusive length or distance bound:
+  /// nullopt when there is none, or when it is negative or NaN (no length
+  /// is that small); saturates at UINT64_MAX, so the conversion is always
+  /// defined.
+  std::optional<uint64_t> LengthBound() const;
   std::string ToString() const;
   bool operator==(const FeatureParam& o) const {
     return str == o.str && num == o.num;

@@ -305,8 +305,8 @@ bool MaxLengthFeature::Verify(const Document& doc, const Span& span,
                               const FeatureParam& param,
                               FeatureValue v) const {
   (void)doc;
-  bool holds =
-      param.num.has_value() && span.length() <= static_cast<uint32_t>(*param.num);
+  const std::optional<uint64_t> bound = param.LengthBound();
+  bool holds = bound.has_value() && span.length() <= *bound;
   switch (v) {
     case FeatureValue::kYes:
     case FeatureValue::kDistinctYes:
@@ -323,8 +323,8 @@ bool MaxLengthFeature::Verify(const Document& doc, const Span& span,
 std::optional<bool> MaxLengthFeature::VerifyText(std::string_view text,
                                                  const FeatureParam& param,
                                                  FeatureValue v) const {
-  bool holds = param.num.has_value() &&
-               text.size() <= static_cast<size_t>(*param.num);
+  const std::optional<uint64_t> bound = param.LengthBound();
+  bool holds = bound.has_value() && text.size() <= *bound;
   switch (v) {
     case FeatureValue::kYes:
     case FeatureValue::kDistinctYes:
@@ -345,8 +345,12 @@ std::vector<RefinedRegion> MaxLengthFeature::Refine(const Document& doc,
   if (v != FeatureValue::kYes && v != FeatureValue::kDistinctYes) {
     return {RefinedRegion{span, /*exact=*/false}};
   }
-  uint32_t limit =
-      param.num.has_value() ? static_cast<uint32_t>(*param.num) : span.length();
+  uint64_t limit = span.length();
+  if (param.num.has_value()) {
+    const std::optional<uint64_t> bound = param.LengthBound();
+    if (!bound.has_value()) return {};  // a negative bound admits no text
+    limit = *bound;
+  }
   // For each start token, the longest window of length <= limit. Windows
   // overlap, but V(cell) is a union so superset semantics is preserved and
   // the result is in fact exact: every sub-span of length <= limit lies in

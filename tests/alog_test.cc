@@ -131,6 +131,22 @@ TEST_F(AlogTest, ParsesParameterizedConstraints) {
   EXPECT_EQ(desc.body[3].constraint.param.num.value(), 500000);
 }
 
+// A literal beyond the int64 range prints with %g: Term::ToString runs on
+// every Execute through the predicate fingerprint, so an undefined
+// integer cast here would be reachable from any Alog text.
+TEST_F(AlogTest, HugeNumericLiteralPrints) {
+  auto prog = ParseProgram(
+      "q(x) :- housePages(x), extractHouses(x, p, a, h), "
+      "p > 99999999999999999999.\n"
+      "extractHouses(x, p, a, h) :- from(x, p), from(x, a), from(x, h).",
+      *catalog_);
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  const Literal& cmp = prog->rules()[0].body[2];
+  ASSERT_EQ(cmp.kind, Literal::Kind::kComparison);
+  EXPECT_EQ(cmp.cmp.rhs.ToString(), "1e+20");
+  EXPECT_NE(prog->ToString().find("p > 1e+20"), std::string::npos);
+}
+
 TEST_F(AlogTest, RejectsUnsafeRule) {
   // h never bound anywhere.
   const char* src = R"(

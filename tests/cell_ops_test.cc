@@ -1,12 +1,20 @@
 // Focused cell-op coverage beyond what exec_test exercises: constant
-// cells, equality narrowing, enumeration caps, dedup behaviour, and the
-// prepared token-similarity verdict against a brute-force reference.
+// cells, equality narrowing, enumeration caps, dedup behaviour, the
+// prepared token-similarity verdict against a brute-force reference, the
+// prepared comparison forms against the nested loops they replace, and
+// the prepared-cell store's keys.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "alog/catalog.h"
 #include "exec/cell_ops.h"
+#include "exec/cell_store.h"
 #include "text/markup_parser.h"
 
 namespace iflex {
@@ -349,6 +357,308 @@ TEST_F(SimilarityVerdictTest, ExpansionCells) {
   ExpectVerdict(exp, Cell::Exact(Value::String("Gamma")), SatResult::kNone);
   ExpectVerdict(Cell::Expansion({Assignment::Contain(Span(punct_, 0, 4))}),
                 Cell::Exact(Value::String("&")), SatResult::kAll);
+}
+
+// The nested loops CompareCells, CellsEqual and NarrowCellByComparison
+// used to run: enumerate both cells under max_cell_enum, shift the right
+// side by the offset, and call CompareValues on every value pair. Kept
+// here as the reference the prepared forms must reproduce exactly.
+namespace nested_loops {
+
+std::vector<Value> EnumerateCapped(const Corpus& corpus, const Cell& cell,
+                                   size_t cap, bool* complete) {
+  std::vector<Value> out;
+  *complete = cell.EnumerateValues(corpus, cap, &out);
+  return out;
+}
+
+SatResult Combine(bool any, bool all, bool complete) {
+  if (!complete) return SatResult::kSome;
+  if (all) return SatResult::kAll;
+  if (any) return SatResult::kSome;
+  return SatResult::kNone;
+}
+
+void ApplyOffset(std::vector<Value>* values, double offset) {
+  if (offset == 0) return;
+  for (Value& v : *values) {
+    auto n = v.AsNumber();
+    v = n.has_value() ? Value::Number(*n + offset) : Value::Null();
+  }
+}
+
+SatResult CompareCells(const Corpus& corpus, const Cell& lhs, CmpOp op,
+                       const Cell& rhs, const CellOpLimits& limits,
+                       double rhs_offset) {
+  bool lc = false;
+  bool rc = false;
+  std::vector<Value> lv =
+      EnumerateCapped(corpus, lhs, limits.max_cell_enum, &lc);
+  std::vector<Value> rv =
+      EnumerateCapped(corpus, rhs, limits.max_cell_enum, &rc);
+  ApplyOffset(&rv, rhs_offset);
+  if (lv.empty() || rv.empty()) return SatResult::kNone;
+  bool any = false;
+  bool all = true;
+  for (const Value& a : lv) {
+    for (const Value& b : rv) {
+      if (CompareValues(a, op, b)) {
+        any = true;
+      } else {
+        all = false;
+      }
+      if (any && !all) return SatResult::kSome;
+    }
+  }
+  return Combine(any, all, lc && rc);
+}
+
+Cell NarrowCellByComparison(const Corpus& corpus, const Cell& cell, CmpOp op,
+                            const Cell& other, const CellOpLimits& limits,
+                            bool* partial, double other_offset) {
+  *partial = false;
+  bool oc = false;
+  std::vector<Value> ov =
+      EnumerateCapped(corpus, other, limits.max_cell_enum, &oc);
+  ApplyOffset(&ov, other_offset);
+  Cell out;
+  out.is_expansion = cell.is_expansion;
+  if (!oc) {
+    *partial = true;
+    out.assignments = cell.assignments;
+    return out;
+  }
+  for (const Assignment& a : cell.assignments) {
+    bool complete = false;
+    Cell single;
+    single.assignments.push_back(a);
+    std::vector<Value> values =
+        EnumerateCapped(corpus, single, limits.max_cell_enum, &complete);
+    if (!complete) {
+      *partial = true;
+      out.assignments.push_back(a);
+      continue;
+    }
+    bool any = false;
+    bool all = true;
+    for (const Value& v : values) {
+      bool sat = false;
+      for (const Value& o : ov) {
+        if (CompareValues(v, op, o)) {
+          sat = true;
+          break;
+        }
+      }
+      any = any || sat;
+      all = all && sat;
+    }
+    if (any) {
+      out.assignments.push_back(a);
+      if (!all) *partial = true;
+    }
+  }
+  return out;
+}
+
+}  // namespace nested_loops
+
+// Same kind, same span or same value, kind and text: what narrowing keeps
+// is a subsequence of its input, so this pins the exact assignments.
+bool SameAssignments(const Cell& a, const Cell& b) {
+  if (a.is_expansion != b.is_expansion ||
+      a.assignments.size() != b.assignments.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.assignments.size(); ++i) {
+    const Assignment& x = a.assignments[i];
+    const Assignment& y = b.assignments[i];
+    if (x.kind != y.kind) return false;
+    if (x.is_contain() ? !(x.span == y.span)
+                       : x.value.kind() != y.value.kind() ||
+                             x.value.AsText() != y.value.AsText()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Random cells over every CompareValues class — NULL, kNumber (with
+// NaN, infinities and -0), numeric text ("$35", "1,234"), text, bool and
+// doc values, exact span values and contain regions — checked against the
+// nested loops under all six operators, offsets {0, 5, -2.5}, and
+// max_cell_enum values that truncate enumeration.
+class PreparedComparisonTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* text :
+         {"alpha 42 beta $35 1,234 -5 3.5 gamma 7 92 abc 0",
+          "Sqft 100 zeta -2.5 $-5 92a 35 b 1e3 & 42 alpha"}) {
+      auto doc = ParseMarkup("d", text);
+      ASSERT_TRUE(doc.ok());
+      docs_.push_back(corpus_.Add(std::move(doc).value()));
+    }
+  }
+
+  size_t Pick(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+  Value RandomValue() {
+    static const double kNumbers[] = {
+        0, -0.0, 1, 5, 7, 35, 42, 92, -5, 3.5, 2.5, 1234, 97, 1e30,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    static const char* kNumericTexts[] = {"92",  "$35", "35", "1,234", "-5",
+                                          "3.5", "0",   "7",  "42",    "100"};
+    static const char* kTexts[] = {"abc", "alpha", "Sqft", "",
+                                   "92a", "zeta",  "Alpha", "b"};
+    switch (Pick(8)) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return Value::Number(kNumbers[Pick(std::size(kNumbers))]);
+      case 2:
+        return Value::String(kNumericTexts[Pick(std::size(kNumericTexts))]);
+      case 3:
+        return Value::String(kTexts[Pick(std::size(kTexts))]);
+      case 4:
+        return Value::Bool(Pick(2) == 0);
+      case 5:
+        return Value::Doc(docs_[Pick(docs_.size())]);
+      default:
+        return Value::OfSpan(corpus_, RandomRegion(2));
+    }
+  }
+
+  // A token-aligned region of up to `max_tokens` tokens, or (rarely) an
+  // empty one, which encodes no value.
+  Span RandomRegion(size_t max_tokens) {
+    const Document& doc = corpus_.Get(docs_[Pick(docs_.size())]);
+    const std::vector<Token>& tokens = doc.tokens();
+    const size_t i = Pick(tokens.size());
+    if (Pick(16) == 0) return Span(doc.id(), tokens[i].begin, tokens[i].begin);
+    const size_t j = std::min(tokens.size() - 1, i + Pick(max_tokens));
+    return Span(doc.id(), tokens[i].begin, tokens[j].end);
+  }
+
+  Cell RandomCell() {
+    Cell c;
+    c.is_expansion = Pick(2) == 0;
+    const size_t n = Pick(5);
+    for (size_t i = 0; i < n; ++i) {
+      if (Pick(3) == 0) {
+        c.assignments.push_back(Assignment::Contain(RandomRegion(5)));
+      } else {
+        c.assignments.push_back(Assignment::Exact(RandomValue()));
+      }
+    }
+    return c;
+  }
+
+  Corpus corpus_;
+  std::vector<DocId> docs_;
+  std::mt19937_64 rng_{20081};
+};
+
+TEST_F(PreparedComparisonTest, MatchesNestedLoops) {
+  static const CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                               CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
+  static const double kOffsets[] = {0, 5, -2.5};
+  // 20000 enumerates every cell here; the others truncate some.
+  static const size_t kCaps[] = {20000, 20000, 0, 1, 3, 8};
+  constexpr int kCases = 40000;
+  int mismatches = 0;
+  for (int i = 0; i < kCases && mismatches < 5; ++i) {
+    const Cell lhs = RandomCell();
+    const Cell rhs = RandomCell();
+    const CmpOp op = kOps[Pick(std::size(kOps))];
+    const double offset = kOffsets[Pick(std::size(kOffsets))];
+    CellOpLimits limits;
+    limits.max_cell_enum = kCaps[Pick(std::size(kCaps))];
+    const std::string what =
+        "lhs " + lhs.ToString(&corpus_) + " op " + CmpOpToString(op) +
+        " rhs " + rhs.ToString(&corpus_) + " offset " +
+        std::to_string(offset) + " max_cell_enum " +
+        std::to_string(limits.max_cell_enum);
+
+    const SatResult want =
+        nested_loops::CompareCells(corpus_, lhs, op, rhs, limits, offset);
+    if (CompareCells(corpus_, lhs, op, rhs, limits, offset) != want) {
+      ADD_FAILURE() << "CompareCells: " << what;
+      ++mismatches;
+    }
+    const SatResult want_eq = nested_loops::CompareCells(
+        corpus_, lhs, CmpOp::kEq, rhs, limits, 0);
+    if (CellsEqual(corpus_, lhs, rhs, limits) != want_eq) {
+      ADD_FAILURE() << "CellsEqual: " << what;
+      ++mismatches;
+    }
+    bool want_partial = false;
+    const Cell want_cell = nested_loops::NarrowCellByComparison(
+        corpus_, lhs, op, rhs, limits, &want_partial, offset);
+    bool partial = false;
+    const Cell cell = NarrowCellByComparison(corpus_, lhs, op, rhs, limits,
+                                             &partial, offset);
+    if (!SameAssignments(cell, want_cell) || partial != want_partial) {
+      ADD_FAILURE() << "NarrowCellByComparison: " << what << " got "
+                    << cell.ToString(&corpus_) << " partial " << partial
+                    << ", want " << want_cell.ToString(&corpus_)
+                    << " partial " << want_partial;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// The store keys on what preparation reads, not on Value::Equals: "92"
+// and 92 are equal values, but only the number is a kNumber (which never
+// compares with text), and "$35" and "35" tokenize differently.
+TEST(PreparedCellStoreTest, KeysOnTextNotValueEquality) {
+  Corpus corpus;
+  CellOpLimits limits;
+  const Cell pairs[][2] = {
+      {Cell::Exact(Value::String("92")), Cell::Exact(Value::Number(92))},
+      {Cell::Exact(Value::String("$35")), Cell::Exact(Value::String("35"))}};
+  for (const auto& pair : pairs) {
+    ASSERT_TRUE(pair[0].assignments[0].value.Equals(
+        pair[1].assignments[0].value));
+    PreparedCellStore store;
+    bool hit = true;
+    const PreparedSimCell& s0 = store.Sim(corpus, pair[0], limits, &hit);
+    EXPECT_FALSE(hit);
+    const PreparedSimCell& s1 = store.Sim(corpus, pair[1], limits, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(&s0, &s1);
+    const PreparedCmpCell& c0 =
+        store.Cmp(corpus, pair[0], CmpOp::kLt, limits, 0, &hit);
+    EXPECT_FALSE(hit);
+    const PreparedCmpCell& c1 =
+        store.Cmp(corpus, pair[1], CmpOp::kLt, limits, 0, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(&c0, &c1);
+    EXPECT_EQ(store.size(), 4u);
+    // A second lookup is served the same entry.
+    EXPECT_EQ(&store.Sim(corpus, pair[1], limits, &hit), &s1);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(&store.Cmp(corpus, pair[0], CmpOp::kLt, limits, 0, &hit), &c0);
+    EXPECT_TRUE(hit);
+    // The operator's need for sorted values and the offset are part of
+    // the key; -0 shifts like 0.
+    store.Cmp(corpus, pair[0], CmpOp::kEq, limits, 0, &hit);
+    EXPECT_FALSE(hit);
+    store.Cmp(corpus, pair[0], CmpOp::kLt, limits, 5, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(&store.Cmp(corpus, pair[0], CmpOp::kGt, limits, -0.0, &hit),
+              &c0);
+    EXPECT_TRUE(hit);
+    store.Clear();
+    EXPECT_EQ(store.size(), 0u);
+  }
+  // The number never compares with text; the numeric text does, as text.
+  const Cell text = Cell::Exact(Value::String("abc"));
+  EXPECT_EQ(CompareCells(corpus, pairs[0][1], CmpOp::kLt, text, limits),
+            SatResult::kNone);
+  EXPECT_EQ(CompareCells(corpus, pairs[0][0], CmpOp::kLt, text, limits),
+            SatResult::kAll);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -181,6 +183,41 @@ TEST(StrUtilTest, ParseLooseNumberRejectsText) {
   EXPECT_FALSE(ParseLooseNumber("$").has_value());
   EXPECT_FALSE(ParseLooseNumber("1,,2").has_value());
   EXPECT_FALSE(ParseLooseNumber("1.2.3").has_value());
+}
+
+// The validation runs in place and the kept characters are copied to a
+// stack buffer, or to the heap past 64 of them; strtod reads the same
+// string as before, so every result is bit-identical.
+TEST(StrUtilTest, ParseLooseNumberEdgeCases) {
+  EXPECT_FALSE(ParseLooseNumber(std::string(70, 'x')).has_value());
+  EXPECT_FALSE(ParseLooseNumber("1" + std::string(69, 'x')).has_value());
+  const std::string digits100 = "1" + std::string(99, '7');
+  ASSERT_TRUE(ParseLooseNumber(digits100).has_value());
+  EXPECT_EQ(*ParseLooseNumber(digits100),
+            std::strtod(digits100.c_str(), nullptr));
+  const std::string digits64(64, '9');
+  EXPECT_EQ(*ParseLooseNumber(digits64),
+            std::strtod(digits64.c_str(), nullptr));
+  EXPECT_FALSE(ParseLooseNumber("-").has_value());
+  EXPECT_EQ(*ParseLooseNumber("$-5"), -5);
+  EXPECT_EQ(*ParseLooseNumber(" 1,234 "), 1234);
+  EXPECT_FALSE(ParseLooseNumber(",5").has_value());
+  EXPECT_FALSE(ParseLooseNumber("5,").has_value());
+  // Groups of three are not checked: a comma only has to sit between
+  // digits.
+  EXPECT_EQ(*ParseLooseNumber("1,2345"), 12345);
+}
+
+TEST(StrUtilTest, FormatNumber) {
+  EXPECT_EQ(FormatNumber(42), "42");
+  EXPECT_EQ(FormatNumber(-0.0), "0");
+  EXPECT_EQ(FormatNumber(3.5), "3.5");
+  EXPECT_EQ(FormatNumber(-9223372036854775808.0), "-9223372036854775808");
+  // Outside int64 the integer cast would be undefined: %g instead.
+  EXPECT_EQ(FormatNumber(9223372036854775808.0), "9.22337e+18");
+  EXPECT_EQ(FormatNumber(1e30), "1e+30");
+  EXPECT_EQ(FormatNumber(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(FormatNumber(-std::numeric_limits<double>::infinity()), "-inf");
 }
 
 TEST(StrUtilTest, StringPrintf) {

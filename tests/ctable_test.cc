@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ctable/atable.h"
 #include "ctable/compact_table.h"
 #include "ctable/value.h"
@@ -32,6 +34,15 @@ TEST_F(CTableTest, ValueKindsAndText) {
   EXPECT_EQ(Value::Number(4.5).AsText(), "4.5");
   EXPECT_EQ(Value::Number(42).AsText(), "42");
   EXPECT_TRUE(Value::Bool(true).AsBool());
+}
+
+// Numbers outside the int64 range print with %g instead of going through
+// an undefined float-to-integer cast.
+TEST_F(CTableTest, HugeNumbersPrintWithoutIntegerCast) {
+  EXPECT_EQ(Value::Number(1e30).AsText(), "1e+30");
+  EXPECT_EQ(Value::Number(std::numeric_limits<double>::infinity()).AsText(),
+            "inf");
+  EXPECT_EQ(Value::Number(1e30).ToString(), "1e+30");
 }
 
 TEST_F(CTableTest, ValueNumericCast) {

@@ -483,6 +483,67 @@ TEST_F(CounterTest, JoinCountersMatchGroundTruth) {
   EXPECT_GT(stats.process_assignments, 0u);
 }
 
+// Cells equal under Value::Equals but not in text ("92" and 92, "$35"
+// and "35") get their own prepared-cell store entries, so a similar()
+// join and a pushed-down comparison return the same table whether they
+// prepare cells afresh, fill a store, or read one another program filled.
+// The key column k keeps rows with equal values apart in the projection.
+TEST(PreparedCellStoreJoinTest, SameTableWithAndWithoutStore) {
+  Corpus corpus;
+  Catalog catalog(&corpus);
+  catalog.RegisterBuiltinFunctions();
+  CompactTable l({"k", "a"});
+  const Value left[] = {Str("92"), Num(92), Str("$35"), Str("35"),
+                        Str("abc")};
+  for (size_t k = 0; k < std::size(left); ++k) {
+    CompactTuple t;
+    t.cells.push_back(Cell::Exact(Num(static_cast<double>(k))));
+    t.cells.push_back(Cell::Exact(left[k]));
+    l.Add(std::move(t));
+  }
+  CompactTable r({"b"});
+  for (const Value& v : {Num(92), Str("92"), Str("35"), Str("$35"),
+                         Str("abd")}) {
+    CompactTuple t;
+    t.cells.push_back(Cell::Exact(v));
+    r.Add(std::move(t));
+  }
+  ASSERT_TRUE(catalog.AddTable("l", std::move(l)).ok());
+  ASSERT_TRUE(catalog.AddTable("r", std::move(r)).ok());
+  auto run = [&](const std::string& head, ReuseCache* cache) {
+    auto prog = ParseProgram(
+        head + "(k, a, b) :- l(k, a), r(b), similar(a, b).\n" + head +
+            "c(k, a, b) :- l(k, a), r(b), a < b.\n" + head +
+            "u(k, a, b) :- " + head + "(k, a, b).\n" + head +
+            "u(k, a, b) :- " + head + "c(k, a, b).",
+        catalog);
+    EXPECT_TRUE(prog.ok()) << prog.status();
+    prog->set_query(head + "u");
+    Executor exec(catalog);
+    Result<CompactTable> out = exec.Execute(*prog, cache);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return std::make_pair(
+        out.ok() ? out->ToString(&corpus) : "",
+        exec.metrics().counter("exec.cell_prep_hits")->value());
+  };
+  const std::string fresh = run("q", nullptr).first;
+  ReuseCache cache;
+  EXPECT_EQ(run("q", &cache).first, fresh);
+  // A differently named program misses the table cache and reads the
+  // cells the first one prepared.
+  auto [stored, hits] = run("p", &cache);
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(stored, fresh);
+  // "92" < "abd" holds as text; 92 < "abd" never does (a number against
+  // text), though 92 and "92" are equal values.
+  EXPECT_NE(fresh.find("({exact(0)}, {exact(\"92\")}, {exact(\"abd\")})"),
+            std::string::npos)
+      << fresh;
+  EXPECT_EQ(fresh.find("({exact(1)}, {exact(92)}, {exact(\"abd\")})"),
+            std::string::npos)
+      << fresh;
+}
+
 TEST_F(CounterTest, CountersAliasTheMetricRegistry) {
   auto prog = ParseProgram("q(a, c) :- r(a, b), s(b, c).", *catalog_);
   ASSERT_TRUE(prog.ok());

@@ -149,6 +149,28 @@ TEST(MaxLengthFeatureTest, VerifyAndWindows) {
   EXPECT_EQ(TextOfRegion(doc, runs[0]), "one two");
 }
 
+// A negative bound admits no text, and a bound past any integer type
+// admits all, without an out-of-range float-to-integer cast.
+TEST(MaxLengthFeatureTest, OutOfRangeParameters) {
+  Document doc = Doc("one two three four");
+  MaxLengthFeature max_len;
+  const FeatureParam negative = FeatureParam::Num(-1);
+  EXPECT_FALSE(max_len.Verify(doc, Span(doc.id(), 0, 3), negative,
+                              FeatureValue::kYes));
+  EXPECT_EQ(max_len.VerifyText("one", negative, FeatureValue::kYes), false);
+  EXPECT_EQ(max_len.VerifyText("", negative, FeatureValue::kYes), false);
+  EXPECT_EQ(max_len.VerifyText("one", negative, FeatureValue::kNo), true);
+  EXPECT_TRUE(
+      max_len.Refine(doc, doc.FullSpan(), negative, FeatureValue::kYes)
+          .empty());
+  const FeatureParam huge = FeatureParam::Num(1e30);
+  EXPECT_TRUE(max_len.Verify(doc, doc.FullSpan(), huge, FeatureValue::kYes));
+  EXPECT_EQ(max_len.VerifyText("one two", huge, FeatureValue::kYes), true);
+  auto runs = max_len.Refine(doc, doc.FullSpan(), huge, FeatureValue::kYes);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(TextOfRegion(doc, runs[0]), "one two three four");
+}
+
 TEST(InFirstHalfFeatureTest, Basics) {
   Document doc = Doc("aaaa bbbb cccc dddd");  // 19 chars, half = 9
   InFirstHalfFeature f;

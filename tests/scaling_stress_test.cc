@@ -1,10 +1,10 @@
-// Contention stress for the two session-shared caches (docs/RUNTIME.md):
-// 8 OS threads call VerifyMemo and ReuseCache directly, the way morsels
-// and concurrent simulation executors do. Runs under the `scaling` ctest
-// label and the tsan-scaling preset — the invariants checked here (one
-// entry per key, first insert wins, exact lookup accounting, stable
-// table pointers) must hold under every interleaving, and TSan must see
-// no races.
+// Contention stress for the session-shared caches (docs/RUNTIME.md):
+// 8 OS threads call VerifyMemo, ReuseCache and the ReuseCache's
+// PreparedCellStore directly, the way morsels and concurrent simulation
+// executors do. Runs under the `scaling` ctest label and the tsan-scaling
+// preset — the invariants checked here (one entry per key, first insert
+// wins, exact lookup accounting, stable table and entry pointers) must
+// hold under every interleaving, and TSan must see no races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "ctable/compact_table.h"
+#include "exec/cell_store.h"
 #include "exec/executor.h"
 #include "exec/verify_memo.h"
+#include "text/markup_parser.h"
 
 namespace iflex {
 namespace {
@@ -151,6 +153,88 @@ TEST(ScalingStressTest, ReuseCacheUnderContention) {
     EXPECT_EQ(FingerprintOf(*t), static_cast<double>(fp));
     for (size_t th = 0; th < kThreads; ++th) {
       EXPECT_EQ(held[th][fp], t) << "thread " << th << ", fingerprint " << fp;
+    }
+  }
+}
+
+// 8 threads, started together, prepare the same cells through one store:
+// every contain region of up to 6 tokens of a 40-token document, and
+// exact values, as similarity and comparison forms. Each thread walks the
+// cells from its own offset, so threads race to prepare every key. All
+// must receive the same entry for a cell, and an entry a thread holds
+// must read the same while the other threads insert.
+TEST(ScalingStressTest, PreparedCellStoreUnderContention) {
+  constexpr size_t kRounds = 3;
+  Corpus corpus;
+  std::string text;
+  for (int i = 0; i < 40; ++i) {
+    text += (i % 3 == 0 ? std::to_string(i * 7) : "w" + std::to_string(i));
+    text += " ";
+  }
+  auto doc = ParseMarkup("d", text);
+  ASSERT_TRUE(doc.ok());
+  const DocId d = corpus.Add(std::move(doc).value());
+  const std::vector<Token>& tokens = corpus.Get(d).tokens();
+  std::vector<Cell> cells;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    for (size_t j = i; j < std::min(tokens.size(), i + 6); ++j) {
+      cells.push_back(Cell::Expansion(
+          {Assignment::Contain(Span(d, tokens[i].begin, tokens[j].end))}));
+    }
+    cells.push_back(Cell::Exact(Value::String("v" + std::to_string(i))));
+    cells.push_back(Cell::Exact(Value::Number(static_cast<double>(i))));
+  }
+  const size_t n = cells.size();
+  const CellOpLimits limits;
+
+  PreparedCellStore store;
+  std::vector<std::vector<const PreparedSimCell*>> sims(
+      kThreads, std::vector<const PreparedSimCell*>(n, nullptr));
+  std::vector<std::vector<const PreparedCmpCell*>> cmps(
+      kThreads, std::vector<const PreparedCmpCell*>(n, nullptr));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      StartTogether(&ready);
+      for (size_t r = 0; r < kRounds; ++r) {
+        for (size_t k = 0; k < n; ++k) {
+          const size_t i = (t * 37 + r * 11 + k) % n;
+          bool hit = false;
+          const PreparedSimCell& sim = store.Sim(corpus, cells[i], limits, &hit);
+          const PreparedCmpCell& cmp =
+              store.Cmp(corpus, cells[i], CmpOp::kEq, limits, 0, &hit);
+          if (sims[t][i] == nullptr) sims[t][i] = &sim;
+          if (cmps[t][i] == nullptr) cmps[t][i] = &cmp;
+          EXPECT_EQ(&sim, sims[t][i]) << "cell " << i;
+          EXPECT_EQ(&cmp, cmps[t][i]) << "cell " << i;
+        }
+        // Every entry held so far still reads as its cell's form.
+        for (size_t i = 0; i < n; ++i) {
+          if (sims[t][i] == nullptr) continue;
+          const size_t values = cells[i].ValueCount(corpus);
+          EXPECT_EQ(sims[t][i]->values, values);
+          EXPECT_FALSE(sims[t][i]->token_sets.empty());
+          EXPECT_EQ(cmps[t][i]->values, values);
+          EXPECT_EQ(cmps[t][i]->sorted_numbers.size(),
+                    cmps[t][i]->numbers + cmps[t][i]->numeric_texts);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(store.size(), 2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    bool hit = false;
+    const PreparedSimCell* sim = &store.Sim(corpus, cells[i], limits, &hit);
+    EXPECT_TRUE(hit);
+    const PreparedCmpCell* cmp =
+        &store.Cmp(corpus, cells[i], CmpOp::kEq, limits, 0, &hit);
+    EXPECT_TRUE(hit);
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(sims[t][i], sim) << "thread " << t << ", cell " << i;
+      EXPECT_EQ(cmps[t][i], cmp) << "thread " << t << ", cell " << i;
     }
   }
 }
