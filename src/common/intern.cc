@@ -108,8 +108,8 @@ const std::vector<ValueId>& TokenCache::TokensOf(std::string_view text) {
   return *pos->second;
 }
 
-double TokenIdJaccard(const std::vector<ValueId>& a,
-                      const std::vector<ValueId>& b) {
+double TokenIdJaccard(std::span<const ValueId> a,
+                      std::span<const ValueId> b) {
   if (a.empty() && b.empty()) return 1.0;
   size_t inter = 0, i = 0, j = 0;
   while (i < a.size() && j < b.size()) {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -77,9 +78,11 @@ class StringInterner {
 
 /// Memoized tokenizer over an interner: text -> sorted unique ids of its
 /// lowercased alphanumeric tokens. Backs token-similarity predicates and
-/// the executor's sim-join token index, so each distinct value is
-/// tokenized once per corpus instead of once per probe. Thread-safe; the
-/// returned reference is stable for the cache's lifetime.
+/// prepared similarity cells, so each distinct exact-value text and
+/// document token is tokenized once per corpus instead of once per probe
+/// (sub-span sets are unions of token sets, built by PrepareSimCell and
+/// never cached here). Thread-safe; the returned reference is stable for
+/// the cache's lifetime.
 class TokenCache {
  public:
   explicit TokenCache(StringInterner* interner) : interner_(interner) {}
@@ -105,8 +108,8 @@ class TokenCache {
 
 /// Jaccard similarity of two token-id sets (sorted unique), matching
 /// TokenJaccard's set semantics: both empty -> 1.0.
-double TokenIdJaccard(const std::vector<ValueId>& a,
-                      const std::vector<ValueId>& b);
+double TokenIdJaccard(std::span<const ValueId> a,
+                      std::span<const ValueId> b);
 
 }  // namespace iflex
 

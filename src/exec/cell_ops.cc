@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <iterator>
+#include <ranges>
+#include <span>
 #include <utility>
 
 #include "common/strutil.h"
@@ -196,42 +198,82 @@ PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
       kSimIndexMaxValues,
       std::min(limits.max_cell_enum, limits.max_filter_combos));
   if (out.values > token_cap) return out;
-  TokenCache& tokens = corpus.tokens();
-  out.token_sets.reserve(out.values);
-  std::vector<Span> spans;
+  TokenCache& cache = corpus.tokens();
+  // Per-thread buffers: every value's set is appended to `ids`, with its
+  // bounds in `sets`, so a cell allocates only its own exact-size arrays.
+  thread_local std::vector<ValueId> ids;
+  thread_local std::vector<std::pair<size_t, size_t>> sets;
+  thread_local std::vector<const std::vector<ValueId>*> region;
+  thread_local std::vector<ValueId> run;
+  thread_local std::vector<ValueId> merged;
+  ids.clear();
+  sets.clear();
+  const auto append = [](std::span<const ValueId> set) {
+    sets.emplace_back(ids.size(), ids.size() + set.size());
+    ids.insert(ids.end(), set.begin(), set.end());
+  };
   for (const Assignment& a : cell.assignments) {
     if (a.is_exact()) {
-      out.token_sets.push_back(&tokens.TokensOf(a.value.AsText()));
+      append(cache.TokensOf(a.value.AsText()));
       continue;
     }
-    // A contain value's text is its sub-span's text (Value::OfSpan).
+    // A contain value's text is its sub-span's text (Value::OfSpan): the
+    // text of region tokens i..j. No alphanumeric character lies between
+    // two tokens (Document::Tokenize) and TokensOf splits at every other
+    // character, so that text's set is the union of tokens i..j's sets,
+    // with the same interned ids.
     const Document& doc = corpus.Get(a.span.doc);
-    spans.clear();
-    doc.EnumerateSubSpans(a.span, out.values, &spans);
-    for (const Span& s : spans) {
-      out.token_sets.push_back(&tokens.TokensOf(doc.TextOf(s)));
+    const size_t last = doc.TokensEndingBy(a.span.end);
+    region.clear();
+    for (size_t t = doc.FirstTokenAtOrAfter(a.span.begin); t < last; ++t) {
+      const Token& tok = doc.tokens()[t];
+      region.push_back(
+          &cache.TokensOf(doc.TextOf(Span(doc.id(), tok.begin, tok.end))));
+    }
+    for (size_t i = 0; i < region.size(); ++i) {
+      run.clear();
+      for (size_t j = i; j < region.size(); ++j) {
+        merged.clear();
+        std::set_union(run.begin(), run.end(), region[j]->begin(),
+                       region[j]->end(), std::back_inserter(merged));
+        run.swap(merged);
+        append(run);
+      }
     }
   }
   // any/all over value pairs does not depend on order or repeats, so the
-  // sets are de-duplicated and ordered by size for SimilarityVerdict's
-  // size window.
-  std::sort(out.token_sets.begin(), out.token_sets.end(),
-            [](const std::vector<ValueId>* x, const std::vector<ValueId>* y) {
-              if (x->size() != y->size()) return x->size() < y->size();
-              return std::less<>()(x, y);
-            });
-  out.token_sets.erase(
-      std::unique(out.token_sets.begin(), out.token_sets.end()),
-      out.token_sets.end());
-  if (out.values > kSimIndexMaxValues) return out;
-  // Sorted and de-duplicated in a per-thread buffer, so the cell keeps an
-  // exact-size list and preparation allocates once.
-  thread_local std::vector<ValueId> ids;
-  ids.clear();
-  for (const std::vector<ValueId>* set : out.token_sets) {
-    out.tokenless = out.tokenless || set->empty();
-    ids.insert(ids.end(), set->begin(), set->end());
+  // sets are de-duplicated by content and ordered by size, for
+  // SimilarityVerdict's size window, then by ids.
+  const auto content = [](const std::pair<size_t, size_t>& s) {
+    return std::span<const ValueId>(ids).subspan(s.first,
+                                                 s.second - s.first);
+  };
+  std::sort(sets.begin(), sets.end(), [&](const auto& x, const auto& y) {
+    const std::span<const ValueId> cx = content(x);
+    const std::span<const ValueId> cy = content(y);
+    if (cx.size() != cy.size()) return cx.size() < cy.size();
+    return std::lexicographical_compare(cx.begin(), cx.end(), cy.begin(),
+                                        cy.end());
+  });
+  sets.erase(std::unique(sets.begin(), sets.end(),
+                         [&](const auto& x, const auto& y) {
+                           return std::ranges::equal(content(x), content(y));
+                         }),
+             sets.end());
+  size_t total = 0;
+  for (const auto& [begin, end] : sets) total += end - begin;
+  out.set_ids.reserve(total);
+  out.set_offsets.reserve(sets.size() + 1);
+  out.set_offsets.push_back(0);
+  for (const auto& [begin, end] : sets) {
+    out.set_ids.insert(out.set_ids.end(), ids.begin() + begin,
+                       ids.begin() + end);
+    out.set_offsets.push_back(out.set_ids.size());
   }
+  if (out.values > kSimIndexMaxValues) return out;
+  // The smallest set is empty iff some value is token-less.
+  out.tokenless = out.token_set_count() > 0 && out.token_set(0).empty();
+  ids.assign(out.set_ids.begin(), out.set_ids.end());
   std::sort(ids.begin(), ids.end());
   out.tokens.assign(ids.begin(), std::unique(ids.begin(), ids.end()));
   return out;
@@ -260,22 +302,24 @@ SatResult SimilarityVerdict(const PreparedSimCell& a, const PreparedSimCell& b,
     return static_cast<double>(small) / static_cast<double>(large) <
            threshold;
   };
-  const auto& bs = b.token_sets;
+  const auto bs = std::views::iota(size_t{0}, b.token_set_count());
+  const auto b_size = [&b](size_t i) {
+    return b.set_offsets[i + 1] - b.set_offsets[i];
+  };
   bool any = false;
   bool all = true;
-  for (const std::vector<ValueId>* ta : a.token_sets) {
-    const size_t na_tok = ta->size();
-    auto lo = std::partition_point(
-        bs.begin(), bs.end(), [&](const std::vector<ValueId>* tb) {
-          return tb->size() < na_tok && ratio_below(tb->size(), na_tok);
-        });
-    auto hi = std::partition_point(
-        lo, bs.end(), [&](const std::vector<ValueId>* tb) {
-          return tb->size() <= na_tok || !ratio_below(na_tok, tb->size());
-        });
+  for (size_t ia = 0; ia < a.token_set_count(); ++ia) {
+    const std::span<const ValueId> ta = a.token_set(ia);
+    const size_t na_tok = ta.size();
+    auto lo = std::ranges::partition_point(bs, [&](size_t ib) {
+      return b_size(ib) < na_tok && ratio_below(b_size(ib), na_tok);
+    });
+    auto hi = std::ranges::partition_point(lo, bs.end(), [&](size_t ib) {
+      return b_size(ib) <= na_tok || !ratio_below(na_tok, b_size(ib));
+    });
     if (lo != bs.begin() || hi != bs.end()) all = false;
     for (auto it = lo; it != hi && !(any && !all); ++it) {
-      if (TokenIdJaccard(*ta, **it) >= threshold) {
+      if (TokenIdJaccard(ta, b.token_set(*it)) >= threshold) {
         any = true;
       } else {
         all = false;

@@ -1,6 +1,7 @@
 #ifndef IFLEX_EXEC_CELL_OPS_H_
 #define IFLEX_EXEC_CELL_OPS_H_
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -80,21 +81,33 @@ inline constexpr size_t kSimIndexMaxValues = 512;
 struct PreparedSimCell {
   /// |V(c)|, counted without enumerating.
   size_t values = 0;
-  /// The distinct token-id sets of V(c), ordered by size, as pointers into
-  /// the corpus TokenCache (stable for its lifetime). Filled only when
-  /// `values` is at most max(kSimIndexMaxValues, min(max_cell_enum,
-  /// max_filter_combos)): beyond that no pair is decided by token sets and
-  /// no index reads them.
-  std::vector<const std::vector<ValueId>*> token_sets;
+  /// The distinct token-id sets of V(c), ordered by size and then by ids,
+  /// stored flat: set i is set_ids[set_offsets[i], set_offsets[i + 1]).
+  /// Filled only when `values` is at most max(kSimIndexMaxValues,
+  /// min(max_cell_enum, max_filter_combos)): beyond that no pair is
+  /// decided by token sets and no index reads them.
+  std::vector<ValueId> set_ids;
+  std::vector<size_t> set_offsets;  // token_set_count() + 1 when filled
   /// Sorted distinct token ids over V(c), and whether some value has no
   /// token ("&", "-"): what a join's inverted index reads. Filled only
   /// when `values` is at most kSimIndexMaxValues.
   std::vector<ValueId> tokens;
   bool tokenless = false;
+
+  size_t token_set_count() const {
+    return set_offsets.empty() ? 0 : set_offsets.size() - 1;
+  }
+  std::span<const ValueId> token_set(size_t i) const {
+    return std::span<const ValueId>(set_ids).subspan(
+        set_offsets[i], set_offsets[i + 1] - set_offsets[i]);
+  }
 };
 
 /// Prepares `cell` for SimilarityVerdict and the join index under
-/// `limits`.
+/// `limits`. An exact value's set is TokensOf(text); a contain's
+/// sub-span sets are unions of runs of its region's per-token sets, so the
+/// corpus TokenCache sees each region token once and no sub-span text
+/// (exact by Document::Tokenize's invariant).
 PreparedSimCell PrepareSimCell(const Corpus& corpus, const Cell& cell,
                                const CellOpLimits& limits);
 

@@ -40,6 +40,13 @@ Document::Document(std::string name, std::string text)
   Tokenize();
 }
 
+// Invariant: no alphanumeric character lies between two adjacent tokens —
+// only whitespace and the strippable punctuation above do. TokenCache
+// splits text at every non-alphanumeric character, so the token-id set of
+// a run of tokens is the union of its tokens' sets; PrepareSimCell
+// (exec/cell_ops.cc) builds every contain's sub-span sets that way, and
+// text_test pins the invariant. Stripping an alphanumeric character would
+// silently change similar() verdicts.
 void Document::Tokenize() {
   tokens_.clear();
   uint32_t n = size();

@@ -1,15 +1,19 @@
 // Focused cell-op coverage beyond what exec_test exercises: constant
 // cells, equality narrowing, enumeration caps, dedup behaviour, the
-// prepared token-similarity verdict against a brute-force reference, the
+// prepared token sets against per-sub-span tokenization, the prepared
+// token-similarity verdict against a brute-force reference, the
 // prepared comparison forms against the nested loops they replace, and
 // the prepared-cell store's keys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alog/catalog.h"
@@ -221,6 +225,25 @@ class SimilarityVerdictTest : public ::testing::Test {
     return c;
   }
 
+  // The distinct token sets of V(c), one TokensOf per value text: the
+  // per-sub-span path PrepareSimCell replaced, kept as its reference.
+  std::set<std::vector<ValueId>> ReferenceSets(const Cell& cell) {
+    TokenCache& cache = corpus_.tokens();
+    std::set<std::vector<ValueId>> sets;
+    for (const Assignment& a : cell.assignments) {
+      if (a.is_exact()) {
+        sets.insert(cache.TokensOf(a.value.AsText()));
+        continue;
+      }
+      const Document& doc = corpus_.Get(a.span.doc);
+      std::vector<Span> spans;
+      doc.EnumerateSubSpans(a.span, std::numeric_limits<size_t>::max(),
+                            &spans);
+      for (const Span& s : spans) sets.insert(cache.TokensOf(doc.TextOf(s)));
+    }
+    return sets;
+  }
+
   Corpus corpus_;
   DocId punct_ = 0;
   DocId wide_ = 0;
@@ -357,6 +380,128 @@ TEST_F(SimilarityVerdictTest, ExpansionCells) {
   ExpectVerdict(exp, Cell::Exact(Value::String("Gamma")), SatResult::kNone);
   ExpectVerdict(Cell::Expansion({Assignment::Contain(Span(punct_, 0, 4))}),
                 Cell::Exact(Value::String("&")), SatResult::kAll);
+}
+
+// A contain is tokenized once per region token, not once per sub-span:
+// the 496 sub-span sets of a 31-token region cost at most 31 TokenCache
+// misses, so the cache keeps no sub-span text.
+TEST_F(SimilarityVerdictTest, ContainMissesTokenCacheOncePerToken) {
+  const uint64_t before = corpus_.tokens().misses();
+  const PreparedSimCell wide =
+      PrepareSimCell(corpus_, WideContain(), CellOpLimits());
+  EXPECT_EQ(wide.values, 496u);
+  EXPECT_EQ(wide.token_set_count(), 496u);  // distinct tokens, distinct sets
+  EXPECT_LE(corpus_.tokens().misses() - before, 31u);
+  const uint64_t after = corpus_.tokens().misses();
+  PrepareSimCell(corpus_, WideContain(), CellOpLimits());
+  EXPECT_EQ(corpus_.tokens().misses(), after);
+}
+
+// PrepareSimCell against the per-sub-span path it replaced, and
+// SimilarityVerdict against Reference(), over seeded random documents of
+// hostile tokens: contain spans that start or end inside a token or a gap,
+// expansion cells, and exact values among them "&" and "--".
+TEST_F(SimilarityVerdictTest, MatchesPerSubSpanTokenization) {
+  static const char* kWords[] = {
+      "(4700),", "\"quoted\"", "--",    "...",   "rock&roll",
+      "O'Brien", "U.S.A.",     "&",     "Alpha", "alpha",
+      "BETA",    "beta,",      "42",    "x",     "caf\xc3\xa9",
+      "(x)y"};
+  static const char* kGaps[] = {" ", "  ", "\t", "\n", " \r\n"};
+  std::mt19937_64 rng(20080609);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  std::vector<DocId> docs;
+  for (int d = 0; d < 16; ++d) {
+    std::string text;
+    for (size_t w = 1 + pick(10); w > 0; --w) {
+      text += kGaps[pick(std::size(kGaps))];
+      text += kWords[pick(std::size(kWords))];
+    }
+    docs.push_back(corpus_.Add(Document("r" + std::to_string(d), text)));
+  }
+  // Mostly short spans, so many pairs are decided by their token sets.
+  auto random_span = [&] {
+    const Document& doc = corpus_.Get(docs[pick(docs.size())]);
+    const uint32_t begin = static_cast<uint32_t>(pick(doc.size() + 1));
+    const uint32_t room = doc.size() - begin;
+    const uint32_t end =
+        begin + static_cast<uint32_t>(pick(
+                    (pick(4) == 0 ? room : std::min<uint32_t>(room, 24)) + 1));
+    return Span(doc.id(), begin, end);
+  };
+  auto random_cell = [&] {
+    Cell c;
+    c.is_expansion = pick(2) == 0;
+    for (size_t n = pick(8) == 0 ? 0 : 1 + pick(3); n > 0; --n) {
+      if (pick(2) == 0) {
+        c.assignments.push_back(Assignment::Contain(random_span()));
+      } else if (pick(3) == 0) {
+        c.assignments.push_back(
+            Assignment::Exact(Value::OfSpan(corpus_, random_span())));
+      } else {
+        // From the first eight words, so exact values often match.
+        std::string text = kWords[pick(8)];
+        if (pick(2) == 0) text += std::string(" ") + kWords[pick(8)];
+        c.assignments.push_back(Assignment::Exact(Value::String(text)));
+      }
+    }
+    return c;
+  };
+
+  const CellOpLimits limits;
+  constexpr int kCells = 3000;
+  constexpr int kVerdicts = 20000;
+  std::vector<Cell> cells;
+  std::vector<PreparedSimCell> prepared;
+  int mismatches = 0;
+  for (int i = 0; i < kCells && mismatches < 5; ++i) {
+    cells.push_back(random_cell());
+    prepared.push_back(PrepareSimCell(corpus_, cells.back(), limits));
+    const PreparedSimCell& p = prepared.back();
+    const std::string what = cells.back().ToString(&corpus_);
+    EXPECT_EQ(p.values, cells.back().ValueCount(corpus_)) << what;
+    ASSERT_LE(p.values, limits.max_filter_combos) << what;
+    std::vector<std::vector<ValueId>> got;
+    for (size_t s = 0; s < p.token_set_count(); ++s) {
+      got.emplace_back(p.token_set(s).begin(), p.token_set(s).end());
+    }
+    // Ordered by size, then by ids, with no repeats.
+    for (size_t s = 1; s < got.size(); ++s) {
+      EXPECT_LT(std::make_pair(got[s - 1].size(), got[s - 1]),
+                std::make_pair(got[s].size(), got[s]))
+          << what;
+    }
+    const std::set<std::vector<ValueId>> want = ReferenceSets(cells.back());
+    std::vector<ValueId> tokens;
+    for (const std::vector<ValueId>& set : want) {
+      tokens.insert(tokens.end(), set.begin(), set.end());
+    }
+    std::sort(tokens.begin(), tokens.end());
+    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    const bool index_side = p.values <= kSimIndexMaxValues;
+    if (std::set<std::vector<ValueId>>(got.begin(), got.end()) != want ||
+        p.tokens != (index_side ? tokens : std::vector<ValueId>()) ||
+        p.tokenless != (index_side && want.count({}) > 0)) {
+      ADD_FAILURE() << "prepared sets differ: " << what;
+      ++mismatches;
+    }
+  }
+  size_t outcomes[3] = {0, 0, 0};
+  for (int i = 0; i < kVerdicts && mismatches < 5; ++i) {
+    const size_t x = pick(cells.size());
+    const size_t y = pick(cells.size());
+    const SatResult want = Reference(cells[x], cells[y], limits);
+    ++outcomes[static_cast<int>(want)];
+    if (SimilarityVerdict(prepared[x], prepared[y], limits, threshold_) !=
+        want) {
+      ADD_FAILURE() << "verdict differs: " << cells[x].ToString(&corpus_)
+                    << " vs " << cells[y].ToString(&corpus_);
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The generator reaches every outcome.
+  for (size_t n : outcomes) EXPECT_GT(n, static_cast<size_t>(kVerdicts / 200));
 }
 
 // The nested loops CompareCells, CellsEqual and NarrowCellByComparison

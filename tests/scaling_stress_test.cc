@@ -214,7 +214,9 @@ TEST(ScalingStressTest, PreparedCellStoreUnderContention) {
           if (sims[t][i] == nullptr) continue;
           const size_t values = cells[i].ValueCount(corpus);
           EXPECT_EQ(sims[t][i]->values, values);
-          EXPECT_FALSE(sims[t][i]->token_sets.empty());
+          ASSERT_GT(sims[t][i]->token_set_count(), 0u);
+          EXPECT_EQ(sims[t][i]->set_offsets.back(),
+                    sims[t][i]->set_ids.size());
           EXPECT_EQ(cmps[t][i]->values, values);
           EXPECT_EQ(cmps[t][i]->sorted_numbers.size(),
                     cmps[t][i]->numbers + cmps[t][i]->numeric_texts);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "text/corpus.h"
 #include "text/document.h"
 #include "text/markup.h"
@@ -87,6 +93,63 @@ TEST(DocumentTest, TokenizeStripsPunctuation) {
   EXPECT_EQ(tok(2), "Only");
   EXPECT_EQ(tok(3), "two");
   EXPECT_EQ(tok(4), "left");
+}
+
+// The invariant PrepareSimCell rests on: no alphanumeric character lies
+// between adjacent tokens, so TokensOf over any run of tokens equals the
+// union of its tokens' sets. A change to token stripping that breaks it
+// must fail here rather than silently change similar() verdicts.
+TEST(DocumentTest, TokenRunSetsAreUnionsOfTokenSets) {
+  const std::string texts[] = {
+      "Price: (4700), \"quoted\" -- ... rock&roll O'Brien U.S.A. end.",
+      "caf\xc3\xa9 na\xc3\xafve \xe2\x80\x94 'single' [x]y (a)b \xc2\xa0z",
+      "tab\tsep\nnew\r\nline\vv\ff...(x)...\"\" -- & 3.5% $1,234.",
+      "...(4700),\"quoted\"... (x)",
+  };
+  for (const std::string& text : texts) {
+    Corpus corpus;
+    const Document& doc = corpus.Get(corpus.Add(Document("d", text)));
+    const std::vector<Token>& tokens = doc.tokens();
+    ASSERT_GE(tokens.size(), 2u) << text;
+    auto token_text = [&](size_t i) {
+      return doc.TextOf(Span(doc.id(), tokens[i].begin, tokens[i].end));
+    };
+    for (size_t k = 0; k + 1 < tokens.size(); ++k) {
+      for (uint32_t p = tokens[k].end; p < tokens[k + 1].begin; ++p) {
+        EXPECT_FALSE(std::isalnum(static_cast<unsigned char>(text[p])))
+            << "between '" << token_text(k) << "' and '" << token_text(k + 1)
+            << "' in: " << text;
+      }
+    }
+    TokenCache& cache = corpus.tokens();
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      std::vector<ValueId> want;
+      for (size_t j = i; j < tokens.size(); ++j) {
+        const std::vector<ValueId>& set = cache.TokensOf(token_text(j));
+        std::vector<ValueId> merged;
+        std::set_union(want.begin(), want.end(), set.begin(), set.end(),
+                       std::back_inserter(merged));
+        want = std::move(merged);
+        EXPECT_EQ(cache.TokensOf(doc.TextOf(
+                      Span(doc.id(), tokens[i].begin, tokens[j].end))),
+                  want)
+            << "tokens " << i << ".." << j << " of: " << text;
+      }
+    }
+  }
+  // The hostile tokens themselves: edges stripped, inner punctuation and
+  // non-ASCII bytes kept, "--" a token without alphanumerics, "..." none.
+  Corpus corpus;
+  const Document& doc = corpus.Get(
+      corpus.Add(Document("d", "(4700), -- ... rock&roll O'Brien U.S.A.")));
+  std::vector<std::string> got;
+  for (const Token& t : doc.tokens()) {
+    got.emplace_back(doc.TextOf(Span(doc.id(), t.begin, t.end)));
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"4700", "--", "rock&roll",
+                                           "O'Brien", "U.S.A"}));
+  EXPECT_TRUE(corpus.tokens().TokensOf("--").empty());
+  EXPECT_EQ(corpus.tokens().TokensOf("rock&roll").size(), 2u);
 }
 
 TEST(DocumentTest, SubSpanEnumerationCount) {
