@@ -284,6 +284,10 @@ Result<std::optional<Question>> SimulationStrategy::Next(
   obs::CostModel* parent_cost =
       obs::CostModelOrDefault(ctx.exec_options.cost_model);
   const bool profiling = parent_cost->enabled();
+  // One cache generation per question selection: tables used by neither
+  // this call nor the last are dropped, which bounds the simulations'
+  // tables the cache keeps (docs/PERFORMANCE.md, "Copy-free table flow").
+  if (ctx.subset_cache != nullptr) ctx.subset_cache->NewGeneration();
 
   // Current subset result size plus the per-extractor coverage baseline:
   // the compact tuple count of each intensional predicate whose rule uses
@@ -301,7 +305,7 @@ Result<std::optional<Question>> SimulationStrategy::Next(
       current_values = base_exec.stats().process_values;
     }
     for (const auto& [pred, table] : base_exec.last_idb()) {
-      base_coverage[pred] = table.size();
+      base_coverage[pred] = table->size();
     }
   }
 
@@ -437,7 +441,7 @@ Result<std::optional<Question>> SimulationStrategy::Next(
           // require only that a reasonable share of the extractor's tuples
           // survives; total annihilation marks a wrong guess.
           coverage_ok = it != exec.last_idb().end() &&
-                        static_cast<double>(it->second.size()) >=
+                        static_cast<double>(it->second->size()) >=
                             0.25 * static_cast<double>(c.base_cov);
         }
       }

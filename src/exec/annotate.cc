@@ -248,16 +248,15 @@ bool KeysAreSingletonExact(const CompactTable& input,
 }  // namespace
 
 Result<CompactTable> ApplyAnnotations(const Corpus& corpus,
-                                      const CompactTable& input,
+                                      CompactTable input,
                                       const AnnotationSpec& spec,
                                       bool use_compact, size_t max_tuples,
                                       obs::Tracer* tracer) {
   IFLEX_FAIL_POINT("exec.annotate");
-  CompactTable result = input;
   if (!spec.annotated.empty()) {
     if (use_compact && KeysAreSingletonExact(input, spec)) {
       obs::TraceSpan span(tracer, "exec.annotate", "compact");
-      IFLEX_ASSIGN_OR_RETURN(result, CompactAnnotate(input, spec));
+      IFLEX_ASSIGN_OR_RETURN(input, CompactAnnotate(input, spec));
     } else {
       // Default strategy (paper §4.3): via a-tables.
       obs::TraceSpan span(tracer, "exec.annotate", "atable");
@@ -265,13 +264,13 @@ Result<CompactTable> ApplyAnnotations(const Corpus& corpus,
                              CompactToATable(corpus, input, max_tuples));
       IFLEX_ASSIGN_OR_RETURN(ATable annotated,
                              BAnnotate(at, spec, 100000, tracer));
-      result = ATableToCompact(annotated, input.schema());
+      input = ATableToCompact(annotated, input.schema());
     }
   }
   if (spec.existence) {
-    for (CompactTuple& t : result.tuples()) t.maybe = true;
+    for (CompactTuple& t : input.tuples()) t.maybe = true;
   }
-  return result;
+  return input;
 }
 
 }  // namespace iflex

@@ -31,9 +31,10 @@ Result<ATable> BAnnotate(const ATable& input, const AnnotationSpec& spec,
 /// optimized direct-over-compact-tables implementation (the full-paper
 /// optimization); it applies when every non-annotated cell is a single
 /// exact assignment and otherwise falls back to the a-table route
-/// (convert -> BAnnotate -> convert back).
+/// (convert -> BAnnotate -> convert back). Takes `input` by value: the
+/// executor moves its projected table in, which ψ replaces.
 Result<CompactTable> ApplyAnnotations(const Corpus& corpus,
-                                      const CompactTable& input,
+                                      CompactTable input,
                                       const AnnotationSpec& spec,
                                       bool use_compact = true,
                                       size_t max_tuples = 2000000,

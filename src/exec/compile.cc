@@ -1,5 +1,6 @@
 #include "exec/compile.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstddef>
 #include <cstdint>
@@ -107,6 +108,27 @@ void AppendFilter(CompiledRule* plan, CompiledFilter f) {
   plan->ops.back().filters.push_back(std::move(f));
 }
 
+// Adds every variable `op` mentions to `vars`: its atom's arguments, its
+// chain's constrained variables and its filters' terms.
+void AddMentions(const CompiledOp& op,
+                 std::unordered_set<std::string>* vars) {
+  auto add = [&](const Term& t) {
+    if (t.is_var()) vars->insert(t.var);
+  };
+  for (const Term& t : op.atom.args) add(t);
+  for (const CompiledConstraintStep& step : op.chain) {
+    vars->insert(step.k.lit.var);
+  }
+  for (const CompiledFilter& f : op.filters) {
+    if (f.kind == CompiledFilter::Kind::kComparison) {
+      add(f.lit.cmp.lhs);
+      add(f.lit.cmp.rhs);
+    } else {
+      for (const Term& t : f.lit.atom.args) add(t);
+    }
+  }
+}
+
 }  // namespace
 
 Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
@@ -173,6 +195,10 @@ Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
         for (const Term& t : a.args) {
           if (t.is_var()) bound.insert(t.var);
         }
+        // Every bound variable for now; the liveness pass below keeps the
+        // ones read later.
+        op.live.assign(bound.begin(), bound.end());
+        std::sort(op.live.begin(), op.live.end());
         if (best_prio != kUnconnectedJoinPriority) break;
         // Push down every pending comparison or p-function that the join's
         // variables make evaluable, in body order. None was evaluable
@@ -213,6 +239,20 @@ Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
                                 a.predicate);
     }
     plan.ops.push_back(std::move(op));
+  }
+  // Liveness, back to front: a join keeps the variables that a later op
+  // or the head mentions. Project reads only the head's columns, so a
+  // column no later op mentions cannot change the rule's table.
+  std::unordered_set<std::string> mentioned(rule.head.args.begin(),
+                                            rule.head.args.end());
+  for (size_t i = plan.ops.size(); i-- > 0;) {
+    CompiledOp& op = plan.ops[i];
+    if (op.kind == CompiledOp::Kind::kJoin) {
+      std::erase_if(op.live, [&](const std::string& v) {
+        return mentioned.count(v) == 0;
+      });
+    }
+    AddMentions(op, &mentioned);
   }
   plan.seed_join =
       !plan.ops.empty() && plan.ops.front().kind == CompiledOp::Kind::kJoin;

@@ -1,6 +1,7 @@
 #ifndef IFLEX_EXEC_COMPILE_H_
 #define IFLEX_EXEC_COMPILE_H_
 
+#include <string>
 #include <vector>
 
 #include "alog/ast.h"
@@ -55,15 +56,21 @@ struct CompiledOp {
   /// order — non-empty only for an unconnected join, where they decide
   /// each candidate pair so the cross product never materializes.
   std::vector<CompiledFilter> filters;
+  /// kJoin: the variables bound after the join that a later op or the
+  /// rule head mentions, sorted. The join's output keeps only their
+  /// columns, since nothing after it reads the others (docs/PERFORMANCE.md,
+  /// "Copy-free table flow").
+  std::vector<std::string> live;
 };
 
 /// A lowered rule body: the operator sequence chosen by the literal
 /// selection policy (constraints as soon as their variable is bound, then
 /// connected stored-table joins, from, p-predicates, comparisons,
 /// p-functions, and unconnected joins last), with consecutive constraints
-/// fused into chains, consecutive filters grouped into blocks, and all
-/// name resolution (features, memo key bases, p-functions, constants)
-/// hoisted out of the per-tuple loops. An empty body gives an empty plan.
+/// fused into chains, consecutive filters grouped into blocks, all name
+/// resolution (features, memo key bases, p-functions, constants) hoisted
+/// out of the per-tuple loops, and each join's live columns recorded. An
+/// empty body gives an empty plan.
 struct CompiledRule {
   std::vector<CompiledOp> ops;
   /// True when ops[0] joins a stored/intensional table against the empty

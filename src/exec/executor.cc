@@ -295,7 +295,7 @@ struct EvalScratch {
 class RuleEvaluator {
  public:
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
-                const std::unordered_map<std::string, CompactTable>* idb,
+                const std::unordered_map<std::string, SharedTable>* idb,
                 const ExecCounters* stats, obs::Tracer* tracer,
                 resilience::ExecReport* report, JoinSideCache* join_sides,
                 PreparedCellStore* store)
@@ -341,8 +341,8 @@ class RuleEvaluator {
     obs::CostScope cost(cost_model_, scope_, "annotate",
                         options_.cost_iteration);
     Result<CompactTable> annotated = ApplyAnnotations(
-        catalog_.corpus(), projected, spec, options_.compact_annotate,
-        options_.max_table_tuples, tracer_);
+        catalog_.corpus(), std::move(projected), spec,
+        options_.compact_annotate, options_.max_table_tuples, tracer_);
     if (cost.active() && annotated.ok()) {
       cost.cost()->rows = annotated->size();
     }
@@ -584,7 +584,7 @@ class RuleEvaluator {
     if (it == idb_->end()) {
       return Status::Internal("intensional table not yet computed: " + pred);
     }
-    return &it->second;
+    return it->second.get();
   }
 
   // Fused verify pass: one traversal of the binding table applies a whole
@@ -609,8 +609,9 @@ class RuleEvaluator {
     std::vector<uint64_t> survived(n, 0);
     std::vector<std::unordered_set<DocId>> docs(profiling ? n : 0);
     CompactTable out(binding_.schema());
-    for (const CompactTuple& b : binding_.tuples()) {
-      CompactTuple merged = b;
+    // The binding dies with this pass, so each tuple moves through it.
+    for (CompactTuple& b : binding_.tuples()) {
+      CompactTuple merged = std::move(b);
       bool dead = false;
       for (size_t i = 0; i < n; ++i) {
         stats_->constraint_cells->Add();
@@ -895,7 +896,8 @@ class RuleEvaluator {
 
   // Natural join of the binding table with a stored/intensional table.
   // The op's pushed-down filters (an unconnected join's) decide each
-  // candidate pair before its merged tuple is kept.
+  // candidate pair before its tuple is kept. A kept tuple holds only the
+  // op's live columns (CompiledOp::live), in merged order.
   Status JoinAtom(const CompiledOp& op, const CompactTable& table) {
     obs::CostScope cost(cost_model_, scope_, "join", options_.cost_iteration);
     const Corpus& corpus = catalog_.corpus();
@@ -934,10 +936,24 @@ class RuleEvaluator {
       new_cols.push_back(NewCol{i, t.var});
     }
 
-    // Tentative column map for the merged tuples.
+    // Column map of the full merged tuples (binding, then new columns),
+    // which the generic pushed-down filters read.
     std::unordered_map<std::string, size_t> merged_cols = columns_;
     for (const NewCol& nc : new_cols) {
       merged_cols.emplace(nc.var, merged_cols.size());
+    }
+    // The output layout: the merged columns a later op or the head reads.
+    const size_t width = binding_.schema().size();
+    std::vector<size_t> keep;  // merged indices of the kept columns
+    std::vector<std::string> out_schema;
+    std::unordered_map<std::string, size_t> out_cols;
+    for (size_t m = 0; m < width + new_cols.size(); ++m) {
+      const std::string& var =
+          m < width ? binding_.schema()[m] : new_cols[m - width].var;
+      if (!std::binary_search(op.live.begin(), op.live.end(), var)) continue;
+      keep.push_back(m);
+      out_cols.emplace(var, out_schema.size());
+      out_schema.push_back(var);
     }
 
     // The table column a term binds in this join, or SIZE_MAX when it is
@@ -1048,7 +1064,7 @@ class RuleEvaluator {
                  : ComparePrepared(t, cmp.op, *jc.probe, options_.limits);
     };
 
-    CompactTable out(NewSchema(new_cols));
+    CompactTable out(std::move(out_schema));
     std::vector<size_t> candidates;
     PreparedSimCell probe_scratch;
     CounterTally pairs(stats_->join_pairs);
@@ -1098,9 +1114,8 @@ class RuleEvaluator {
         }
         if (dead) continue;
         // Pushed-down filters, in body order. The similarity filter and
-        // the prepared comparisons read prepared cells, so the merged
-        // tuple is built only once another filter needs it or the pair
-        // survives.
+        // the prepared comparisons read prepared cells, so the full merged
+        // tuple is built only when another filter needs it.
         std::optional<CompactTuple> merged;
         auto merge = [&] {
           merged.emplace(b);
@@ -1127,29 +1142,32 @@ class RuleEvaluator {
           if (r == SatResult::kSome) some = true;
         }
         if (dead) continue;
-        if (!merged.has_value()) merge();
-        merged->maybe = b.maybe || t.maybe || some;
-        out.Add(std::move(*merged));
+        CompactTuple kept;
+        kept.cells.reserve(keep.size());
+        for (size_t m : keep) {
+          if (merged.has_value()) {
+            kept.cells.push_back(std::move(merged->cells[m]));
+          } else {
+            kept.cells.push_back(m < width
+                                     ? b.cells[m]
+                                     : t.cells[new_cols[m - width].table_col]);
+          }
+        }
+        kept.maybe = b.maybe || t.maybe || some;
+        out.Add(std::move(kept));
         if (out.size() > options_.max_table_tuples) {
           IFLEX_RETURN_NOT_OK(OverBudget(&out, "join output"));
           break;  // best-effort: stop enumerating candidates
         }
       }
     }
-    columns_ = std::move(merged_cols);
+    columns_ = std::move(out_cols);
     binding_ = std::move(out);
     if (cost.active()) {
       cost.cost()->rows = binding_.size();
       cost.cost()->docs = DistinctDocs();
     }
     return Status::OK();
-  }
-
-  template <typename NewColVec>
-  std::vector<std::string> NewSchema(const NewColVec& new_cols) {
-    std::vector<std::string> schema = binding_.schema();
-    for (const auto& nc : new_cols) schema.push_back(nc.var);
-    return schema;
   }
 
   // Distinct source documents among the current binding tuples. Only
@@ -1179,7 +1197,7 @@ class RuleEvaluator {
     }
     size_t in_col = columns_.at(in_var);
     CompactTable out(AppendSchema(out_var));
-    for (const CompactTuple& b : binding_.tuples()) {
+    for (CompactTuple& b : binding_.tuples()) {
       std::vector<Assignment> spans;
       for (const Assignment& a : b.cells[in_col].assignments) {
         if (a.is_contain()) {
@@ -1194,7 +1212,7 @@ class RuleEvaluator {
               "from() applied to a value with no document provenance");
         }
       }
-      CompactTuple merged = b;
+      CompactTuple merged = std::move(b);  // the binding dies with this op
       merged.cells.push_back(Cell::Expansion(std::move(spans)));
       out.Add(std::move(merged));
     }
@@ -1466,17 +1484,29 @@ class RuleEvaluator {
       }
       cols.push_back(it->second);
     }
+    // The binding dies here, so each cell moves out on its column's last
+    // use in the head; a column the head names twice is copied first.
+    std::vector<bool> last_use(cols.size());
+    for (size_t i = 0; i < cols.size(); ++i) {
+      last_use[i] = std::find(cols.begin() + static_cast<ptrdiff_t>(i) + 1,
+                              cols.end(), cols[i]) == cols.end();
+    }
     // Deduplicate tuples whose cells are all single exact assignments
     // (multiset -> set is world-preserving); prefer the non-maybe copy.
     std::unordered_map<std::string, size_t> seen;
-    for (const CompactTuple& b : binding_.tuples()) {
+    for (CompactTuple& b : binding_.tuples()) {
       CompactTuple t;
       t.maybe = b.maybe;
+      t.cells.reserve(cols.size());
       bool all_exact = true;
       std::string key;
-      for (size_t c : cols) {
-        t.cells.push_back(b.cells[c]);
-        const Cell& cell = b.cells[c];
+      for (size_t i = 0; i < cols.size(); ++i) {
+        if (last_use[i]) {
+          t.cells.push_back(std::move(b.cells[cols[i]]));
+        } else {
+          t.cells.push_back(b.cells[cols[i]]);
+        }
+        const Cell& cell = t.cells.back();
         if (cell.is_expansion || cell.assignments.size() != 1 ||
             !cell.assignments[0].is_exact()) {
           all_exact = false;
@@ -1507,7 +1537,7 @@ class RuleEvaluator {
 
   const Catalog& catalog_;
   const ExecOptions& options_;
-  const std::unordered_map<std::string, CompactTable>* idb_;
+  const std::unordered_map<std::string, SharedTable>* idb_;
   const ExecCounters* stats_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
@@ -1794,7 +1824,7 @@ namespace {
 // and never a torn half-update.
 class GaugeFinalizer {
  public:
-  GaugeFinalizer(const std::unordered_map<std::string, CompactTable>* idb,
+  GaugeFinalizer(const std::unordered_map<std::string, SharedTable>* idb,
                  const Corpus* corpus, const ExecCounters* counters)
       : idb_(idb), corpus_(corpus), counters_(counters) {
     counters_->process_assignments->Set(0);
@@ -1812,15 +1842,15 @@ class GaugeFinalizer {
     double values = 0;
     for (const auto& [pred, table] : *idb_) {
       (void)pred;
-      assignments += table.AssignmentCount();
-      values += table.TotalValueCount(*corpus_);
+      assignments += table->AssignmentCount();
+      values += table->TotalValueCount(*corpus_);
     }
     counters_->process_assignments->Set(assignments);
     counters_->process_values->Set(values);
   }
 
  private:
-  const std::unordered_map<std::string, CompactTable>* idb_;
+  const std::unordered_map<std::string, SharedTable>* idb_;
   const Corpus* corpus_;
   const ExecCounters* counters_;
   bool done_ = false;
@@ -1846,7 +1876,8 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                          TopoOrder(by_head, query));
 
   std::unordered_map<std::string, uint64_t> fp_memo;
-  std::unordered_map<std::string, CompactTable> idb;
+  // Shared with the reuse cache: a hit or an insert copies no table.
+  std::unordered_map<std::string, SharedTable> idb;
   // Prepared join table sides, for this Execute only: entries are keyed
   // by the addresses of the catalog's tables and idb's.
   JoinSideCache join_sides;
@@ -1861,10 +1892,10 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     IFLEX_RETURN_NOT_OK(stop.Check("Execute"));
     uint64_t fp = PredicateFingerprint(pred, by_head, &fp_memo);
     if (cache != nullptr) {
-      const CompactTable* hit = cache->Lookup(fp);
+      SharedTable hit = cache->Lookup(fp);
       if (hit != nullptr) {
         counters_.cache_hits->Add();
-        idb.emplace(pred, *hit);
+        idb.emplace(pred, std::move(hit));
         continue;
       }
       counters_.cache_misses->Add();
@@ -1922,11 +1953,12 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     // only — caching it would silently degrade future fault-free
     // iterations, so degraded predicates never enter the cache.
     const bool clean = report_->EventCount() == report_events_before;
-    if (cache != nullptr && clean) cache->Insert(fp, result);
-    idb.emplace(pred, std::move(result));
+    auto table = std::make_shared<const CompactTable>(std::move(result));
+    if (cache != nullptr && clean) cache->Insert(fp, table);
+    idb.emplace(pred, std::move(table));
   }
   gauges.Finalize();
-  CompactTable out = idb.at(query);
+  CompactTable out = *idb.at(query);
   last_idb_ = std::move(idb);
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "alog/program.h"
@@ -142,6 +143,11 @@ struct ExecCounters {
   void BindTo(obs::MetricRegistry* registry);
 };
 
+/// A predicate's computed table. It is never mutated once built, so the
+/// reuse cache, an Execute's intensional tables and Executor::last_idb()
+/// share it instead of copying it.
+using SharedTable = std::shared_ptr<const CompactTable>;
+
 /// Cross-iteration reuse cache (paper §5.2): intermediate results —
 /// the compact table computed for each intensional predicate — keyed by a
 /// fingerprint of the rules that produce it (transitively). When the
@@ -151,27 +157,54 @@ struct ExecCounters {
 /// iterations, attribute probes and candidate simulations of a session
 /// prepare each distinct cell once.
 ///
+/// Tables are shared, not copied: a hit hands out the stored table and an
+/// insert stores the caller's (docs/PERFORMANCE.md, "Copy-free table
+/// flow"). Entries age by generation: each is stamped with the generation
+/// of its last insert or hit, NewGeneration() starts the next one (the
+/// simulation strategy calls it once per question selection), and an
+/// entry used in neither the current nor the previous generation is
+/// dropped then. A dropped entry is only a future miss, which recomputes
+/// the same table.
+///
 /// Thread-safety: one mutex guards the map, so concurrent simulation
 /// executors can share one cache; it is taken about once per predicate
 /// per Execute, too rarely to contend (docs/PERFORMANCE.md, "Verify
 /// memo"). The cell store, looked up once per row, stripes its own locks.
-/// Returned table pointers stay valid across concurrent inserts
-/// (node-based map; a duplicate insert keeps the first copy — harmless,
-/// since parallel execution is deterministic and both copies are
-/// identical). Clear() must not race with readers still holding pointers.
+/// A table handed out stays readable for as long as its holder keeps it,
+/// across concurrent inserts, eviction and Clear(). A duplicate insert
+/// keeps the first table and refreshes its generation — harmless, since
+/// parallel execution is deterministic and both tables are identical.
+/// Clear() empties the cell store too, so it must not race with an
+/// Execute using the cache.
 class ReuseCache {
  public:
-  const CompactTable* Lookup(uint64_t key) const {
+  /// The table stored under `key`, or null; a hit stamps the entry with
+  /// the current generation.
+  SharedTable Lookup(uint64_t key) {
     // Fail-point site "exec.cache": an injected fault degrades to a cache
     // miss — the caller recomputes, trading time for correctness.
     if (resilience::FailPointFired("exec.cache")) return nullptr;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
+    if (it == map_.end()) return nullptr;
+    it->second.generation = generation_;
+    return it->second.table;
   }
-  void Insert(uint64_t key, CompactTable table) {
+  /// Stores `table` under `key`, stamped with the current generation.
+  void Insert(uint64_t key, SharedTable table) {
     std::lock_guard<std::mutex> lock(mu_);
-    map_.emplace(key, std::move(table));
+    auto [it, inserted] =
+        map_.try_emplace(key, Entry{std::move(table), generation_});
+    if (!inserted) it->second.generation = generation_;
+  }
+  /// Starts a new generation and drops the tables used in neither it nor
+  /// the previous one.
+  void NewGeneration() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++generation_;
+    std::erase_if(map_, [this](const auto& entry) {
+      return entry.second.generation + 1 < generation_;
+    });
   }
   /// Clears the tables and the prepared cells.
   void Clear() {
@@ -189,8 +222,14 @@ class ReuseCache {
   PreparedCellStore& cells() { return cells_; }
 
  private:
+  struct Entry {
+    SharedTable table;
+    uint64_t generation = 0;  // of the last insert or hit
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, CompactTable> map_;
+  std::unordered_map<uint64_t, Entry> map_;
+  uint64_t generation_ = 0;
   PreparedCellStore cells_;
 };
 
@@ -218,8 +257,9 @@ class Executor {
   obs::MetricRegistry& metrics() const { return *metrics_; }
 
   /// Tables of every intensional predicate computed by the last Execute
-  /// (the assistant inspects intermediate extraction coverage).
-  const std::unordered_map<std::string, CompactTable>& last_idb() const {
+  /// (the assistant inspects intermediate extraction coverage), shared
+  /// with the reuse cache.
+  const std::unordered_map<std::string, SharedTable>& last_idb() const {
     return last_idb_;
   }
 
@@ -242,7 +282,7 @@ class Executor {
   obs::MetricRegistry* metrics_;
   ExecCounters counters_;
   mutable ExecStats stats_;
-  std::unordered_map<std::string, CompactTable> last_idb_;
+  std::unordered_map<std::string, SharedTable> last_idb_;
   resilience::ExecReport owned_report_;
   resilience::ExecReport* report_ = nullptr;
 };

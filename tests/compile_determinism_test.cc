@@ -49,7 +49,7 @@ Result<RunOutput> RunScenario(const TaskInstance& task, ExecOptions options) {
                          exec.Execute(task.initial_program));
   std::string bytes = table.ToString(task.corpus.get());
   std::map<std::string, const CompactTable*> idb;  // sorted by predicate
-  for (const auto& [pred, t] : exec.last_idb()) idb[pred] = &t;
+  for (const auto& [pred, t] : exec.last_idb()) idb[pred] = t.get();
   for (const auto& [pred, t] : idb) {
     bytes += "\n" + pred + ": " + t->ToString(task.corpus.get());
   }
@@ -328,6 +328,120 @@ TEST(CompileRuleTest, UnconnectedJoinCarriesItsPushedFilters) {
   EXPECT_EQ(plan->ops[1].filters[0].lit.ToString(), "similar(t1, t2)");
   EXPECT_EQ(plan->ops[1].filters[1].kind, CompiledFilter::Kind::kComparison);
   EXPECT_EQ(plan->ops[1].filters[1].lit.ToString(), "np < bp");
+}
+
+// The live columns of each join of `plan`, in op order.
+std::vector<std::vector<std::string>> JoinLiveSets(const CompiledRule& plan) {
+  std::vector<std::vector<std::string>> out;
+  for (const CompiledOp& op : plan.ops) {
+    if (op.kind == CompiledOp::Kind::kJoin) out.push_back(op.live);
+  }
+  return out;
+}
+
+// The compiled plan of the rule for `head` in the scenario's unfolded
+// initial program, after checking the rule's text.
+Result<CompiledRule> ScenarioPlan(const std::string& id, size_t scale,
+                                  const std::string& head,
+                                  const std::string& rule_text) {
+  IFLEX_ASSIGN_OR_RETURN(std::unique_ptr<TaskInstance> task,
+                         MakeTask(id, scale));
+  IFLEX_ASSIGN_OR_RETURN(Program unfolded,
+                         task->initial_program.Unfold(*task->catalog));
+  for (const Rule& rule : unfolded.rules()) {
+    if (rule.head.predicate != head) continue;
+    if (rule.ToString() != rule_text) {
+      return Status::Internal("unexpected rule " + rule.ToString());
+    }
+    return CompileRule(*task->catalog, rule);
+  }
+  return Status::NotFound("no rule for " + head);
+}
+
+// A join keeps only the columns a later op or the head reads
+// (docs/PERFORMANCE.md, "Copy-free table flow"): in T3 the `et` join
+// drops x and y, and the `pt` join keeps only the head's t1.
+TEST(CompileRuleTest, ScenarioJoinsKeepOnlyLiveColumns) {
+  using Live = std::vector<std::vector<std::string>>;
+  auto t3 = ScenarioPlan("T3", 10, "t3",
+                         "t3(t1) :- it(x, t1), et(y, t2), similar(t1, t2), "
+                         "pt(z, t3), similar(t2, t3).");
+  ASSERT_TRUE(t3.ok()) << t3.status();
+  ASSERT_EQ(t3->ops.size(), 3u);
+  EXPECT_EQ(t3->ops[1].atom.predicate, "et");
+  EXPECT_EQ(t3->ops[2].atom.predicate, "pt");
+  EXPECT_EQ(JoinLiveSets(*t3), (Live{{"t1"}, {"t1", "t2"}, {"t1"}}));
+
+  auto t9 = ScenarioPlan("T9", 100, "t9",
+                         "t9(t1) :- an(x, t1, np), bn(y, t2, bp), "
+                         "similar(t1, t2), np < bp.");
+  ASSERT_TRUE(t9.ok()) << t9.status();
+  ASSERT_EQ(t9->ops.size(), 2u);
+  EXPECT_EQ(t9->ops[1].atom.predicate, "bn");
+  EXPECT_EQ(JoinLiveSets(*t9), (Live{{"np", "t1"}, {"t1"}}));
+}
+
+// Every kind of later op keeps the join variables it reads: a
+// constraint, a comparison, a p-predicate, from(), a later join's
+// pushed-down filter, and the head.
+class LivenessTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto doc = ParseMarkup("e1", "Title: <b>Vertigo</b> 1958");
+    ASSERT_TRUE(doc.ok());
+    DocId id = corpus_.Add(std::move(doc).value());
+    catalog_ = std::make_unique<Catalog>(&corpus_);
+    for (const char* name : {"a", "b"}) {
+      CompactTable table({"c1", "c2"});
+      CompactTuple t;
+      t.cells.push_back(Cell::Exact(Value::Doc(id)));
+      t.cells.push_back(Cell::Exact(Value::Number(1)));
+      table.Add(std::move(t));
+      ASSERT_TRUE(catalog_->AddTable(name, std::move(table)).ok());
+    }
+    ASSERT_TRUE(catalog_
+                    ->DeclarePPredicate(
+                        "same", 1, 1,
+                        [](const Corpus&, const std::vector<Value>& in)
+                            -> Result<std::vector<std::vector<Value>>> {
+                          return std::vector<std::vector<Value>>{{in[0]}};
+                        })
+                    .ok());
+    catalog_->RegisterBuiltinFunctions();
+  }
+
+  // The live sets of the joins of the rule `text` (query q).
+  std::vector<std::vector<std::string>> Live(const std::string& text) {
+    auto prog = ParseProgram(text, *catalog_);
+    EXPECT_TRUE(prog.ok()) << text << ": " << prog.status();
+    if (!prog.ok()) return {};
+    auto plan = CompileRule(*catalog_, prog->rules()[0]);
+    EXPECT_TRUE(plan.ok()) << text << ": " << plan.status();
+    if (!plan.ok()) return {};
+    return JoinLiveSets(*plan);
+  }
+
+  Corpus corpus_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
+TEST_F(LivenessTest, LaterOpsKeepTheVariablesTheyRead) {
+  using L = std::vector<std::vector<std::string>>;
+  // A constraint runs right after the join that binds its variable.
+  EXPECT_EQ(Live("q(x) :- a(x, y), numeric(y) = yes."), (L{{"x", "y"}}));
+  EXPECT_EQ(Live("q(x) :- a(x, y), y > 0."), (L{{"x", "y"}}));
+  EXPECT_EQ(Live("q(d) :- a(x, y), same(y, d)."), (L{{"y"}}));
+  EXPECT_EQ(Live("q(s) :- a(x, y), from(x, s)."), (L{{"x"}}));
+  // A connected join reads its shared variable; the comparison after it
+  // keeps y alive through it.
+  EXPECT_EQ(Live("q(w) :- a(x, y), b(x, w), y < w."),
+            (L{{"x", "y"}, {"w", "y"}}));
+  // b is unconnected: similar(y, w) rides on the b join, so a's join
+  // keeps y for it, and b's join keeps only the head's x.
+  EXPECT_EQ(Live("q(x) :- a(x, y), b(z, w), similar(y, w)."),
+            (L{{"x", "y"}, {"x"}}));
+  // Nothing after the only join: it keeps the head's columns.
+  EXPECT_EQ(Live("q(y, y) :- a(x, y)."), (L{{"y"}}));
 }
 
 // Bodies the executor cannot evaluate fail with the same statuses the

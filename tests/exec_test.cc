@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 
 #include "exec/annotate.h"
@@ -390,6 +391,121 @@ TEST_F(ExecutorTest, ReuseCacheHitsOnUnchangedPredicates) {
   EXPECT_GT(misses, 0u);
   ASSERT_TRUE(exec.Execute(*prog, &cache).ok());
   EXPECT_EQ(exec.stats().cache_hits, misses);
+}
+
+// Project moves each cell out of the binding on its column's last use in
+// the head, so the first of two uses must copy: a moved-from cell would
+// come back empty.
+TEST_F(ExecutorTest, HeadNamingAVariableTwiceFillsBothColumns) {
+  const char* src = R"(
+    q(p, x, p) :- pages(x), extractPrice(x, p).
+    extractPrice(x, p) :- from(x, p), numeric(p) = yes, bold_font(p) = yes.
+  )";
+  auto prog = ParseProgram(src, *catalog_);
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  prog->set_query("q");
+  Executor exec(*catalog_);
+  auto result = exec.Execute(*prog);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 2u);
+  for (const CompactTuple& t : result->tuples()) {
+    ASSERT_EQ(t.cells.size(), 3u);
+    ASSERT_EQ(t.cells[0].assignments.size(), 1u);
+    EXPECT_EQ(t.cells[0].ToString(&corpus_), t.cells[2].ToString(&corpus_));
+    EXPECT_EQ(t.cells[1].assignments.size(), 1u);
+  }
+}
+
+// The tables Execute computed stay readable after the cache evicts them:
+// the executor and the cache share them.
+TEST_F(ExecutorTest, LastIdbOutlivesReuseCacheEviction) {
+  const char* src = R"(
+    prices(x, p) :- pages(x), extractPrice(x, p).
+    q(x, p) :- prices(x, p), p > 500000.
+    extractPrice(x, p) :- from(x, p), numeric(p) = yes, bold_font(p) = yes.
+  )";
+  auto prog = ParseProgram(src, *catalog_);
+  ASSERT_TRUE(prog.ok());
+  prog->set_query("q");
+  ReuseCache cache;
+  Executor exec(*catalog_);
+  ASSERT_TRUE(exec.Execute(*prog, &cache).ok());
+  ASSERT_GT(cache.size(), 0u);
+  const SharedTable prices = exec.last_idb().at("prices");
+  cache.NewGeneration();
+  cache.NewGeneration();
+  EXPECT_EQ(cache.size(), 0u);
+  ASSERT_EQ(prices->size(), 2u);
+  EXPECT_EQ(exec.last_idb().at("prices").get(), prices.get());
+  for (const CompactTuple& t : exec.last_idb().at("q")->tuples()) {
+    EXPECT_EQ(t.cells[1].assignments.size(), 1u);
+  }
+}
+
+SharedTable OneValueTable(double v) {
+  CompactTable t({"v"});
+  CompactTuple tup;
+  tup.cells.push_back(Cell::Exact(Num(v)));
+  t.Add(std::move(tup));
+  return std::make_shared<const CompactTable>(std::move(t));
+}
+
+double ValueOf(const CompactTable& t) {
+  const Value& v = t.tuples().at(0).cells.at(0).assignments.at(0).value;
+  return v.AsNumber().value_or(-1);
+}
+
+// ReuseCache aging: an entry stays while an insert or a hit stamped it
+// with the current or the previous generation.
+TEST(ReuseCacheTest, EntrySurvivesOneGenerationUnlessUsed) {
+  ReuseCache cache;
+  cache.Insert(1, OneValueTable(1));
+  cache.Insert(2, OneValueTable(2));
+  cache.NewGeneration();
+  EXPECT_EQ(cache.size(), 2u);  // both survive one new generation
+  ASSERT_NE(cache.Lookup(2), nullptr);  // the hit refreshes entry 2
+  cache.NewGeneration();
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  SharedTable two = cache.Lookup(2);
+  ASSERT_NE(two, nullptr);
+  EXPECT_EQ(ValueOf(*two), 2);
+  cache.NewGeneration();
+  cache.NewGeneration();
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(ReuseCacheTest, DuplicateInsertKeepsTheFirstTableAndRefreshesIt) {
+  ReuseCache cache;
+  const SharedTable first = OneValueTable(7);
+  cache.Insert(7, first);
+  cache.NewGeneration();
+  cache.Insert(7, OneValueTable(7));  // a concurrent simulation's twin
+  cache.NewGeneration();
+  // Stamped by the duplicate insert, the entry outlives the generation
+  // that would have dropped it.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Lookup(7).get(), first.get());
+}
+
+// Run under the asan preset: a table taken before eviction or Clear()
+// must stay readable.
+TEST(ReuseCacheTest, HeldTableOutlivesEvictionAndClear) {
+  ReuseCache cache;
+  cache.Insert(3, OneValueTable(3));
+  const SharedTable evicted = cache.Lookup(3);
+  cache.Insert(4, OneValueTable(4));
+  cache.NewGeneration();
+  cache.Lookup(4);
+  cache.NewGeneration();
+  EXPECT_EQ(cache.Lookup(3), nullptr);
+  const SharedTable cleared = cache.Lookup(4);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  ASSERT_NE(evicted, nullptr);
+  ASSERT_NE(cleared, nullptr);
+  EXPECT_EQ(ValueOf(*evicted), 3);
+  EXPECT_EQ(ValueOf(*cleared), 4);
 }
 
 TEST_F(ExecutorTest, StatsAccumulate) {

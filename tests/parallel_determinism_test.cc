@@ -130,7 +130,7 @@ TEST_F(PaperExampleDeterminismTest, ExecutionIsIdenticalAtAnyThreadCount) {
     for (const auto& [pred, table] : serial.last_idb()) {
       auto it = exec.last_idb().find(pred);
       ASSERT_NE(it, exec.last_idb().end()) << pred;
-      EXPECT_EQ(it->second.ToString(&corpus_), table.ToString(&corpus_))
+      EXPECT_EQ(it->second->ToString(&corpus_), table->ToString(&corpus_))
           << pred << " at " << threads << " threads";
     }
   }
@@ -169,7 +169,7 @@ TEST_F(PaperExampleDeterminismTest, MorselSizeNeverChangesTheResult) {
       for (const auto& [pred, table] : serial.last_idb()) {
         auto it = exec.last_idb().find(pred);
         ASSERT_NE(it, exec.last_idb().end()) << pred;
-        EXPECT_EQ(it->second.ToString(&corpus_), table.ToString(&corpus_))
+        EXPECT_EQ(it->second->ToString(&corpus_), table->ToString(&corpus_))
             << pred << " at " << threads << " threads, morsel_docs "
             << morsel_docs;
       }
@@ -240,8 +240,8 @@ TEST(DblifeDeterminismTest, EveryIdbTableIsIdenticalAtAnyThreadCount) {
     for (const auto& [pred, table] : serial.last_idb()) {
       auto it = exec.last_idb().find(pred);
       ASSERT_NE(it, exec.last_idb().end()) << pred;
-      EXPECT_EQ(it->second.ToString((*task)->corpus.get()),
-                table.ToString((*serial_task)->corpus.get()))
+      EXPECT_EQ(it->second->ToString((*task)->corpus.get()),
+                table->ToString((*serial_task)->corpus.get()))
           << pred << " at " << threads << " threads";
     }
   }
@@ -291,15 +291,15 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
     IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(prog));
     std::string bytes = result.ToString(task->corpus.get());
     std::map<std::string, const CompactTable*> idb;  // sorted by predicate
-    for (const auto& [pred, table] : exec.last_idb()) idb[pred] = &table;
+    for (const auto& [pred, table] : exec.last_idb()) idb[pred] = table.get();
     for (const auto& [pred, table] : idb) {
       bytes += "\n" + pred + ": " + table->ToString(task->corpus.get());
     }
     if (pool == nullptr) {
       // The join must have blocked: fewer pairs scored than an x bn.
-      const size_t cross = exec.last_idb().at("an").size() *
-                           exec.last_idb().at("bn").size();
-      if (exec.last_idb().at("bn").size() <= 32 ||
+      const size_t cross = exec.last_idb().at("an")->size() *
+                           exec.last_idb().at("bn")->size();
+      if (exec.last_idb().at("bn")->size() <= 32 ||
           exec.stats().join_pairs >= cross) {
         return Status::Internal("similarity join did not use its index");
       }

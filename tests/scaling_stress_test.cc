@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -92,12 +93,12 @@ TEST(ScalingStressTest, VerifyMemoUnderContention) {
   }
 }
 
-CompactTable TableFor(uint64_t fp) {
+SharedTable TableFor(uint64_t fp) {
   CompactTable t({"v"});
   CompactTuple tup;
   tup.cells.push_back(Cell::Exact(Value::Number(static_cast<double>(fp))));
   t.Add(std::move(tup));
-  return t;
+  return std::make_shared<const CompactTable>(std::move(t));
 }
 
 // The fingerprint a cached table was built for, read back from its cell.
@@ -108,34 +109,34 @@ double FingerprintOf(const CompactTable& t) {
 
 // 8 threads play concurrent simulation executors over one ReuseCache:
 // look a fingerprint up, build and insert its table on a miss, and keep
-// every pointer Lookup returned. While other threads keep inserting, each
-// thread re-reads all the tables it holds. Afterwards every fingerprint
-// is stored once, and every pointer any thread got for it is the stored
-// copy (a duplicate insert keeps the first).
+// every shared table Lookup returned. While other threads keep inserting,
+// each thread re-reads all the tables it holds. Afterwards every
+// fingerprint is stored once, and every table any thread got for it is
+// the stored one (a duplicate insert keeps the first).
 TEST(ScalingStressTest, ReuseCacheUnderContention) {
   constexpr size_t kFingerprints = 2048;
   constexpr size_t kRounds = 4;
 
   ReuseCache cache;
-  std::vector<std::vector<const CompactTable*>> held(
-      kThreads, std::vector<const CompactTable*>(kFingerprints, nullptr));
+  std::vector<std::vector<SharedTable>> held(
+      kThreads, std::vector<SharedTable>(kFingerprints));
   std::atomic<size_t> ready{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       StartTogether(&ready);
-      std::vector<const CompactTable*>& mine = held[t];
+      std::vector<SharedTable>& mine = held[t];
       for (size_t r = 0; r < kRounds; ++r) {
         for (size_t i = 0; i < kFingerprints; ++i) {
           const uint64_t fp = (t * 31 + r * 17 + i) % kFingerprints;
-          const CompactTable* hit = cache.Lookup(fp);
+          SharedTable hit = cache.Lookup(fp);
           if (hit == nullptr) {
             cache.Insert(fp, TableFor(fp));
             hit = cache.Lookup(fp);
             ASSERT_NE(hit, nullptr) << "fingerprint " << fp;
           }
           if (mine[fp] == nullptr) mine[fp] = hit;
-          EXPECT_EQ(hit, mine[fp]) << "fingerprint " << fp;
+          EXPECT_EQ(hit.get(), mine[fp].get()) << "fingerprint " << fp;
         }
         for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
           if (mine[fp] == nullptr) continue;
@@ -148,11 +149,12 @@ TEST(ScalingStressTest, ReuseCacheUnderContention) {
 
   EXPECT_EQ(cache.size(), kFingerprints);
   for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
-    const CompactTable* t = cache.Lookup(fp);
+    SharedTable t = cache.Lookup(fp);
     ASSERT_NE(t, nullptr) << "fingerprint " << fp;
     EXPECT_EQ(FingerprintOf(*t), static_cast<double>(fp));
     for (size_t th = 0; th < kThreads; ++th) {
-      EXPECT_EQ(held[th][fp], t) << "thread " << th << ", fingerprint " << fp;
+      EXPECT_EQ(held[th][fp].get(), t.get())
+          << "thread " << th << ", fingerprint " << fp;
     }
   }
 }
