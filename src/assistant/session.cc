@@ -40,9 +40,12 @@ Result<SessionResult> RefinementSession::Run() {
   resilience::StopPoller session_stop(options_.exec_options.deadline,
                                       options_.exec_options.cancel);
   obs::Tracer* tracer = obs::TracerOrDefault(options_.exec_options.tracer);
-  obs::MetricRegistry* metrics = options_.exec_options.metrics != nullptr
-                                     ? options_.exec_options.metrics
-                                     : &obs::DefaultMetrics();
+  // Resolved once, so the session's own counters and those of every
+  // Execute it runs, simulations included, land in one registry.
+  if (options_.exec_options.metrics == nullptr) {
+    options_.exec_options.metrics = &obs::DefaultMetrics();
+  }
+  obs::MetricRegistry* metrics = options_.exec_options.metrics;
   obs::TraceSpan run_span(tracer, "session.run");
 
   // Size the subset from the largest extensional table.

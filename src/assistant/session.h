@@ -36,6 +36,9 @@ struct SessionOptions {
   size_t max_subset_docs = 48;
   uint64_t subset_seed = 42;
   int max_iterations = 40;
+  /// Options of every Execute the session runs. A null metrics registry
+  /// means obs::DefaultMetrics() here, resolved once at Run() start, so
+  /// the session's counters and all its Executes' land in one registry.
   ExecOptions exec_options;
   /// Convenience alias for exec_options.pool: a non-null pool here is
   /// copied over it at Run() start, parallelizing every execution and

@@ -273,17 +273,6 @@ Result<std::optional<Question>> SimulationStrategy::Next(
   obs::TraceSpan span(tracer, "strategy.next");
   const FeatureRegistry& registry = ctx.full_catalog->features();
   const Corpus& corpus = ctx.subset_catalog->corpus();
-  // Observability sinks the candidate simulations report back into: each
-  // simulation runs with a private registry / cost model (concurrent
-  // executors must not clobber shared gauges), then folds its numbers
-  // into these parents when it ends — metrics under a "sim." prefix,
-  // attribution rows under a "sim:" scope prefix.
-  obs::MetricRegistry* parent_metrics = ctx.exec_options.metrics != nullptr
-                                            ? ctx.exec_options.metrics
-                                            : &obs::DefaultMetrics();
-  obs::CostModel* parent_cost =
-      obs::CostModelOrDefault(ctx.exec_options.cost_model);
-  const bool profiling = parent_cost->enabled();
   // One cache generation per question selection: tables used by neither
   // this call nor the last are dropped, which bounds the simulations'
   // tables the cache keeps (docs/PERFORMANCE.md, "Copy-free table flow").
@@ -392,8 +381,22 @@ Result<std::optional<Question>> SimulationStrategy::Next(
     bool keep = false;
     double size = 0;
     double pv = 0;
+    ExecStats stats;
   };
   std::vector<SimOutcome> outcomes(sims.size());
+  // The simulations publish nothing themselves: the fold below sums their
+  // stats into the parent registry under "sim.", and their operator rows
+  // reach the parent cost model under "sim:<scope>" after the batch.
+  ExecOptions sim_options = ctx.exec_options;
+  sim_options.metrics = nullptr;
+  obs::CostModel* parent_cost =
+      obs::CostModelOrDefault(ctx.exec_options.cost_model);
+  const bool profiling = parent_cost->enabled();
+  obs::CostModel sim_cost;
+  if (profiling) {
+    sim_cost.set_enabled(true);
+    sim_options.cost_model = &sim_cost;
+  }
   auto simulate = [&](size_t si) {
     const Candidate& c = candidates[sims[si].candidate];
     obs::TraceSpan sim_span(tracer, "strategy.simulate", c.question.feature);
@@ -405,32 +408,10 @@ Result<std::optional<Question>> SimulationStrategy::Next(
     out.pv = current_values;
     bool coverage_ok = true;
     if (st.ok()) {
-      // Each simulation reads its own process_values gauge back; a shared
-      // registry would let concurrent simulations clobber that gauge, so
-      // simulations always get a private one.
-      ExecOptions sim_options = ctx.exec_options;
-      sim_options.metrics = nullptr;
-      obs::CostModel sim_cost;
-      if (profiling) {
-        sim_cost.set_enabled(true);
-        sim_options.cost_model = &sim_cost;
-      }
       Executor exec(*ctx.subset_catalog, sim_options);
       Result<CompactTable> r = exec.Execute(refined, ctx.subset_cache);
       out.ran = true;
-      exec.metrics().MergeInto(parent_metrics, "sim.");
-      if (profiling) {
-        // Every row of the simulated execution reaches the parent under
-        // "sim:<scope>", summed over candidates. Its Execute span joins
-        // the parent's coverage denominator too, so attributed wall stays
-        // a subset of accounted span time.
-        for (const obs::ExplainReport::Row& row : sim_cost.Report().rows) {
-          parent_cost->Charge(obs::CostKey{"sim:" + row.key.scope,
-                                           row.key.op, row.key.iteration},
-                              row.cost);
-        }
-        parent_cost->AddSpan(sim_cost.span_ns());
-      }
+      out.stats = exec.stats();
       if (r.ok()) {
         out.size = ResultSize(*r, corpus);
         out.pv = exec.stats().process_values;
@@ -460,19 +441,37 @@ Result<std::optional<Question>> SimulationStrategy::Next(
     return Status::Internal(std::string("worker exception in simulation: ") +
                             e.what());
   }
+  if (profiling) {
+    // Every row of the simulated executions reaches the parent under
+    // "sim:<scope>", summed over candidates. Their Execute spans join the
+    // parent's coverage denominator too, so attributed wall stays a
+    // subset of accounted span time.
+    for (const obs::ExplainReport::Row& row : sim_cost.Report().rows) {
+      parent_cost->Charge(
+          obs::CostKey{"sim:" + row.key.scope, row.key.op, row.key.iteration},
+          row.cost);
+    }
+    parent_cost->AddSpan(sim_cost.span_ns());
+  }
 
   // Fold, in (attribute, feature, answer) order: `sims` lists each
   // candidate's answers in turn.
   std::optional<Question> best;
   double best_expected = std::numeric_limits<double>::infinity();
   double best_expected_values = std::numeric_limits<double>::infinity();
+  ExecStats sim_stats;
+  bool any_ran = false;
   size_t si = 0;
   for (const Candidate& c : candidates) {
     std::vector<double> sizes;
     std::vector<double> pvalues;
     for (size_t ai = 0; ai < c.answers.size(); ++ai, ++si) {
       const SimOutcome& out = outcomes[si];
-      if (out.ran) ++simulations_run_;
+      if (out.ran) {
+        ++simulations_run_;
+        sim_stats.Add(out.stats);
+        any_ran = true;
+      }
       if (out.keep) {
         sizes.push_back(out.size);
         pvalues.push_back(out.pv);
@@ -508,6 +507,9 @@ Result<std::optional<Question>> SimulationStrategy::Next(
       best_expected_values = expected_values;
       best = c.question;
     }
+  }
+  if (any_ran && ctx.exec_options.metrics != nullptr) {
+    sim_stats.Publish(ctx.exec_options.metrics, "sim.");
   }
   return best;
 }

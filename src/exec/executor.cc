@@ -48,34 +48,16 @@ DocId TupleDocId(const CompactTuple& tuple) {
   return kInvalidDocId;
 }
 
-// Tallies a hot counter locally and adds the total once, on scope exit —
-// one shared read-modify-write per operator instead of one per pair.
-class CounterTally {
- public:
-  explicit CounterTally(obs::Counter* counter) : counter_(counter) {}
-  ~CounterTally() {
-    if (n_ != 0) counter_->Add(n_);
-  }
-  CounterTally(const CounterTally&) = delete;
-  CounterTally& operator=(const CounterTally&) = delete;
-  void Add() { ++n_; }
-
- private:
-  obs::Counter* counter_;
-  uint64_t n_ = 0;
-};
-
 // Prepares cells through the Execute's PreparedCellStore when it has one
 // (the ReuseCache's, kept across Executes), else into caller-owned
 // scratch that lives for one use (docs/PERFORMANCE.md, "Prepared cells").
 // Either way the form is the one PrepareSimCell / PrepareCmpCell returns;
-// the store only decides whether it is kept.
+// the store only decides whether it is kept. Store lookups are counted
+// in `stats`, the owning evaluator's.
 class CellPreparer {
  public:
-  CellPreparer(PreparedCellStore* store, const ExecCounters* counters)
-      : store_(store),
-        hits_(counters->cell_prep_hits),
-        misses_(counters->cell_prep_misses) {}
+  CellPreparer(PreparedCellStore* store, ExecStats* stats)
+      : store_(store), stats_(stats) {}
 
   // True when prepared forms outlive the Execute: callers then need no
   // storage of their own.
@@ -111,15 +93,14 @@ class CellPreparer {
  private:
   void Tally(bool hit) {
     if (hit) {
-      hits_.Add();
+      ++stats_->cell_prep_hits;
     } else {
-      misses_.Add();
+      ++stats_->cell_prep_misses;
     }
   }
 
   PreparedCellStore* store_;
-  CounterTally hits_;
-  CounterTally misses_;
+  ExecStats* stats_;
 };
 
 // One prepared form per tuple of a join table's column, for every probe
@@ -296,26 +277,30 @@ class RuleEvaluator {
  public:
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, SharedTable>* idb,
-                const ExecCounters* stats, obs::Tracer* tracer,
-                resilience::ExecReport* report, JoinSideCache* join_sides,
-                PreparedCellStore* store)
+                obs::Tracer* tracer, resilience::ExecReport* report,
+                JoinSideCache* join_sides, PreparedCellStore* store)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
-        stats_(stats),
         tracer_(tracer),
         report_(report),
         join_sides_(join_sides),
         store_(store),
-        cells_(store, stats),
+        cells_(store, &stats_),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
         event_log_(obs::EventLogOrDefault(options.event_log)),
         stop_(options.deadline, options.cancel) {}
+  // cells_ points at stats_.
+  RuleEvaluator(const RuleEvaluator&) = delete;
+  RuleEvaluator& operator=(const RuleEvaluator&) = delete;
+
+  // What this evaluator and its morsels counted.
+  const ExecStats& stats() const { return stats_; }
 
   Result<CompactTable> Evaluate(const Rule& rule) {
     obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
     scope_ = rule.head.predicate;
-    stats_->rules_evaluated->Add();
+    ++stats_.rules_evaluated;
     binding_ = CompactTable(std::vector<std::string>{});
     binding_.Add(CompactTuple{});
     columns_.clear();
@@ -422,6 +407,7 @@ class RuleEvaluator {
       CompactTable binding;
       std::unordered_map<std::string, size_t> columns;
       resilience::ExecReport report;
+      ExecStats stats;
     };
 
     // Seed join + plan suffix over the seed tuples in [lo, hi).
@@ -431,8 +417,8 @@ class RuleEvaluator {
       if (!out.status.ok()) return out;
       CompactTable slice(table.schema());
       for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
-      RuleEvaluator sub(catalog_, options_, idb_, stats_, tracer_,
-                        &out.report, join_sides_, store_);
+      RuleEvaluator sub(catalog_, options_, idb_, tracer_, &out.report,
+                        join_sides_, store_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
@@ -441,6 +427,7 @@ class RuleEvaluator {
       out.valid = out.status.ok();
       out.binding = std::move(sub.binding_);
       out.columns = std::move(sub.columns_);
+      out.stats = sub.stats_;
       return out;
     };
 
@@ -456,9 +443,11 @@ class RuleEvaluator {
       }
       MorselOut iso;
       iso.status = Status::OK();
+      iso.stats = out.stats;  // the failed attempt's work counts too
       for (size_t j = lo; j < hi; ++j) {
         MorselOut one = eval_range(j, j + 1);
         iso.report.Merge(one.report);
+        iso.stats.Add(one.stats);
         if (one.status.IsStop()) {
           iso.status = one.status;
           break;
@@ -502,12 +491,14 @@ class RuleEvaluator {
       // Unfilled slots mean the pool skipped work on a stop request.
       if (!slot.has_value()) return StopStatus(options_);
     }
-    // Errors and degradation records surface in morsel order, so a
-    // failing program fails on the same morsel regardless of thread count.
+    // Errors, degradation records and counts surface in morsel order, so
+    // a failing program fails on the same morsel regardless of thread
+    // count.
     size_t first = SIZE_MAX;
     for (size_t mi = 0; mi < morsels; ++mi) {
       MorselOut& o = *slots[mi];
       report_->Merge(o.report);
+      stats_.Add(o.stats);
       IFLEX_RETURN_NOT_OK(o.status);
       if (first == SIZE_MAX && o.valid) first = mi;
     }
@@ -614,7 +605,7 @@ class RuleEvaluator {
       CompactTuple merged = std::move(b);
       bool dead = false;
       for (size_t i = 0; i < n; ++i) {
-        stats_->constraint_cells->Add();
+        ++stats_.constraint_cells;
         ++entered[i];
         if (profiling) {
           DocId d = TupleDocId(merged);
@@ -1067,7 +1058,20 @@ class RuleEvaluator {
     CompactTable out(std::move(out_schema));
     std::vector<size_t> candidates;
     PreparedSimCell probe_scratch;
-    CounterTally pairs(stats_->join_pairs);
+    // Pairs are counted in a local and added once, on every exit, so the
+    // pair loop never writes through `this`.
+    size_t pairs = 0;
+    class AddOnExit {
+     public:
+      AddOnExit(const size_t& n, size_t* total) : n_(n), total_(total) {}
+      AddOnExit(const AddOnExit&) = delete;
+      AddOnExit& operator=(const AddOnExit&) = delete;
+      ~AddOnExit() { *total_ += n_; }
+
+     private:
+      const size_t& n_;
+      size_t* total_;
+    } add_pairs(pairs, &stats_.join_pairs);
     for (const CompactTuple& b : binding_.tuples()) {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
@@ -1087,7 +1091,7 @@ class RuleEvaluator {
       for (size_t ci = 0; ci < n_candidates; ++ci) {
         size_t ti = indexed_probe ? candidates[ci] : ci;
         const CompactTuple& t = ttuples[ti];
-        pairs.Add();
+        ++pairs;
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
         bool dead = false;
         bool some = false;
@@ -1412,7 +1416,7 @@ class RuleEvaluator {
         for (size_t i = 0; i < n_inputs; ++i) {
           args.push_back(in_values[i][idx[i]]);
         }
-        stats_->ppred_invocations->Add();
+        ++stats_.ppred_invocations;
         Result<std::vector<std::vector<Value>>> rows = (*fn)(corpus, args);
         if (!rows.ok()) return rows.status();
         for (const auto& row : *rows) {
@@ -1530,7 +1534,7 @@ class RuleEvaluator {
       }
       out.Add(std::move(t));
     }
-    stats_->tuples_emitted->Add(out.size());
+    stats_.tuples_emitted += out.size();
     if (cost.active()) cost.cost()->rows = out.size();
     return out;
   }
@@ -1538,7 +1542,6 @@ class RuleEvaluator {
   const Catalog& catalog_;
   const ExecOptions& options_;
   const std::unordered_map<std::string, SharedTable>* idb_;
-  const ExecCounters* stats_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
   EvalScratch scratch_;
@@ -1547,6 +1550,7 @@ class RuleEvaluator {
   JoinSideCache* join_sides_;
   // The ReuseCache's prepared cells; null when the Execute has no cache.
   PreparedCellStore* store_;
+  ExecStats stats_;
   CellPreparer cells_;
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
@@ -1637,20 +1641,48 @@ uint64_t PredicateFingerprint(
   return fp;
 }
 
+// The counts of ExecStats and their metric names.
+struct StatField {
+  const char* name;
+  size_t ExecStats::*field;
+};
+constexpr StatField kStatFields[] = {
+    {"exec.rules_evaluated", &ExecStats::rules_evaluated},
+    {"exec.tuples_emitted", &ExecStats::tuples_emitted},
+    {"exec.join_pairs", &ExecStats::join_pairs},
+    {"exec.constraint_cells", &ExecStats::constraint_cells},
+    {"exec.ppred_invocations", &ExecStats::ppred_invocations},
+    {"exec.cache_hits", &ExecStats::cache_hits},
+    {"exec.cache_misses", &ExecStats::cache_misses},
+    {"exec.cell_prep_hits", &ExecStats::cell_prep_hits},
+    {"exec.cell_prep_misses", &ExecStats::cell_prep_misses},
+    {"resilience.deadline_exceeded", &ExecStats::deadline_exceeded},
+    {"resilience.cancelled", &ExecStats::cancelled},
+    {"resilience.degraded_runs", &ExecStats::degraded_runs},
+    {"resilience.docs_failed", &ExecStats::docs_failed},
+    {"resilience.inputs_failed", &ExecStats::inputs_failed},
+    {"resilience.rules_skipped", &ExecStats::rules_skipped},
+    {"resilience.truncations", &ExecStats::truncations},
+};
+
 }  // namespace
 
-void ExecCounters::BindTo(obs::MetricRegistry* registry) {
-  rules_evaluated = registry->counter("exec.rules_evaluated");
-  tuples_emitted = registry->counter("exec.tuples_emitted");
-  join_pairs = registry->counter("exec.join_pairs");
-  constraint_cells = registry->counter("exec.constraint_cells");
-  ppred_invocations = registry->counter("exec.ppred_invocations");
-  cache_hits = registry->counter("exec.cache_hits");
-  cache_misses = registry->counter("exec.cache_misses");
-  cell_prep_hits = registry->counter("exec.cell_prep_hits");
-  cell_prep_misses = registry->counter("exec.cell_prep_misses");
-  process_assignments = registry->gauge("exec.process_assignments");
-  process_values = registry->gauge("exec.process_values");
+void ExecStats::Add(const ExecStats& other) {
+  for (const StatField& f : kStatFields) this->*f.field += other.*f.field;
+}
+
+void ExecStats::Publish(obs::MetricRegistry* registry,
+                        std::string_view prefix) const {
+  std::string name(prefix);
+  for (const StatField& f : kStatFields) {
+    const size_t n = this->*f.field;
+    if (n == 0 && std::string_view(f.name).starts_with("resilience.")) {
+      continue;
+    }
+    name.resize(prefix.size());
+    name += f.name;
+    registry->counter(name)->Add(n);
+  }
 }
 
 Executor::Executor(const Catalog& catalog, ExecOptions options)
@@ -1666,42 +1698,7 @@ Executor::Executor(const Catalog& catalog, ExecOptions options)
     owned_verify_memo_ = std::make_unique<VerifyMemo>();
     options_.verify_memo = owned_verify_memo_.get();
   }
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  counters_.BindTo(metrics_);
   report_ = options_.report != nullptr ? options_.report : &owned_report_;
-}
-
-const ExecStats& Executor::stats() const {
-  stats_.rules_evaluated = counters_.rules_evaluated->value();
-  stats_.tuples_emitted = counters_.tuples_emitted->value();
-  stats_.join_pairs = counters_.join_pairs->value();
-  stats_.constraint_cells = counters_.constraint_cells->value();
-  stats_.ppred_invocations = counters_.ppred_invocations->value();
-  stats_.cache_hits = counters_.cache_hits->value();
-  stats_.cache_misses = counters_.cache_misses->value();
-  stats_.process_assignments =
-      static_cast<size_t>(counters_.process_assignments->value());
-  stats_.process_values = counters_.process_values->value();
-  return stats_;
-}
-
-void Executor::ClearStats() {
-  counters_.rules_evaluated->Reset();
-  counters_.tuples_emitted->Reset();
-  counters_.join_pairs->Reset();
-  counters_.constraint_cells->Reset();
-  counters_.ppred_invocations->Reset();
-  counters_.cache_hits->Reset();
-  counters_.cache_misses->Reset();
-  counters_.cell_prep_hits->Reset();
-  counters_.cell_prep_misses->Reset();
-  counters_.process_assignments->Reset();
-  counters_.process_values->Reset();
 }
 
 Result<CompactTable> Executor::Execute(const Program& program) {
@@ -1711,11 +1708,7 @@ Result<CompactTable> Executor::Execute(const Program& program) {
 Result<CompactTable> Executor::Execute(const Program& program,
                                        ReuseCache* cache) {
   report_->Clear();
-  // Reset up front so an execution failing before the GaugeFinalizer is
-  // even constructed (parse/topo-order errors) still reports 0, never the
-  // previous run's stale numbers.
-  counters_.process_assignments->Set(0);
-  counters_.process_values->Set(0);
+  stats_ = ExecStats();
   if (event_log_->ShouldLog(obs::LogLevel::kInfo)) {
     event_log_->Info("exec",
                      StringPrintf("execute begin: query=%s",
@@ -1747,21 +1740,19 @@ Result<CompactTable> Executor::Execute(const Program& program,
   }();
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      metrics_->counter("resilience.deadline_exceeded")->Add();
+      stats_.deadline_exceeded = 1;
     } else if (result.status().code() == StatusCode::kCancelled) {
-      metrics_->counter("resilience.cancelled")->Add();
+      stats_.cancelled = 1;
     }
   }
   if (report_->degraded) {
-    metrics_->counter("resilience.degraded_runs")->Add();
-    metrics_->counter("resilience.docs_failed")
-        ->Add(report_->failed_docs.size());
-    metrics_->counter("resilience.inputs_failed")->Add(report_->failed_inputs);
-    metrics_->counter("resilience.rules_skipped")
-        ->Add(report_->skipped_rules.size());
-    metrics_->counter("resilience.truncations")
-        ->Add(report_->truncations.size());
+    stats_.degraded_runs = 1;
+    stats_.docs_failed = report_->failed_docs.size();
+    stats_.inputs_failed = report_->failed_inputs;
+    stats_.rules_skipped = report_->skipped_rules.size();
+    stats_.truncations = report_->truncations.size();
   }
+  if (options_.metrics != nullptr) stats_.Publish(options_.metrics);
   const uint64_t span_ns = obs::Tracer::NowNs() - span_start_ns;
   if (profiling) {
     cost_model_->AddSpan(span_ns);
@@ -1815,49 +1806,6 @@ Result<CompactTable> Executor::Execute(const Program& program,
   return result;
 }
 
-namespace {
-
-// RAII finalizer for the per-execution process gauges: whatever path
-// ExecuteInternal exits through — success, error, deadline, or an
-// exception unwinding to the Execute wrapper — the gauges reflect exactly
-// the tables in `idb` at that moment, never a previous run's stale values
-// and never a torn half-update.
-class GaugeFinalizer {
- public:
-  GaugeFinalizer(const std::unordered_map<std::string, SharedTable>* idb,
-                 const Corpus* corpus, const ExecCounters* counters)
-      : idb_(idb), corpus_(corpus), counters_(counters) {
-    counters_->process_assignments->Set(0);
-    counters_->process_values->Set(0);
-  }
-
-  ~GaugeFinalizer() { Finalize(); }
-
-  /// Idempotent; the success path calls it explicitly before moving the
-  /// idb map out, the destructor covers every early-exit path.
-  void Finalize() {
-    if (done_) return;
-    done_ = true;
-    size_t assignments = 0;
-    double values = 0;
-    for (const auto& [pred, table] : *idb_) {
-      (void)pred;
-      assignments += table->AssignmentCount();
-      values += table->TotalValueCount(*corpus_);
-    }
-    counters_->process_assignments->Set(assignments);
-    counters_->process_values->Set(values);
-  }
-
- private:
-  const std::unordered_map<std::string, SharedTable>* idb_;
-  const Corpus* corpus_;
-  const ExecCounters* counters_;
-  bool done_ = false;
-};
-
-}  // namespace
-
 Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                                                ReuseCache* cache) {
   obs::TraceSpan exec_span(tracer_, "exec.execute", program.query());
@@ -1882,10 +1830,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
   // by the addresses of the catalog's tables and idb's.
   JoinSideCache join_sides;
   PreparedCellStore* store = cache != nullptr ? &cache->cells() : nullptr;
-  // Gauges finalize on every exit path — success, error, early stop —
-  // from exactly the tables computed so far (satisfies the "no torn
-  // metrics on early exit" contract in docs/ROBUSTNESS.md).
-  GaugeFinalizer gauges(&idb, &catalog_.corpus(), &counters_);
   for (const std::string& pred : order) {
     obs::TraceSpan pred_span(tracer_, "exec.predicate", pred);
     resilience::StopPoller stop(options_.deadline, options_.cancel);
@@ -1894,32 +1838,36 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     if (cache != nullptr) {
       SharedTable hit = cache->Lookup(fp);
       if (hit != nullptr) {
-        counters_.cache_hits->Add();
+        ++stats_.cache_hits;
         idb.emplace(pred, std::move(hit));
         continue;
       }
-      counters_.cache_misses->Add();
+      ++stats_.cache_misses;
     }
     const std::vector<const Rule*>& rules = by_head[pred];
     // Events already in the report before this predicate ran; used below
     // to keep degraded tables out of the reuse cache.
     const size_t report_events_before = report_->EventCount();
     // Rule-per-task fan-out, a plain loop without a pool. Each rule gets
-    // its own report shard; shards and outputs merge in rule order, so the
-    // result and the error returned (the first failure in rule order) do
-    // not depend on the thread count.
+    // its own report and stats shard; shards and outputs merge in rule
+    // order, so the result and the error returned (the first failure in
+    // rule order) do not depend on the thread count.
     std::vector<resilience::ExecReport> reports(rules.size());
+    std::vector<ExecStats> stats(rules.size());
     std::vector<Result<CompactTable>> parts =
         runtime::ParallelMap<Result<CompactTable>>(
             options_.pool, rules.size(), [&](size_t i) {
-              RuleEvaluator eval(catalog_, options_, &idb, &counters_,
-                                 tracer_, &reports[i], &join_sides, store);
-              return eval.Evaluate(*rules[i]);
+              RuleEvaluator eval(catalog_, options_, &idb, tracer_,
+                                 &reports[i], &join_sides, store);
+              Result<CompactTable> part = eval.Evaluate(*rules[i]);
+              stats[i] = eval.stats();
+              return part;
             });
     CompactTable result;
     bool first = true;
     for (size_t i = 0; i < rules.size(); ++i) {
       report_->Merge(reports[i]);
+      stats_.Add(stats[i]);
       Result<CompactTable> part = std::move(parts[i]);
       // Per-rule fault isolation: under best_effort a failing rule is
       // skipped and recorded — its siblings' tuples still answer the
@@ -1957,7 +1905,10 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     if (cache != nullptr && clean) cache->Insert(fp, table);
     idb.emplace(pred, std::move(table));
   }
-  gauges.Finalize();
+  for (const auto& [pred, table] : idb) {
+    stats_.process_assignments += table->AssignmentCount();
+    stats_.process_values += table->TotalValueCount(catalog_.corpus());
+  }
   CompactTable out = *idb.at(query);
   last_idb_ = std::move(idb);
   return out;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "alog/program.h"
@@ -40,10 +41,11 @@ struct ExecOptions {
   /// means the process-wide obs::DefaultTracer() (runtime-off unless the
   /// IFLEX_TRACE env var or --trace-out turned it on).
   obs::Tracer* tracer = nullptr;
-  /// Metric sink; null gives the executor a private registry, so each
-  /// Executor's counters stay independent (what the tests and the
-  /// assistant's per-iteration reads expect). Point several executors at
-  /// one registry to aggregate a whole bench run.
+  /// Metric sink: each Execute adds its ExecStats here once, when it ends
+  /// (docs/OBSERVABILITY.md, "Metrics"); null publishes nowhere. Several
+  /// executors, on any threads, may share one registry to aggregate a
+  /// whole session or bench run; what one Execute did stays readable in
+  /// its own Executor::stats().
   obs::MetricRegistry* metrics = nullptr;
   /// Execution pool; null (the default) runs fully serial. With a pool,
   /// rule bodies seeded by a stored/intensional join are evaluated in
@@ -97,50 +99,51 @@ struct ExecOptions {
   obs::EventLog* event_log = nullptr;
 };
 
-/// Counters exposed for the benches and the multi-iteration optimizer.
-/// Since the obs layer landed this is a *snapshot view* over the
-/// executor's MetricRegistry (metric names "exec.*"); the struct shape is
-/// kept so call sites read fields as before.
+/// What one Execute did. Every rule evaluator, morsel sub-evaluators
+/// included, counts into its own record, and the Execute sums them, so
+/// the totals are exact at any thread count and any morsel size without
+/// a shared write on a per-tuple path. Execute resets the record when it
+/// starts and publishes it once, when it ends, to ExecOptions::metrics as
+/// the "exec.*" and "resilience.*" counters (docs/OBSERVABILITY.md).
 struct ExecStats {
   size_t rules_evaluated = 0;
   size_t tuples_emitted = 0;
   size_t join_pairs = 0;
   size_t constraint_cells = 0;
   size_t ppred_invocations = 0;
+  /// ReuseCache lookups by predicate fingerprint.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  /// Assignments across *all* intensional tables of the last Execute —
-  /// "the number of assignments produced by the extraction process"
+  /// PreparedCellStore lookups; an Execute without a cache counts none.
+  size_t cell_prep_hits = 0;
+  size_t cell_prep_misses = 0;
+  /// 1 when the Execute stopped on its deadline / was cancelled.
+  size_t deadline_exceeded = 0;
+  size_t cancelled = 0;
+  /// 1 when the ExecReport ended degraded, and what it dropped.
+  size_t degraded_runs = 0;
+  size_t docs_failed = 0;
+  size_t inputs_failed = 0;
+  size_t rules_skipped = 0;
+  size_t truncations = 0;
+  /// Assignments across *all* intensional tables of a successful Execute
+  /// — "the number of assignments produced by the extraction process"
   /// (paper §5.1), which the convergence detector monitors. Unlike the
   /// final result's own count, this sees narrowing that projection hides.
-  /// Reset at the *start* of every Execute, so a failed execution reports
-  /// 0 instead of the previous run's stale value.
+  /// A failed Execute reports 0. Not published: a registry sums.
   size_t process_assignments = 0;
   /// Total |V(c)| across all intensional tables (capped): moves whenever
   /// any constraint narrows any cell anywhere in the process.
   double process_values = 0;
 
-  void Clear() { *this = ExecStats(); }
-};
-
-/// Stable metric pointers for the executor's hot-path counters; cached
-/// once per Executor so increments are plain pointer bumps. Internal to
-/// the executor — read the numbers via Executor::stats() or metrics().
-struct ExecCounters {
-  obs::Counter* rules_evaluated = nullptr;
-  obs::Counter* tuples_emitted = nullptr;
-  obs::Counter* join_pairs = nullptr;
-  obs::Counter* constraint_cells = nullptr;
-  obs::Counter* ppred_invocations = nullptr;
-  obs::Counter* cache_hits = nullptr;
-  obs::Counter* cache_misses = nullptr;
-  obs::Counter* cell_prep_hits = nullptr;
-  obs::Counter* cell_prep_misses = nullptr;
-  // Gauges: they hold the last Execute's value.
-  obs::Gauge* process_assignments = nullptr;
-  obs::Gauge* process_values = nullptr;
-
-  void BindTo(obs::MetricRegistry* registry);
+  /// Adds the counts of `other`; the process sizes, which only Execute
+  /// sets, are left as they are.
+  void Add(const ExecStats& other);
+  /// Adds the counts to `registry` under `<prefix>exec.*` and
+  /// `<prefix>resilience.*`. Every "exec." counter is created; a
+  /// "resilience." counter only once its count is non-zero.
+  void Publish(obs::MetricRegistry* registry,
+               std::string_view prefix = "") const;
 };
 
 /// A predicate's computed table. It is never mutated once built, so the
@@ -248,13 +251,8 @@ class Executor {
   /// Same, reusing/filling `cache` across iterations (paper §5.2).
   Result<CompactTable> Execute(const Program& program, ReuseCache* cache);
 
-  /// Snapshot of the "exec.*" metrics in the legacy struct shape.
-  const ExecStats& stats() const;
-  void ClearStats();
-
-  /// The executor's metric registry (private unless ExecOptions pointed
-  /// it at a shared one).
-  obs::MetricRegistry& metrics() const { return *metrics_; }
+  /// What the last Execute did.
+  const ExecStats& stats() const { return stats_; }
 
   /// Tables of every intensional predicate computed by the last Execute
   /// (the assistant inspects intermediate extraction coverage), shared
@@ -278,10 +276,7 @@ class Executor {
   obs::CostModel* cost_model_;
   obs::EventLog* event_log_;
   std::unique_ptr<VerifyMemo> owned_verify_memo_;
-  std::unique_ptr<obs::MetricRegistry> owned_metrics_;
-  obs::MetricRegistry* metrics_;
-  ExecCounters counters_;
-  mutable ExecStats stats_;
+  ExecStats stats_;
   std::unordered_map<std::string, SharedTable> last_idb_;
   resilience::ExecReport owned_report_;
   resilience::ExecReport* report_ = nullptr;

@@ -16,10 +16,10 @@ namespace obs {
 
 class JsonWriter;
 
-/// Monotonic (until Reset) event counter. Hot-path updates are relaxed
-/// atomics: several executors running on pool threads routinely share one
-/// registry (docs/OBSERVABILITY.md recommends exactly that for benches),
-/// so plain stores would be a data race. Relaxed ordering is enough — the
+/// Monotonic (until Reset) event counter. Updates are relaxed atomics:
+/// executors on pool threads routinely publish into one registry
+/// (docs/OBSERVABILITY.md recommends exactly that for benches), so plain
+/// stores would be a data race. Relaxed ordering is enough — the
 /// totals are read after a join, never used for synchronization.
 class Counter {
  public:
@@ -32,8 +32,8 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-value-wins instantaneous measurement (result sizes, process-wide
-/// assignment counts, fractions). Atomic for the same reason as Counter.
+/// Last-value-wins instantaneous measurement (result sizes, open
+/// sessions, fractions). Atomic for the same reason as Counter.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -181,10 +181,9 @@ class MetricRegistry {
   /// Folds counters and histograms into `dst` under `<prefix><name>`:
   /// counters add their values, histograms fold count/sum/min/max and
   /// samples. Gauges hold one registry's last value, which no sum of
-  /// registries means, so they are not merged. Used to surface
-  /// simulation-private registries in the parent as "sim.*" after a
-  /// simulation ends. Safe for concurrent callers on `dst`; a no-op when
-  /// dst == this.
+  /// registries means, so they are not merged. bench_serve folds each
+  /// server's registry into the process default with it. Safe for
+  /// concurrent callers on `dst`; a no-op when dst == this.
   void MergeInto(MetricRegistry* dst, std::string_view prefix) const;
 
  private:

@@ -518,10 +518,15 @@ TEST_F(ExecutorTest, StatsAccumulate) {
   prog->set_query("q");
   Executor exec(*catalog_);
   ASSERT_TRUE(exec.Execute(*prog).ok());
-  EXPECT_GT(exec.stats().rules_evaluated, 0u);
-  EXPECT_GT(exec.stats().constraint_cells, 0u);
-  exec.ClearStats();
-  EXPECT_EQ(exec.stats().rules_evaluated, 0u);
+  const ExecStats first = exec.stats();
+  EXPECT_GT(first.rules_evaluated, 0u);
+  EXPECT_GT(first.constraint_cells, 0u);
+  // stats() describes the last Execute only: a second run of the same
+  // program reports the same counts, not twice them.
+  ASSERT_TRUE(exec.Execute(*prog).ok());
+  EXPECT_EQ(exec.stats().rules_evaluated, first.rules_evaluated);
+  EXPECT_EQ(exec.stats().constraint_cells, first.constraint_cells);
+  EXPECT_EQ(exec.stats().tuples_emitted, first.tuples_emitted);
 }
 
 TEST_F(ExecutorTest, RecursionRejected) {
@@ -638,9 +643,8 @@ TEST(PreparedCellStoreJoinTest, SameTableWithAndWithoutStore) {
     Executor exec(catalog);
     Result<CompactTable> out = exec.Execute(*prog, cache);
     EXPECT_TRUE(out.ok()) << out.status();
-    return std::make_pair(
-        out.ok() ? out->ToString(&corpus) : "",
-        exec.metrics().counter("exec.cell_prep_hits")->value());
+    return std::make_pair(out.ok() ? out->ToString(&corpus) : "",
+                          exec.stats().cell_prep_hits);
   };
   const std::string fresh = run("q", nullptr).first;
   ReuseCache cache;
@@ -669,7 +673,7 @@ TEST_F(CounterTest, CountersAliasTheMetricRegistry) {
   options.metrics = &registry;
   Executor exec(*catalog_, options);
   ASSERT_TRUE(exec.Execute(*prog).ok());
-  // ExecStats is a view over the named metrics in the caller's registry.
+  // Execute publishes its ExecStats to the caller's registry.
   EXPECT_EQ(registry.counter("exec.join_pairs")->value(),
             exec.stats().join_pairs);
   EXPECT_EQ(registry.counter("exec.tuples_emitted")->value(), 2u);
@@ -751,11 +755,29 @@ TEST_F(ExecutorTest, FailedExecutionReportsZeroProcessSize) {
   EXPECT_GT(exec.stats().process_assignments, 0u);
 
   // A failing execution must not leave the previous run's process size
-  // behind: the gauges reset at Execute start.
+  // behind: the stats reset at Execute start.
   auto bad_prog = ParseProgram("nope(x) :- pages(x).", *catalog_);
   ASSERT_TRUE(bad_prog.ok());
   bad_prog->set_query("q");  // no rule defines q here
   EXPECT_FALSE(exec.Execute(*bad_prog).ok());
+  EXPECT_EQ(exec.stats().process_assignments, 0u);
+  EXPECT_DOUBLE_EQ(exec.stats().process_values, 0.0);
+
+  // Nor the size of the predicates it finished before failing: p is
+  // computed, then q's from() fails because y is already bound.
+  auto late_prog = ParseProgram(R"(
+    p(x, y) :- pages(x), from(x, y).
+    q(x, y) :- p(x, y), from(x, y).
+  )",
+                                *catalog_);
+  ASSERT_TRUE(late_prog.ok()) << late_prog.status();
+  late_prog->set_query("q");
+  Result<CompactTable> late = exec.Execute(*late_prog);
+  ASSERT_FALSE(late.ok());
+  EXPECT_NE(late.status().message().find("from() output already bound"),
+            std::string::npos)
+      << late.status();
+  EXPECT_GT(exec.stats().rules_evaluated, 1u);  // p ran, then q failed
   EXPECT_EQ(exec.stats().process_assignments, 0u);
   EXPECT_DOUBLE_EQ(exec.stats().process_values, 0.0);
 }

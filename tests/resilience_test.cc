@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "resilience/deadline.h"
 #include "resilience/failpoint.h"
 #include "resilience/report.h"
@@ -272,14 +273,15 @@ class ResilientExecTest : public ::testing::Test {
 TEST_F(ResilientExecTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   auto prog = Parse();
   ASSERT_TRUE(prog.ok());
+  obs::MetricRegistry registry;
   ExecOptions options;
   options.deadline = Deadline::AfterMillis(-1);
+  options.metrics = &registry;
   Executor exec(*catalog_, options);
   auto result = exec.Execute(*prog);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(exec.metrics().counter("resilience.deadline_exceeded")->value(),
-            1u);
+  EXPECT_EQ(registry.counter("resilience.deadline_exceeded")->value(), 1u);
 }
 
 TEST_F(ResilientExecTest, CancelledTokenReturnsCancelled) {
@@ -288,13 +290,15 @@ TEST_F(ResilientExecTest, CancelledTokenReturnsCancelled) {
   CancellationSource src;
   src.Cancel();
   CancellationToken token = src.token();
+  obs::MetricRegistry registry;
   ExecOptions options;
   options.cancel = &token;
+  options.metrics = &registry;
   Executor exec(*catalog_, options);
   auto result = exec.Execute(*prog);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(exec.metrics().counter("resilience.cancelled")->value(), 1u);
+  EXPECT_EQ(registry.counter("resilience.cancelled")->value(), 1u);
 }
 
 TEST_F(ResilientExecTest, ArmedButUntriggeredBoundsChangeNothing) {
@@ -335,10 +339,12 @@ TEST_F(ResilientExecTest, BestEffortTruncatesAndReports) {
   auto prog = Parse();
   ASSERT_TRUE(prog.ok());
   ExecReport report;
+  obs::MetricRegistry registry;
   ExecOptions options;
   options.max_table_tuples = 1;
   options.best_effort = true;
   options.report = &report;
+  options.metrics = &registry;
   Executor exec(*catalog_, options);
   auto result = exec.Execute(*prog);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -348,8 +354,8 @@ TEST_F(ResilientExecTest, BestEffortTruncatesAndReports) {
   EXPECT_NE(report.truncations[0].find("truncated"), std::string::npos);
   // Executor::report() aliases the caller-supplied sink.
   EXPECT_EQ(&exec.report(), &report);
-  EXPECT_GE(exec.metrics().counter("resilience.degraded_runs")->value(), 1u);
-  EXPECT_GE(exec.metrics().counter("resilience.truncations")->value(), 1u);
+  EXPECT_GE(registry.counter("resilience.degraded_runs")->value(), 1u);
+  EXPECT_GE(registry.counter("resilience.truncations")->value(), 1u);
 }
 
 TEST_F(ResilientExecTest, DegradedTablesNeverEnterTheReuseCache) {

@@ -1,10 +1,12 @@
 // Contention stress for the session-shared caches (docs/RUNTIME.md):
 // 8 OS threads call VerifyMemo, ReuseCache and the ReuseCache's
 // PreparedCellStore directly, the way morsels and concurrent simulation
-// executors do. Runs under the `scaling` ctest label and the tsan-scaling
-// preset — the invariants checked here (one entry per key, first insert
-// wins, exact lookup accounting, stable table and entry pointers) must
-// hold under every interleaving, and TSan must see no races.
+// executors do, and two threads run Executes that publish into one
+// metric registry. Runs under the `scaling` ctest label and the
+// tsan-scaling preset — the invariants checked here (one entry per key,
+// first insert wins, exact lookup accounting, stable table and entry
+// pointers, per-Execute stats) must hold under every interleaving, and
+// TSan must see no races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "alog/catalog.h"
+#include "alog/program.h"
 #include "ctable/compact_table.h"
 #include "exec/cell_store.h"
 #include "exec/executor.h"
 #include "exec/verify_memo.h"
+#include "obs/metrics.h"
 #include "text/markup_parser.h"
 
 namespace iflex {
@@ -40,11 +45,11 @@ int8_t VerdictOf(size_t i) {
   return static_cast<int8_t>(static_cast<int>(i % 3) - 1);
 }
 
-// Holds each thread until all kThreads have started, so their cache
+// Holds each thread until all `threads` have started, so their cache
 // writes overlap instead of running one thread after another.
-void StartTogether(std::atomic<size_t>* ready) {
+void StartTogether(std::atomic<size_t>* ready, size_t threads = kThreads) {
   ready->fetch_add(1);
-  while (ready->load() < kThreads) std::this_thread::yield();
+  while (ready->load() < threads) std::this_thread::yield();
 }
 
 // 8 threads look up every key (each from its own starting offset, so
@@ -241,6 +246,70 @@ TEST(ScalingStressTest, PreparedCellStoreUnderContention) {
       EXPECT_EQ(cmps[t][i], cmp) << "thread " << t << ", cell " << i;
     }
   }
+}
+
+// Two threads, started together, each Execute their own program a few
+// hundred times, every Execute publishing into one shared registry (the
+// set-up ExecOptions::metrics invites). Each Execute's stats() must still
+// describe that Execute alone — the process size of a solo run of its
+// program — and the registry must hold exactly the sum of what the
+// Executes reported.
+TEST(ScalingStressTest, ExecutesSharingARegistryReadTheirOwnStats) {
+  constexpr size_t kRuns = 300;
+  Corpus corpus;
+  Catalog catalog(&corpus);
+  CompactTable pages({"x"});
+  for (const char* text : {"Price: <b>$250,000</b> Sqft: 2000",
+                           "Price: <b>$619,000</b> Sqft: 4700"}) {
+    auto doc = ParseMarkup("page", text);
+    ASSERT_TRUE(doc.ok());
+    CompactTuple t;
+    t.cells.push_back(
+        Cell::Exact(Value::Doc(corpus.Add(std::move(doc).value()))));
+    pages.Add(std::move(t));
+  }
+  ASSERT_TRUE(catalog.AddTable("pages", std::move(pages)).ok());
+  catalog.RegisterBuiltinFunctions();
+
+  std::vector<Program> programs;
+  std::vector<size_t> solo;  // each program's process size, run alone
+  for (const char* src :
+       {"q(x, y) :- pages(x), from(x, y).", "q(x) :- pages(x)."}) {
+    auto prog = ParseProgram(src, catalog);
+    ASSERT_TRUE(prog.ok()) << prog.status();
+    prog->set_query("q");
+    Executor exec(catalog);
+    ASSERT_TRUE(exec.Execute(*prog).ok());
+    solo.push_back(exec.stats().process_assignments);
+    programs.push_back(std::move(prog).value());
+  }
+  ASSERT_NE(solo[0], solo[1]);  // else a mix-up would go unseen
+
+  obs::MetricRegistry registry;
+  std::vector<size_t> wrong(programs.size(), 0);
+  std::vector<uint64_t> rules(programs.size(), 0);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < programs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      StartTogether(&ready, programs.size());
+      ExecOptions options;
+      options.metrics = &registry;
+      Executor exec(catalog, options);
+      for (size_t i = 0; i < kRuns; ++i) {
+        const bool ok = exec.Execute(programs[t]).ok();
+        if (!ok || exec.stats().process_assignments != solo[t]) ++wrong[t];
+        rules[t] += exec.stats().rules_evaluated;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (size_t t = 0; t < programs.size(); ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "program " << t;
+  }
+  EXPECT_EQ(registry.counter("exec.rules_evaluated")->value(),
+            rules[0] + rules[1]);
 }
 
 }  // namespace

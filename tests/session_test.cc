@@ -194,5 +194,38 @@ TEST(SessionMetricsTest, CountersAddUpAcrossSessions) {
   }
 }
 
+// A session given no registry resolves it to DefaultMetrics() once, so
+// its own subset, probe, base and full-data Executes ("exec.*") land
+// there next to its simulations ("sim.exec.*"): the deltas equal the
+// counts the same session leaves in a registry of its own.
+TEST(SessionMetricsTest, DefaultSessionCountsLandInOneRegistry) {
+  auto run = [](obs::MetricRegistry* registry) -> Status {
+    IFLEX_ASSIGN_OR_RETURN(std::unique_ptr<TaskInstance> task,
+                           MakeTask("T2", 30));
+    SessionOptions options;
+    options.strategy = StrategyKind::kSimulation;
+    options.exec_options.metrics = registry;
+    RefinementSession session(*task->catalog, task->initial_program,
+                              task->developer.get(), options);
+    return session.Run().status();
+  };
+  obs::MetricRegistry own;
+  ASSERT_TRUE(run(&own).ok());
+  const uint64_t exec_rules = own.counter("exec.rules_evaluated")->value();
+  const uint64_t sim_rules = own.counter("sim.exec.rules_evaluated")->value();
+  ASSERT_GT(exec_rules, 0u);
+  ASSERT_GT(sim_rules, 0u);
+
+  obs::MetricRegistry& global = obs::DefaultMetrics();
+  const uint64_t exec_before = global.counter("exec.rules_evaluated")->value();
+  const uint64_t sim_before =
+      global.counter("sim.exec.rules_evaluated")->value();
+  ASSERT_TRUE(run(nullptr).ok());
+  EXPECT_EQ(global.counter("exec.rules_evaluated")->value() - exec_before,
+            exec_rules);
+  EXPECT_EQ(global.counter("sim.exec.rules_evaluated")->value() - sim_before,
+            sim_rules);
+}
+
 }  // namespace
 }  // namespace iflex
