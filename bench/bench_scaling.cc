@@ -7,10 +7,10 @@
 // check_regression.py can refuse cross-host speedup comparisons; the
 // 8-thread rows author a speedup_floor that the gate enforces only on
 // hosts with >= 8 cores (loudly skipped elsewhere). The 1-thread-pool
-// run also yields morsel_overhead_x — the price of morsel dispatch over
-// the pool-less serial pipeline — which is host-independent and gated
-// everywhere. Exits nonzero if any parallel result differs byte-for-byte
-// from the serial one.
+// run also yields morsel_overhead_x — the price of dispatching morsels
+// through a pool over running the same morsels inline without one —
+// which is host-independent and gated everywhere. Exits nonzero if any
+// parallel result differs byte-for-byte from the serial one.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -37,8 +37,8 @@ struct RunOutcome {
   std::string result;  // canonical text of the answer, for identity checks
 };
 
-// One executor run; `threads` == 0 means no pool (the pool-less serial
-// pipeline, the identity reference).
+// One executor run; `threads` == 0 means no pool (the morsels run inline:
+// the serial identity reference).
 RunOutcome RunOnce(const Catalog& catalog, const Corpus& corpus,
                    const Program& prog, size_t threads, size_t morsel_docs) {
   RunOutcome out;
@@ -159,11 +159,11 @@ bool RunScenario(BenchReporter* reporter, const std::string& scenario,
     if (threads == 8) row.push_back(R::N("speedup_floor", kSpeedupFloor8t));
     reporter->Row(std::move(row));
     if (threads == 1) {
-      // Pure dispatch overhead of the morsel path: same serial hardware
-      // budget, but work flows through morsel carving, slice copies and
-      // one sub-evaluator per morsel. Host-independent (a ratio of two runs
-      // in this process), so this row carries no hardware_cores and the
-      // gate checks it on every machine.
+      // Pure pool dispatch overhead: both runs carve the same morsels and
+      // build one sub-evaluator per morsel, on one thread; only here do
+      // the morsels go through the pool. Host-independent (a ratio of two
+      // runs in this process), so this row carries no hardware_cores and
+      // the gate checks it on every machine.
       double overhead =
           serial.seconds > 0 ? run.seconds / serial.seconds : 0;
       std::printf("%-12s morsel overhead at 1 thread: %.2fx\n",

@@ -29,23 +29,27 @@ double RefinementSession::AutoSubsetFraction(size_t n) {
 Result<SessionResult> RefinementSession::Run() {
   SessionResult out;
   Stopwatch total;
-  if (options_.pool != nullptr) options_.exec_options.pool = options_.pool;
+  // The options of every Execute this call runs, resolved here and never
+  // written back: options_ stays as the caller gave it, so another Run()
+  // resolves them afresh instead of inheriting this call's verify memo.
+  ExecOptions exec_options = options_.exec_options;
+  if (options_.pool != nullptr) exec_options.pool = options_.pool;
   // Session-level bounds flow down into every Execute (hierarchical: the
   // tighter of the session's and the caller's own exec deadline wins).
-  options_.exec_options.deadline = resilience::Deadline::Sooner(
-      options_.exec_options.deadline, options_.deadline);
-  if (options_.exec_options.cancel == nullptr) {
-    options_.exec_options.cancel = options_.cancel;
+  exec_options.deadline = resilience::Deadline::Sooner(
+      exec_options.deadline, options_.deadline);
+  if (exec_options.cancel == nullptr) {
+    exec_options.cancel = options_.cancel;
   }
-  resilience::StopPoller session_stop(options_.exec_options.deadline,
-                                      options_.exec_options.cancel);
-  obs::Tracer* tracer = obs::TracerOrDefault(options_.exec_options.tracer);
+  resilience::StopPoller session_stop(exec_options.deadline,
+                                      exec_options.cancel);
+  obs::Tracer* tracer = obs::TracerOrDefault(exec_options.tracer);
   // Resolved once, so the session's own counters and those of every
   // Execute it runs, simulations included, land in one registry.
-  if (options_.exec_options.metrics == nullptr) {
-    options_.exec_options.metrics = &obs::DefaultMetrics();
+  if (exec_options.metrics == nullptr) {
+    exec_options.metrics = &obs::DefaultMetrics();
   }
-  obs::MetricRegistry* metrics = options_.exec_options.metrics;
+  obs::MetricRegistry* metrics = exec_options.metrics;
   obs::TraceSpan run_span(tracer, "session.run");
 
   // Size the subset from the largest extensional table.
@@ -72,8 +76,8 @@ Result<SessionResult> RefinementSession::Run() {
   // it needs no Clear on subset growth: verdicts are corpus-level facts,
   // not subset-dependent tables).
   VerifyMemo verify_memo;
-  if (options_.exec_options.verify_memo == nullptr) {
-    options_.exec_options.verify_memo = &verify_memo;
+  if (exec_options.verify_memo == nullptr) {
+    exec_options.verify_memo = &verify_memo;
   }
 
   // Grows the subset when it stops carrying signal (zero-result subsets
@@ -119,7 +123,7 @@ Result<SessionResult> RefinementSession::Run() {
   ctx.subset_catalog = &subset;
   ctx.subset_cache = &subset_cache;
   ctx.asked = &asked;
-  ctx.exec_options = options_.exec_options;
+  ctx.exec_options = exec_options;
   ctx.alpha = options_.alpha;
 
   bool space_exhausted = false;
@@ -134,7 +138,7 @@ Result<SessionResult> RefinementSession::Run() {
     metrics->counter("session.iterations")->Add();
     // Stamp this iteration into every CostKey its Executes charge — the
     // subset evaluation here and the candidate simulations below.
-    options_.exec_options.cost_iteration = iter;
+    exec_options.cost_iteration = iter;
     ctx.exec_options.cost_iteration = iter;
 
     // Execute the current program on the subset; grow the subset while it
@@ -145,7 +149,7 @@ Result<SessionResult> RefinementSession::Run() {
     {
       obs::TraceSpan subset_span(tracer, "session.subset_eval");
       while (true) {
-        Executor exec(subset, options_.exec_options);
+        Executor exec(subset, exec_options);
         IFLEX_ASSIGN_OR_RETURN(result, exec.Execute(program_, &subset_cache));
         out.report.Merge(exec.report());
         process_assignments = exec.stats().process_assignments;
@@ -217,8 +221,8 @@ Result<SessionResult> RefinementSession::Run() {
     IterationRecord rec;
     rec.iteration = static_cast<int>(out.iterations.size()) + 1;
     Stopwatch iter_watch;
-    options_.exec_options.cost_iteration = rec.iteration;
-    Executor exec(catalog_, options_.exec_options);
+    exec_options.cost_iteration = rec.iteration;
+    Executor exec(catalog_, exec_options);
     IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(program_));
     out.report.Merge(exec.report());
     rec.result_tuples = ResultSize(result, catalog_.corpus());

@@ -36,9 +36,11 @@ struct SessionOptions {
   size_t max_subset_docs = 48;
   uint64_t subset_seed = 42;
   int max_iterations = 40;
-  /// Options of every Execute the session runs. A null metrics registry
-  /// means obs::DefaultMetrics() here, resolved once at Run() start, so
-  /// the session's counters and all its Executes' land in one registry.
+  /// Options of every Execute the session runs. Each Run() resolves them
+  /// on its own copy and never writes them back: a null metrics registry
+  /// means obs::DefaultMetrics(), so the session's counters and all its
+  /// Executes' land in one registry, and a null verify memo means one
+  /// that lives for that Run().
   ExecOptions exec_options;
   /// Convenience alias for exec_options.pool: a non-null pool here is
   /// copied over it at Run() start, parallelizing every execution and

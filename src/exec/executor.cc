@@ -310,8 +310,9 @@ class RuleEvaluator {
     // (docs/PERFORMANCE.md, "Rule compilation").
     IFLEX_ASSIGN_OR_RETURN(const CompiledRule plan,
                            CompileRule(catalog_, rule));
-    IFLEX_ASSIGN_OR_RETURN(bool sharded, TryMorsels(rule, plan));
-    if (!sharded) {
+    if (plan.seed_join) {
+      IFLEX_RETURN_NOT_OK(RunMorsels(rule, plan));
+    } else {
       IFLEX_RETURN_NOT_OK(RunPlan(plan, 0));
     }
 
@@ -360,43 +361,26 @@ class RuleEvaluator {
     return Status::OK();
   }
 
-  // Morsel-driven body evaluation (docs/RUNTIME.md). Engages when a pool
-  // exists — even a 1-thread pool, so the morsel path's overhead vs the
-  // pool-less serial run is directly measurable (bench_scaling's
-  // morsel_overhead_x row) and a 1-thread pool exercises the exact code
-  // path production runs at N threads — and the plan starts with a seed
-  // join over a stored/intensional table of 2+ tuples followed by at least
-  // one more op. Returns false when the body is not morsel-able, and the
-  // serial plan runs.
-  Result<bool> TryMorsels(const Rule& rule, const CompiledRule& plan) {
-    if (options_.pool == nullptr) return false;
-    if (plan.ops.size() < 2 || !plan.seed_join) return false;
+  // The morsel loop (docs/RUNTIME.md), which runs every body that starts
+  // with a seed join: carves the seed table into fixed-size morsels
+  // (ExecOptions::morsel_docs seed tuples each; an empty table is one
+  // empty morsel) that the pool's participants pull one at a time from
+  // the shared batch cursor, so a straggler morsel delays only itself; a
+  // null pool runs them inline, in order. Each morsel runs "seed join +
+  // the plan's remaining ops" over its tuple range in its own
+  // sub-evaluator, and the bindings are concatenated in morsel order.
+  // Every later operator is per-tuple and the plan is shared, so the
+  // concatenation equals one pass over the whole table tuple for tuple;
+  // Project and ψ then run once on the merged table, because cross-tuple
+  // deduplication must see all tuples. Morsel boundaries depend only on
+  // table size and morsel_docs, so the result is bit-identical at any
+  // thread count and without a pool.
+  Status RunMorsels(const Rule& rule, const CompiledRule& plan) {
     IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
                            ResolveJoinTable(plan.ops.front().atom.predicate));
-    if (table->size() < 2) return false;
-    IFLEX_RETURN_NOT_OK(RunMorsels(rule, plan, *table));
-    return true;
-  }
-
-  // The morsel loop proper: carves the seed `table` into small fixed-size
-  // morsels (ExecOptions::morsel_docs seed tuples each) and lets TaskPool
-  // participants pull them one at a time from the shared batch cursor: a
-  // straggler morsel (huge document, irregular cells) delays only itself,
-  // never a coarse shard's worth of siblings. Each morsel runs "seed join +
-  // the plan's remaining ops" in its own sub-evaluator, and the morsel
-  // bindings are concatenated in morsel order. Every later operator is
-  // per-tuple and the plan is shared, so the concatenation equals the
-  // serial binding table tuple for tuple; Project and ψ then run once on
-  // the merged table, because cross-tuple deduplication must see all
-  // tuples. Morsel boundaries depend only on table size and morsel_docs —
-  // never on timing or thread count — so any thread count and any morsel
-  // size produce a bit-identical result.
-  Status RunMorsels(const Rule& rule, const CompiledRule& plan,
-                    const CompactTable& table) {
-    runtime::TaskPool* pool = options_.pool;
-    size_t n = table.size();
+    const size_t n = table->size();
     const size_t morsel_docs = std::max<size_t>(1, options_.morsel_docs);
-    const size_t morsels = (n + morsel_docs - 1) / morsel_docs;
+    const size_t morsels = n == 0 ? 1 : (n + morsel_docs - 1) / morsel_docs;
     obs::TraceSpan span(tracer_, "exec.morsel_body", rule.head.predicate);
 
     struct MorselOut {
@@ -404,6 +388,8 @@ class RuleEvaluator {
       // False when fault isolation salvaged nothing from the range, so
       // the columns/binding below carry no schema to merge from.
       bool valid = false;
+      // The first dropped seed tuple's own error, under isolation.
+      Status seed_error = Status::OK();
       CompactTable binding;
       std::unordered_map<std::string, size_t> columns;
       resilience::ExecReport report;
@@ -415,14 +401,12 @@ class RuleEvaluator {
       MorselOut out;
       out.status = resilience::FailPointStatus("exec.shard");
       if (!out.status.ok()) return out;
-      CompactTable slice(table.schema());
-      for (size_t j = lo; j < hi; ++j) slice.Add(table.tuples()[j]);
       RuleEvaluator sub(catalog_, options_, idb_, tracer_, &out.report,
                         join_sides_, store_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
-      out.status = sub.JoinAtom(plan.ops.front(), slice);
+      out.status = sub.JoinAtom(plan.ops.front(), *table, lo, hi);
       if (out.status.ok()) out.status = sub.RunPlan(plan, 1);
       out.valid = out.status.ok();
       out.binding = std::move(sub.binding_);
@@ -453,7 +437,8 @@ class RuleEvaluator {
           break;
         }
         if (!one.status.ok()) {
-          DocId doc = TupleDocId(table.tuples()[j]);
+          if (iso.seed_error.ok()) iso.seed_error = one.status;
+          DocId doc = TupleDocId(table->tuples()[j]);
           if (doc != kInvalidDocId) {
             iso.report.AddFailedDoc(doc);
           } else {
@@ -481,8 +466,9 @@ class RuleEvaluator {
       // cursor — the chunking that balances skew already happened when
       // the table was carved into morsels.
       runtime::ParallelFor(
-          pool, morsels, [&](size_t mi) { slots[mi].emplace(eval_morsel(mi)); },
-          stop, /*grain=*/1);
+          options_.pool, morsels,
+          [&](size_t mi) { slots[mi].emplace(eval_morsel(mi)); }, stop,
+          /*grain=*/1);
     } catch (const std::exception& e) {
       return Status::Internal(
           std::string("worker exception in morsel evaluation: ") + e.what());
@@ -495,22 +481,29 @@ class RuleEvaluator {
     // a failing program fails on the same morsel regardless of thread
     // count.
     size_t first = SIZE_MAX;
+    size_t total = 0;
+    Status seed_error = Status::OK();
     for (size_t mi = 0; mi < morsels; ++mi) {
       MorselOut& o = *slots[mi];
       report_->Merge(o.report);
       stats_.Add(o.stats);
       IFLEX_RETURN_NOT_OK(o.status);
       if (first == SIZE_MAX && o.valid) first = mi;
+      if (seed_error.ok()) seed_error = o.seed_error;
+      total += o.binding.size();
     }
     if (first == SIZE_MAX) {
       // Best-effort isolation salvaged no seed tuple at all; the rule has
-      // no surviving binding to project. Report it as a rule-level error
-      // (the caller's per-rule isolation records it).
+      // no surviving binding to project. It fails with the first dropped
+      // seed tuple's own error, which the caller's per-rule isolation
+      // records; only an empty seed table has no tuple to blame.
+      if (!seed_error.ok()) return seed_error;
       return Status::ExecutionError("no seed document survived in rule " +
                                     rule.ToString());
     }
     columns_ = std::move(slots[first]->columns);
     binding_ = std::move(slots[first]->binding);
+    binding_.tuples().reserve(total);
     for (size_t mi = first + 1; mi < morsels; ++mi) {
       for (CompactTuple& t : slots[mi]->binding.tuples()) {
         binding_.Add(std::move(t));
@@ -538,7 +531,7 @@ class RuleEvaluator {
           obs::TraceSpan span(tracer_, "exec.join", op.atom.predicate);
           IFLEX_ASSIGN_OR_RETURN(const CompactTable* t,
                                  ResolveJoinTable(op.atom.predicate));
-          IFLEX_RETURN_NOT_OK(JoinAtom(op, *t));
+          IFLEX_RETURN_NOT_OK(JoinAtom(op, *t, 0, t->size()));
           break;
         }
         case CompiledOp::Kind::kFrom: {
@@ -885,11 +878,13 @@ class RuleEvaluator {
     return all ? SatResult::kAll : SatResult::kSome;
   }
 
-  // Natural join of the binding table with a stored/intensional table.
-  // The op's pushed-down filters (an unconnected join's) decide each
-  // candidate pair before its tuple is kept. A kept tuple holds only the
-  // op's live columns (CompiledOp::live), in merged order.
-  Status JoinAtom(const CompiledOp& op, const CompactTable& table) {
+  // Natural join of the binding table with the tuples [lo, hi) of a
+  // stored/intensional table. The op's pushed-down filters (an unconnected
+  // join's) decide each candidate pair before its tuple is kept. A kept
+  // tuple holds only the op's live columns (CompiledOp::live), in merged
+  // order.
+  Status JoinAtom(const CompiledOp& op, const CompactTable& table, size_t lo,
+                  size_t hi) {
     obs::CostScope cost(cost_model_, scope_, "join", options_.cost_iteration);
     const Corpus& corpus = catalog_.corpus();
     const Atom& atom = op.atom;
@@ -1086,10 +1081,13 @@ class RuleEvaluator {
           indexed_probe = true;
         }
       }
-      size_t n_candidates = indexed_probe ? candidates.size() : ttuples.size();
+      // Only a morsel's seed join reads a partial range; compile.cc pushes
+      // no filter into the first join, so the inverted index, whose
+      // candidates span the whole table, never meets a partial range.
+      size_t n_candidates = indexed_probe ? candidates.size() : hi - lo;
 
       for (size_t ci = 0; ci < n_candidates; ++ci) {
-        size_t ti = indexed_probe ? candidates[ci] : ci;
+        size_t ti = indexed_probe ? candidates[ci] : lo + ci;
         const CompactTuple& t = ttuples[ti];
         ++pairs;
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));

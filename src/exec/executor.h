@@ -47,18 +47,21 @@ struct ExecOptions {
   /// whole session or bench run; what one Execute did stays readable in
   /// its own Executor::stats().
   obs::MetricRegistry* metrics = nullptr;
-  /// Execution pool; null (the default) runs fully serial. With a pool,
-  /// rule bodies seeded by a stored/intensional join are evaluated in
-  /// document *morsels* pulled dynamically from a shared cursor and
-  /// multi-rule predicates fan out rule-per-task — results are merged in
-  /// stable seed-tuple / rule order, so the output is bit-identical to
-  /// serial at any thread count and any morsel size (docs/RUNTIME.md).
+  /// Execution pool. It only schedules: rule bodies seeded by a
+  /// stored/intensional join always run in document *morsels*, and the
+  /// rules of a multi-rule predicate as one task each; a pool pulls them
+  /// dynamically from a shared cursor, and null (the default) runs the
+  /// same morsels and rules inline, in order. Results merge in stable
+  /// seed-tuple / rule order, so the output — a degraded answer or a
+  /// budget verdict included — is bit-identical with or without a pool
+  /// and at any thread count (docs/RUNTIME.md).
   runtime::TaskPool* pool = nullptr;
   /// Morsel size of the morsel-driven scheduler: how many seed tuples
   /// (≈ documents) one dynamically claimed work unit covers. Small enough
   /// that a straggler document delays only its own morsel, large enough
-  /// to amortize the per-morsel claim, slice copy and evaluator setup.
-  /// Clamped to ≥ 1. Changing it never changes results, only scheduling.
+  /// to amortize the per-morsel claim and evaluator setup. Clamped to
+  /// ≥ 1. Changing it only changes scheduling, unless max_table_tuples is
+  /// reached: that cap is checked per morsel and on the merged binding.
   size_t morsel_docs = 128;
   /// Time bound on Execute (docs/ROBUSTNESS.md); checked cooperatively in
   /// every per-tuple loop, so expiry surfaces as kDeadlineExceeded

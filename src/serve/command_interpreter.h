@@ -32,7 +32,7 @@ namespace serve {
 /// interactive shell, iflexd server sessions, the serving bench's batch
 /// reference runs).
 struct InterpreterOptions {
-  /// Execution pool for `run`; null runs fully serial. Several
+  /// Execution pool for `run`; null runs the same work inline. Several
   /// interpreters may share one pool — results are identical either way.
   runtime::TaskPool* pool = nullptr;
   /// Default time bound on each `run`/`sleep`; 0 = unbounded. A

@@ -46,7 +46,7 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { FailPoints::Instance().Clear(); }
 
   // After unfolding this is a single q rule seeded by the stored pages
-  // join, so with a pool the body evaluates in document shards.
+  // join, so the body evaluates in document morsels, pool or no pool.
   Result<Program> Parse(bool annotated = false) {
     std::string src = annotated ? R"(
       q(x, p)? :- pages(x), extractPrice(x, p).
@@ -165,45 +165,58 @@ TEST_F(ChaosTest, CacheFaultDegradesToMissNeverWrongAnswer) {
 
 // ------------------------------------------------------------- exec.shard
 
+// The shard site sits in the morsel loop, which every seed-joined body
+// runs, pool or no pool: each case runs with no pool and with the
+// 8-thread pool, and must read the same.
 TEST_F(ChaosTest, ShardFaultAbortsByDefault) {
   auto prog = Parse();
   ASSERT_TRUE(prog.ok());
-  ASSERT_TRUE(FailPoints::Instance().Configure("exec.shard=error").ok());
-  runtime::TaskPool pool(8);
-  ExecOptions options;
-  options.pool = &pool;
-  // One document per morsel: the two-document corpus yields two morsels,
-  // so the batch really fans out over the pool (a single morsel would
-  // degrade to the inline loop and skip the pool's injection sites).
-  options.morsel_docs = 1;
-  Executor exec(*catalog_, options);
-  auto result = exec.Execute(*prog);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
-  EXPECT_NE(result.status().message().find("exec.shard"), std::string::npos);
+  runtime::TaskPool eight(8);
+  for (runtime::TaskPool* pool : {static_cast<runtime::TaskPool*>(nullptr),
+                                  &eight}) {
+    const char* width = pool == nullptr ? "no pool" : "8 threads";
+    ASSERT_TRUE(FailPoints::Instance().Configure("exec.shard=error").ok());
+    ExecOptions options;
+    options.pool = pool;
+    // One document per morsel: the two-document corpus yields two
+    // morsels, so with the pool the batch really fans out (a single
+    // morsel would run inline and skip the pool's injection sites).
+    options.morsel_docs = 1;
+    Executor exec(*catalog_, options);
+    auto result = exec.Execute(*prog);
+    ASSERT_FALSE(result.ok()) << width;
+    EXPECT_EQ(result.status().code(), StatusCode::kExecutionError) << width;
+    EXPECT_NE(result.status().message().find("exec.shard"), std::string::npos)
+        << width;
+  }
 }
 
 TEST_F(ChaosTest, PersistentShardFaultDegradesToEmptyWithFailedDocs) {
   auto prog = Parse();
   ASSERT_TRUE(prog.ok());
-  // Fires on every hit, so the per-seed isolation retries fail too: every
-  // document is recorded as failed and the rule is skipped.
-  ASSERT_TRUE(FailPoints::Instance().Configure("exec.shard=error").ok());
-  runtime::TaskPool pool(8);
-  obs::MetricRegistry registry;
-  ExecOptions options;
-  options.pool = &pool;
-  options.best_effort = true;
-  options.morsel_docs = 1;  // one morsel per document
-  options.metrics = &registry;
-  Executor exec(*catalog_, options);
-  auto result = exec.Execute(*prog);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->size(), 0u);
-  ASSERT_TRUE(exec.report().degraded);
-  EXPECT_EQ(exec.report().failed_docs.size(), 2u);
-  EXPECT_EQ(exec.report().skipped_rules.size(), 1u);
-  EXPECT_GE(registry.counter("resilience.docs_failed")->value(), 2u);
+  runtime::TaskPool eight(8);
+  for (runtime::TaskPool* pool : {static_cast<runtime::TaskPool*>(nullptr),
+                                  &eight}) {
+    const char* width = pool == nullptr ? "no pool" : "8 threads";
+    // Fires on every hit, so the per-seed isolation retries fail too:
+    // every document is recorded as failed and the rule is skipped.
+    ASSERT_TRUE(FailPoints::Instance().Configure("exec.shard=error").ok());
+    obs::MetricRegistry registry;
+    ExecOptions options;
+    options.pool = pool;
+    options.best_effort = true;
+    options.morsel_docs = 1;  // one morsel per document
+    options.metrics = &registry;
+    Executor exec(*catalog_, options);
+    auto result = exec.Execute(*prog);
+    ASSERT_TRUE(result.ok()) << width << ": " << result.status();
+    EXPECT_EQ(result->size(), 0u) << width;
+    ASSERT_TRUE(exec.report().degraded) << width;
+    EXPECT_EQ(exec.report().failed_docs.size(), 2u) << width;
+    EXPECT_EQ(exec.report().skipped_rules.size(), 1u) << width;
+    EXPECT_GE(registry.counter("resilience.docs_failed")->value(), 2u)
+        << width;
+  }
 }
 
 TEST_F(ChaosTest, TransientShardFaultRecoversExactly) {
@@ -211,22 +224,27 @@ TEST_F(ChaosTest, TransientShardFaultRecoversExactly) {
   ASSERT_TRUE(prog.ok());
   auto base = Baseline(*prog);
   ASSERT_TRUE(base.ok());
-  // Two morsels (one per document): exactly one of the two initial morsel
-  // evaluations draws hit #2 and fails; its seed-by-seed retry draws a
-  // non-firing hit and succeeds. The recovered answer must be complete
-  // and byte-identical to the fault-free serial one.
-  ASSERT_TRUE(
-      FailPoints::Instance().Configure("exec.shard=error|every:2").ok());
-  runtime::TaskPool pool(8);
-  ExecOptions options;
-  options.pool = &pool;
-  options.best_effort = true;
-  options.morsel_docs = 1;  // one morsel per document
-  Executor exec(*catalog_, options);
-  auto result = exec.Execute(*prog);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->ToString(&corpus_), base->ToString(&corpus_));
-  EXPECT_FALSE(exec.report().degraded);
+  runtime::TaskPool eight(8);
+  for (runtime::TaskPool* pool : {static_cast<runtime::TaskPool*>(nullptr),
+                                  &eight}) {
+    const char* width = pool == nullptr ? "no pool" : "8 threads";
+    // Two morsels (one per document): exactly one of the two initial
+    // morsel evaluations draws hit #2 and fails; its seed-by-seed retry
+    // draws a non-firing hit and succeeds. The recovered answer must be
+    // complete and byte-identical to the fault-free one. Configure
+    // restarts the hit count.
+    ASSERT_TRUE(
+        FailPoints::Instance().Configure("exec.shard=error|every:2").ok());
+    ExecOptions options;
+    options.pool = pool;
+    options.best_effort = true;
+    options.morsel_docs = 1;  // one morsel per document
+    Executor exec(*catalog_, options);
+    auto result = exec.Execute(*prog);
+    ASSERT_TRUE(result.ok()) << width << ": " << result.status();
+    EXPECT_EQ(result->ToString(&corpus_), base->ToString(&corpus_)) << width;
+    EXPECT_FALSE(exec.report().degraded) << width;
+  }
 }
 
 // ------------------------------------------------------------ runtime.task

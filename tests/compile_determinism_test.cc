@@ -450,15 +450,20 @@ TEST_F(LivenessTest, LaterOpsKeepTheVariablesTheyRead) {
 // report's skipped rules instead.
 class CompileErrorTest : public ::testing::Test {
  protected:
+  // Two pages, so a body seeded by ebertPages has two seed tuples for
+  // best-effort isolation to retry one by one.
   void SetUp() override {
-    auto doc = ParseMarkup("e1", "Title: <b>Vertigo</b> 1958");
-    ASSERT_TRUE(doc.ok());
-    DocId id = corpus_.Add(std::move(doc).value());
     catalog_ = std::make_unique<Catalog>(&corpus_);
     CompactTable pages({"x"});
-    CompactTuple t;
-    t.cells.push_back(Cell::Exact(Value::Doc(id)));
-    pages.Add(std::move(t));
+    for (const char* text :
+         {"Title: <b>Vertigo</b> 1958", "Title: <b>Psycho</b> 1960"}) {
+      auto doc = ParseMarkup("e" + std::to_string(pages.size() + 1), text);
+      ASSERT_TRUE(doc.ok());
+      CompactTuple t;
+      t.cells.push_back(
+          Cell::Exact(Value::Doc(corpus_.Add(std::move(doc).value()))));
+      pages.Add(std::move(t));
+    }
     ASSERT_TRUE(catalog_->AddTable("ebertPages", std::move(pages)).ok());
     catalog_->RegisterBuiltinFunctions();
   }
@@ -470,14 +475,16 @@ class CompileErrorTest : public ::testing::Test {
   }
 
   // Executes `prog` strictly (returning its status) and under best_effort
-  // (returning the skipped-rule entries).
+  // (returning the skipped-rule entries), on `pool` when one is given.
   Status RunStrict(const Program& prog) {
     Executor exec(*catalog_);
     return exec.Execute(prog).status();
   }
-  std::vector<std::string> SkippedBestEffort(const Program& prog) {
+  std::vector<std::string> SkippedBestEffort(
+      const Program& prog, runtime::TaskPool* pool = nullptr) {
     ExecOptions options;
     options.best_effort = true;
+    options.pool = pool;
     Executor exec(*catalog_, options);
     auto r = exec.Execute(prog);
     EXPECT_TRUE(r.ok()) << r.status();
@@ -511,6 +518,11 @@ TEST_F(CompileErrorTest, FromOutputAlreadyBoundFailsWhenItRuns) {
   EXPECT_TRUE(CompileRule(*catalog_, prog->rules()[0]).ok());
   EXPECT_EQ(RunStrict(*prog).ToString(), expected);
   EXPECT_EQ(SkippedBestEffort(*prog),
+            std::vector<std::string>{"q: " + expected});
+  // Isolation drops both seed tuples; the skip names the first one's own
+  // error, on a pool as without one.
+  runtime::TaskPool pool(2);
+  EXPECT_EQ(SkippedBestEffort(*prog, &pool),
             std::vector<std::string>{"q: " + expected});
 }
 

@@ -329,6 +329,128 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
   }
 }
 
+// The pool only schedules: every seed-joined body runs in morsels, a null
+// pool running them inline, so a degraded answer and a budget verdict are
+// the same with no pool, one thread and four. Four one-page documents.
+class PoolIndependenceTest : public ::testing::Test {
+ protected:
+  struct Outcome {
+    std::string table;
+    size_t tuples = 0;
+    std::vector<DocId> failed_docs;
+    std::vector<std::string> skipped_rules;
+  };
+
+  void SetUp() override {
+    for (int i = 0; i < 4; ++i) {
+      auto page = ParseMarkup("page" + std::to_string(i),
+                              "Price: <b>$" + std::to_string(100 + i) + "</b>");
+      ASSERT_TRUE(page.ok());
+      docs_.push_back(corpus_.Add(std::move(page).value()));
+    }
+    catalog_ = std::make_unique<Catalog>(&corpus_);
+    catalog_->RegisterBuiltinFunctions();
+  }
+
+  // Adds pages(x) or, given one number per document, pages(x, n).
+  void AddPages(const std::vector<double>& numbers = {}) {
+    CompactTable pages(numbers.empty() ? std::vector<std::string>{"x"}
+                                       : std::vector<std::string>{"x", "n"});
+    for (size_t i = 0; i < docs_.size(); ++i) {
+      CompactTuple t;
+      t.cells.push_back(Cell::Exact(Value::Doc(docs_[i])));
+      if (!numbers.empty()) {
+        t.cells.push_back(Cell::Exact(Value::Number(numbers[i])));
+      }
+      pages.Add(std::move(t));
+    }
+    ASSERT_TRUE(catalog_->AddTable("pages", std::move(pages)).ok());
+  }
+
+  // Executes `text` (query q) under `options` with no pool, a 1-thread
+  // and a 4-thread pool, in that order.
+  std::vector<Result<Outcome>> RunAtEveryWidth(const std::string& text,
+                                               ExecOptions options) {
+    std::vector<Result<Outcome>> outcomes;
+    auto prog = ParseProgram(text, *catalog_);
+    EXPECT_TRUE(prog.ok()) << prog.status();
+    if (!prog.ok()) return outcomes;
+    prog->set_query("q");
+    runtime::TaskPool one(1);
+    runtime::TaskPool four(4);
+    for (runtime::TaskPool* pool : {static_cast<runtime::TaskPool*>(nullptr),
+                                    &one, &four}) {
+      options.pool = pool;
+      Executor exec(*catalog_, options);
+      auto r = exec.Execute(*prog);
+      if (!r.ok()) {
+        outcomes.emplace_back(r.status());
+        continue;
+      }
+      outcomes.emplace_back(Outcome{r->ToString(&corpus_), r->size(),
+                                    exec.report().failed_docs,
+                                    exec.report().skipped_rules});
+    }
+    return outcomes;
+  }
+
+  static constexpr const char* kWidths[] = {"no pool", "1 thread",
+                                            "4 threads"};
+  Corpus corpus_;
+  std::vector<DocId> docs_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
+// A p-predicate failing on one of four documents drops that document
+// alone: three tuples and one failed document at every width, never a
+// skipped rule.
+TEST_F(PoolIndependenceTest, DegradedAnswerDoesNotDependOnThePool) {
+  AddPages();
+  const DocId poisoned = docs_[2];
+  ASSERT_TRUE(catalog_
+                  ->DeclarePPredicate(
+                      "tag", 1, 1,
+                      [poisoned](const Corpus&, const std::vector<Value>& in)
+                          -> Result<std::vector<std::vector<Value>>> {
+                        if (in[0].doc() == poisoned) {
+                          return Status::ExecutionError("tag: poisoned page");
+                        }
+                        return std::vector<std::vector<Value>>{
+                            {Value::Number(in[0].doc())}};
+                      })
+                  .ok());
+  ExecOptions options;
+  options.best_effort = true;
+  auto outcomes = RunAtEveryWidth("q(x, t) :- pages(x), tag(x, t).", options);
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (size_t w = 0; w < outcomes.size(); ++w) {
+    ASSERT_TRUE(outcomes[w].ok()) << kWidths[w] << ": " << outcomes[w].status();
+    EXPECT_EQ(outcomes[w]->tuples, 3u) << kWidths[w];
+    EXPECT_EQ(outcomes[w]->table, outcomes[0]->table) << kWidths[w];
+    EXPECT_EQ(outcomes[w]->failed_docs, std::vector<DocId>{poisoned})
+        << kWidths[w];
+    EXPECT_TRUE(outcomes[w]->skipped_rules.empty()) << kWidths[w];
+  }
+}
+
+// max_table_tuples = 3 with two-document morsels: each morsel's join
+// stays under the cap and `n < 5` keeps two tuples, so the run succeeds
+// at every width.
+TEST_F(PoolIndependenceTest, BudgetVerdictDoesNotDependOnThePool) {
+  AddPages({0, 1, 12, 13});
+  ExecOptions options;
+  options.max_table_tuples = 3;
+  options.morsel_docs = 2;
+  auto outcomes = RunAtEveryWidth("q(x) :- pages(x, n), n < 5.", options);
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (size_t w = 0; w < outcomes.size(); ++w) {
+    ASSERT_TRUE(outcomes[w].ok()) << kWidths[w] << ": " << outcomes[w].status();
+    EXPECT_EQ(outcomes[w]->tuples, 2u) << kWidths[w];
+    EXPECT_EQ(outcomes[w]->table, outcomes[0]->table) << kWidths[w];
+    EXPECT_TRUE(outcomes[w]->failed_docs.empty()) << kWidths[w];
+  }
+}
+
 // End-to-end: a whole refinement session — subset executions, concurrent
 // candidate simulations, question selection, reuse-mode full evaluation —
 // must ask the same questions, end in the same program and produce the

@@ -157,6 +157,33 @@ TEST(SessionTest, SequentialAsksCheaperQuestions) {
   EXPECT_GT(sim->session.simulations_run, 0u);
 }
 
+// Calls session->Run() from `depth` frames further down the stack.
+[[gnu::noinline]] Result<SessionResult> RunDeeper(RefinementSession* session,
+                                                  int depth) {
+  volatile char pad[1024] = {};
+  Result<SessionResult> result =
+      depth == 0 ? session->Run() : RunDeeper(session, depth - 1);
+  pad[0] = pad[1];  // keeps this frame live across the call
+  return result;
+}
+
+// Run() resolves its Execute options on a copy and never writes them back,
+// so a second Run() on one session makes its own verify memo instead of
+// reading the first call's, which died with that call's frame. The second
+// call starts deeper in the stack, where a dangling memo would point into
+// live frames (or, under ASan's detect_stack_use_after_return, into a
+// freed one).
+TEST(SessionTest, RunTwiceOnOneSession) {
+  auto task = MakeTask("T1", 10);
+  ASSERT_TRUE(task.ok()) << task.status();
+  RefinementSession session(*(*task)->catalog, (*task)->initial_program,
+                            (*task)->developer.get());
+  auto first = session.Run();
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto second = RunDeeper(&session, 4);
+  ASSERT_TRUE(second.ok()) << second.status();
+}
+
 // Counters only count: two identical sessions reporting into one
 // caller-supplied registry must leave every counter — the session's own
 // and the "sim.*" ones simulations merge in — at exactly twice its value
