@@ -75,9 +75,9 @@ inline constexpr size_t kSimIndexMaxValues = 512;
 /// A cell prepared for a token-similarity predicate (similar(),
 /// approx_match(); see Catalog::MarkTokenSimilarity): its value count and
 /// the token-id sets of its values, computed once instead of once per
-/// pair. A join prepares each table cell once per Execute and each probe
-/// cell once (docs/PERFORMANCE.md, "Prepared similarity join"); with a
-/// PreparedCellStore, once per session.
+/// pair. A join prepares each table cell once per rule evaluation and
+/// each probe cell once (docs/PERFORMANCE.md, "Prepared similarity
+/// join"); with a PreparedCellStore, once per session.
 struct PreparedSimCell {
   /// |V(c)|, counted without enumerating.
   size_t values = 0;

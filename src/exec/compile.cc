@@ -108,6 +108,54 @@ void AppendFilter(CompiledRule* plan, CompiledFilter f) {
   plan->ops.back().filters.push_back(std::move(f));
 }
 
+// Records the pushed-down filters of a join whose table sides can be
+// prepared before it runs (CompiledOp::sim, ::cmps): those between a probe
+// and a variable the join binds. `new_cols` maps each variable the join
+// binds to its table column; every other variable a pushed-down filter
+// reads was bound before the join. Such a variable is also in the
+// runtime binding: a variable a join's filters mention stays live at
+// every earlier join.
+void PlanJoinSides(const Catalog& catalog,
+                   const std::unordered_map<std::string, size_t>& new_cols,
+                   CompiledOp* op) {
+  auto joined = [&](const Term& t) {
+    return t.is_var() && new_cols.count(t.var) > 0;
+  };
+  auto probe = [&](const Term& t) {
+    return t.is_var() && new_cols.count(t.var) == 0;
+  };
+  // Filter `fi` over terms a and b when one is a probe and the other a
+  // joined variable; nullopt otherwise.
+  auto side = [&](size_t fi, const Term& a,
+                  const Term& b) -> std::optional<JoinSideFilter> {
+    const bool probe_is_lhs = probe(a) && joined(b);
+    if (!probe_is_lhs && !(probe(b) && joined(a))) return std::nullopt;
+    JoinSideFilter s;
+    s.filter = fi;
+    s.probe = probe_is_lhs ? a.var : b.var;
+    s.table_col = new_cols.at(probe_is_lhs ? b.var : a.var);
+    s.probe_is_lhs = probe_is_lhs;
+    return s;
+  };
+  for (size_t fi = 0; fi < op->filters.size(); ++fi) {
+    const Literal& lit = op->filters[fi].lit;
+    if (lit.kind == Literal::Kind::kComparison) {
+      if (auto s = side(fi, lit.cmp.lhs, lit.cmp.rhs)) {
+        op->cmps.push_back(std::move(*s));
+      }
+      continue;
+    }
+    std::optional<double> threshold =
+        catalog.TokenSimilarityThreshold(lit.atom.predicate);
+    if (op->sim.has_value() || !threshold.has_value() ||
+        lit.atom.args.size() != 2) {
+      continue;
+    }
+    op->sim = side(fi, lit.atom.args[0], lit.atom.args[1]);
+    if (op->sim.has_value()) op->sim->threshold = *threshold;
+  }
+}
+
 // Adds every variable `op` mentions to `vars`: its atom's arguments, its
 // chain's constrained variables and its filters' terms.
 void AddMentions(const CompiledOp& op,
@@ -192,9 +240,17 @@ Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
       case PredicateKind::kExtensional:
       case PredicateKind::kIntensional: {
         op.kind = CompiledOp::Kind::kJoin;
-        for (const Term& t : a.args) {
-          if (t.is_var()) bound.insert(t.var);
+        // The table column of each variable the join binds: its first
+        // argument position. Every other argument is tested per pair.
+        std::unordered_map<std::string, size_t> new_cols;
+        for (size_t i = 0; i < a.args.size(); ++i) {
+          const Term& t = a.args[i];
+          if (!t.is_var() || is_bound(t.var) ||
+              !new_cols.emplace(t.var, i).second) {
+            op.keyed = true;
+          }
         }
+        for (const auto& [var, col] : new_cols) bound.insert(var);
         // Every bound variable for now; the liveness pass below keeps the
         // ones read later.
         op.live.assign(bound.begin(), bound.end());
@@ -216,6 +272,7 @@ Result<CompiledRule> CompileRule(const Catalog& catalog, const Rule& rule) {
           op.filters.push_back(std::move(f));
           pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
         }
+        PlanJoinSides(catalog, new_cols, &op);
         break;
       }
       case PredicateKind::kBuiltinFrom:

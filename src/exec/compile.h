@@ -1,6 +1,7 @@
 #ifndef IFLEX_EXEC_COMPILE_H_
 #define IFLEX_EXEC_COMPILE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,20 @@ struct CompiledFilter {
   std::vector<Cell> const_cells;
 };
 
+/// A filter pushed down into a join that compares a *probe* — a variable
+/// bound before the join — with a variable the join binds. Its table side,
+/// that variable's column prepared for every tuple, depends only on the
+/// table, so the rule's evaluator builds it before the join's morsels
+/// start (docs/PERFORMANCE.md, "Prepared similarity join").
+struct JoinSideFilter {
+  size_t filter = 0;          // index into CompiledOp::filters
+  std::string probe;          // the probe variable
+  size_t table_col = 0;       // the joined variable's first argument position
+  bool probe_is_lhs = false;  // the probe is the filter's first term
+  /// A similarity filter's threshold (Catalog::TokenSimilarityThreshold).
+  double threshold = 0;
+};
+
 /// A flat operator of a compiled rule plan.
 struct CompiledOp {
   enum class Kind : uint8_t {
@@ -56,6 +71,17 @@ struct CompiledOp {
   /// order — non-empty only for an unconnected join, where they decide
   /// each candidate pair so the cross product never materializes.
   std::vector<CompiledFilter> filters;
+  /// kJoin: the atom has a constant, a variable bound before the join or a
+  /// repeated variable, so every pair is tested for equality and a
+  /// similarity join does not block on its token index.
+  bool keyed = false;
+  /// kJoin: the first token-similarity filter between a probe and a
+  /// variable the join binds. It decides each pair from prepared cells and,
+  /// when the join may block, picks the pairs from a token index.
+  std::optional<JoinSideFilter> sim;
+  /// kJoin: every comparison filter between a probe and a variable the
+  /// join binds, in body order, decided from prepared comparison cells.
+  std::vector<JoinSideFilter> cmps;
   /// kJoin: the variables bound after the join that a later op or the
   /// rule head mentions, sorted. The join's output keeps only their
   /// columns, since nothing after it reads the others (docs/PERFORMANCE.md,
@@ -69,8 +95,8 @@ struct CompiledOp {
 /// p-functions, and unconnected joins last), with consecutive constraints
 /// fused into chains, consecutive filters grouped into blocks, all name
 /// resolution (features, memo key bases, p-functions, constants) hoisted
-/// out of the per-tuple loops, and each join's live columns recorded. An
-/// empty body gives an empty plan.
+/// out of the per-tuple loops, and each join's live columns and prepared
+/// table sides recorded. An empty body gives an empty plan.
 struct CompiledRule {
   std::vector<CompiledOp> ops;
   /// True when ops[0] joins a stored/intensional table against the empty

@@ -1,11 +1,9 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <map>
-#include <mutex>
 #include <optional>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -181,86 +179,13 @@ struct PreparedSimTable {
   }
 };
 
-// The prepared table sides of one Execute's joins, keyed by (table,
-// column, form, parameter): 's' and index eligibility for a similarity
-// table, the operator and the offset's bits for a comparison column.
-// Table pointers are stable for the
-// Execute: the catalog's tables and the intensional tables already
-// computed are never mutated while it runs. The first rule task or morsel
-// to ask builds an entry; concurrent askers wait for it, and everyone
-// then reads it without locks.
-class JoinSideCache {
- public:
-  const PreparedSimTable& Sim(const Corpus& corpus, const CompactTable& table,
-                              size_t col, bool index_eligible,
-                              const CellOpLimits& limits, CellPreparer* prep) {
-    Entry* entry = Slot(Key(&table, col, 's', index_eligible ? 1 : 0));
-    std::call_once(entry->once, [&] {
-      entry->sim.Build(corpus, table, col, index_eligible, limits, prep);
-    });
-    return entry->sim;
-  }
-
-  // The comparison forms of column `col` for `op` under `offset`.
-  const PreparedColumn<PreparedCmpCell>& Cmp(const Corpus& corpus,
-                                             const CompactTable& table,
-                                             size_t col, CmpOp op,
-                                             double offset,
-                                             const CellOpLimits& limits,
-                                             CellPreparer* prep) {
-    uint64_t offset_bits = 0;
-    static_assert(sizeof(offset_bits) == sizeof(offset));
-    __builtin_memcpy(&offset_bits, &offset, sizeof(offset));
-    Entry* entry = Slot(Key(&table, col, static_cast<char>(op), offset_bits));
-    std::call_once(entry->once, [&] {
-      entry->cmp.Build(table, col, prep->keeps(),
-                       [&](const Cell& c, PreparedCmpCell* scratch)
-                           -> const PreparedCmpCell& {
-                         return prep->Cmp(corpus, c, op, limits, offset,
-                                          scratch);
-                       });
-    });
-    return entry->cmp;
-  }
-
- private:
-  using Key = std::tuple<const CompactTable*, size_t, char, uint64_t>;
-  struct Entry {
-    std::once_flag once;
-    PreparedSimTable sim;
-    PreparedColumn<PreparedCmpCell> cmp;
-  };
-
-  Entry* Slot(const Key& key) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Entry>& slot = entries_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    return slot.get();
-  }
-
-  std::mutex mu_;
-  std::map<Key, std::unique_ptr<Entry>> entries_;
-};
-
-// Reusable enumeration buffers for the per-tuple filter hot path
-// (RuleEvaluator::EvalFilter). One EvalFilter call enumerates every
-// argument cell into a vector-of-vectors and walks the cross product;
-// allocating those per call dominated the p-function profile. Each
-// evaluator (one per rule, one per morsel) keeps its set warm across
-// its tuples.
-struct EvalScratch {
-  std::vector<std::vector<Value>> arg_values;
-  std::vector<size_t> idx;
-  std::vector<Value> args;
-
-  // Readies the first `n_args` argument buffers (cleared, capacity kept).
-  void Prepare(size_t n_args) {
-    if (arg_values.size() < n_args) arg_values.resize(n_args);
-    for (size_t i = 0; i < n_args; ++i) arg_values[i].clear();
-    idx.assign(n_args, 0);
-    args.clear();
-    args.reserve(n_args);
-  }
+// The prepared table sides of one join op, for the filters the plan names
+// in CompiledOp::sim and CompiledOp::cmps. RuleEvaluator::BuildSides
+// builds them before the rule's morsels start, and every morsel then reads
+// them without locks.
+struct JoinSides {
+  PreparedSimTable sim;                               // when op.sim is set
+  std::vector<PreparedColumn<PreparedCmpCell>> cmps;  // parallel to op.cmps
 };
 
 // ----------------------------------------------------------- RuleEvaluator
@@ -278,13 +203,12 @@ class RuleEvaluator {
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
                 const std::unordered_map<std::string, SharedTable>* idb,
                 obs::Tracer* tracer, resilience::ExecReport* report,
-                JoinSideCache* join_sides, PreparedCellStore* store)
+                PreparedCellStore* store)
       : catalog_(catalog),
         options_(options),
         idb_(idb),
         tracer_(tracer),
         report_(report),
-        join_sides_(join_sides),
         store_(store),
         cells_(store, &stats_),
         cost_model_(obs::CostModelOrDefault(options.cost_model)),
@@ -310,10 +234,13 @@ class RuleEvaluator {
     // (docs/PERFORMANCE.md, "Rule compilation").
     IFLEX_ASSIGN_OR_RETURN(const CompiledRule plan,
                            CompileRule(catalog_, rule));
+    // So are the join table sides it names, built before any morsel runs.
+    IFLEX_ASSIGN_OR_RETURN(const std::vector<JoinSides> sides,
+                           BuildSides(plan));
     if (plan.seed_join) {
-      IFLEX_RETURN_NOT_OK(RunMorsels(rule, plan));
+      IFLEX_RETURN_NOT_OK(RunMorsels(rule, plan, sides));
     } else {
-      IFLEX_RETURN_NOT_OK(RunPlan(plan, 0));
+      IFLEX_RETURN_NOT_OK(RunPlan(plan, sides, 0));
     }
 
     IFLEX_ASSIGN_OR_RETURN(CompactTable projected, Project(rule.head));
@@ -361,6 +288,46 @@ class RuleEvaluator {
     return Status::OK();
   }
 
+  // The prepared table sides of every join op's similarity filter and
+  // prepared comparisons (CompiledOp::sim, ::cmps), by op index; the other
+  // ops' entries stay empty. Built once per rule evaluation, before its
+  // morsels start: with a pool, the batch that runs them opens under the
+  // pool mutex after these writes, so every morsel reads them without
+  // locks.
+  Result<std::vector<JoinSides>> BuildSides(const CompiledRule& plan) {
+    const Corpus& corpus = catalog_.corpus();
+    std::vector<JoinSides> sides(plan.ops.size());
+    for (size_t oi = 0; oi < plan.ops.size(); ++oi) {
+      const CompiledOp& op = plan.ops[oi];
+      if (!op.sim.has_value() && op.cmps.empty()) continue;
+      obs::TraceSpan span(tracer_, "exec.join_sides", op.atom.predicate);
+      IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
+                             ResolveJoinTable(op.atom.predicate));
+      if (op.sim.has_value()) {
+        // Blocking needs a shared token (or two token-less values) for a
+        // match, which only a threshold above 0 guarantees; small tables
+        // scan.
+        sides[oi].sim.Build(corpus, *table, op.sim->table_col,
+                            /*index_eligible=*/!op.keyed &&
+                                table->size() > 32 && op.sim->threshold > 0,
+                            options_.limits, &cells_);
+      }
+      for (const JoinSideFilter& jc : op.cmps) {
+        const Comparison& cmp = op.filters[jc.filter].lit.cmp;
+        // lhs op (rhs + offset): the offset goes with the right side.
+        const double offset = jc.probe_is_lhs ? cmp.rhs_offset : 0;
+        sides[oi].cmps.emplace_back().Build(
+            *table, jc.table_col, cells_.keeps(),
+            [&](const Cell& c, PreparedCmpCell* scratch)
+                -> const PreparedCmpCell& {
+              return cells_.Cmp(corpus, c, cmp.op, options_.limits, offset,
+                                scratch);
+            });
+      }
+    }
+    return sides;
+  }
+
   // The morsel loop (docs/RUNTIME.md), which runs every body that starts
   // with a seed join: carves the seed table into fixed-size morsels
   // (ExecOptions::morsel_docs seed tuples each; an empty table is one
@@ -375,7 +342,8 @@ class RuleEvaluator {
   // deduplication must see all tuples. Morsel boundaries depend only on
   // table size and morsel_docs, so the result is bit-identical at any
   // thread count and without a pool.
-  Status RunMorsels(const Rule& rule, const CompiledRule& plan) {
+  Status RunMorsels(const Rule& rule, const CompiledRule& plan,
+                    const std::vector<JoinSides>& sides) {
     IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
                            ResolveJoinTable(plan.ops.front().atom.predicate));
     const size_t n = table->size();
@@ -402,12 +370,13 @@ class RuleEvaluator {
       out.status = resilience::FailPointStatus("exec.shard");
       if (!out.status.ok()) return out;
       RuleEvaluator sub(catalog_, options_, idb_, tracer_, &out.report,
-                        join_sides_, store_);
+                        store_);
       sub.scope_ = scope_;  // morsels charge the same rule
       sub.binding_ = CompactTable(std::vector<std::string>{});
       sub.binding_.Add(CompactTuple{});
-      out.status = sub.JoinAtom(plan.ops.front(), *table, lo, hi);
-      if (out.status.ok()) out.status = sub.RunPlan(plan, 1);
+      out.status = sub.JoinAtom(plan.ops.front(), sides.front(), *table, lo,
+                                hi);
+      if (out.status.ok()) out.status = sub.RunPlan(plan, sides, 1);
       out.valid = out.status.ok();
       out.binding = std::move(sub.binding_);
       out.columns = std::move(sub.columns_);
@@ -520,9 +489,11 @@ class RuleEvaluator {
   // ---- Plan execution (docs/PERFORMANCE.md, "Rule compilation").
 
   // Runs plan.ops[start..): consecutive constraints fused into one pass,
-  // filters run columnar, pushed-down filters inside their join. `start`
-  // is 1 on the morsel path, where the seed join already ran.
-  Status RunPlan(const CompiledRule& plan, size_t start) {
+  // filters run columnar, pushed-down filters inside their join, which
+  // reads its entry of `sides`. `start` is 1 on the morsel path, where the
+  // seed join already ran.
+  Status RunPlan(const CompiledRule& plan, const std::vector<JoinSides>& sides,
+                 size_t start) {
     for (size_t oi = start; oi < plan.ops.size(); ++oi) {
       IFLEX_RETURN_NOT_OK(stop_.Check("Execute"));
       const CompiledOp& op = plan.ops[oi];
@@ -531,7 +502,7 @@ class RuleEvaluator {
           obs::TraceSpan span(tracer_, "exec.join", op.atom.predicate);
           IFLEX_ASSIGN_OR_RETURN(const CompactTable* t,
                                  ResolveJoinTable(op.atom.predicate));
-          IFLEX_RETURN_NOT_OK(JoinAtom(op, *t, 0, t->size()));
+          IFLEX_RETURN_NOT_OK(JoinAtom(op, sides[oi], *t, 0, t->size()));
           break;
         }
         case CompiledOp::Kind::kFrom: {
@@ -657,33 +628,27 @@ class RuleEvaluator {
 
   // Columnar filter pass: batches the binding table into fixed-width
   // blocks, runs each filter over a block with an early-out selection
-  // vector, and reads singleton-exact cells as flat scalar columns —
-  // one CompareValues (or one p-function call) per surviving row instead
-  // of per-tuple cell enumeration. Irregular rows (expansion / multi-value
-  // / contain cells) take the exact per-tuple evaluation, and the scalar
-  // path agrees with it on singleton-exact rows: same survivors in the
-  // same order, same narrowed cells, same maybe flags.
+  // vector, and reads a comparison's singleton-exact cells as flat scalar
+  // columns — one CompareValues per surviving row instead of per-tuple
+  // cell enumeration. Irregular rows (expansion / multi-value / contain
+  // cells) take the exact per-tuple evaluation, and the scalar path agrees
+  // with it on singleton-exact rows: same survivors in the same order,
+  // same narrowed cells, same maybe flags. A p-function row always takes
+  // EvalFilter, which on singleton-exact cells makes the one call.
   Status RunFilterBlock(const CompiledOp& op) {
     obs::TraceSpan span(tracer_, "exec.filter_block");
-    const Corpus& corpus = catalog_.corpus();
     const size_t nf = op.filters.size();
-    // Column indices per filter: comparison lhs/rhs or p-function args;
-    // SIZE_MAX marks a constant term (cell pre-built at compile time).
-    std::vector<std::vector<size_t>> fcols(nf);
+    // A comparison's lhs/rhs columns; SIZE_MAX marks a constant term (cell
+    // pre-built at compile time).
+    std::vector<std::array<size_t, 2>> fcols(nf);
     std::vector<ConstSides> consts(nf);
     for (size_t fi = 0; fi < nf; ++fi) {
       const CompiledFilter& f = op.filters[fi];
-      if (f.kind == CompiledFilter::Kind::kComparison) {
-        const Comparison& cmp = f.lit.cmp;
-        fcols[fi] = {
-            cmp.lhs.is_var() ? columns_.at(cmp.lhs.var) : SIZE_MAX,
-            cmp.rhs.is_var() ? columns_.at(cmp.rhs.var) : SIZE_MAX};
-        consts[fi] = PrepareConstSides(f);
-      } else {
-        for (const Term& t : f.lit.atom.args) {
-          fcols[fi].push_back(t.is_var() ? columns_.at(t.var) : SIZE_MAX);
-        }
-      }
+      if (f.kind != CompiledFilter::Kind::kComparison) continue;
+      const Comparison& cmp = f.lit.cmp;
+      fcols[fi] = {cmp.lhs.is_var() ? columns_.at(cmp.lhs.var) : SIZE_MAX,
+                   cmp.rhs.is_var() ? columns_.at(cmp.rhs.var) : SIZE_MAX};
+      consts[fi] = PrepareConstSides(f);
     }
     const bool profiling = cost_model_->enabled();
     const uint64_t t0 = profiling ? obs::Tracer::NowNs() : 0;
@@ -695,7 +660,6 @@ class RuleEvaluator {
     std::vector<size_t> sel(kBlockRows);
     std::vector<const Value*> lcol(kBlockRows);
     std::vector<const Value*> rcol(kBlockRows);
-    std::vector<Value> args;
     for (size_t base = 0; base < tuples.size(); base += kBlockRows) {
       const size_t rows = std::min(kBlockRows, tuples.size() - base);
       size_t live = rows;
@@ -741,33 +705,10 @@ class RuleEvaluator {
           for (size_t i = 0; i < live; ++i) {
             IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
             CompactTuple& t = tuples[sel[i]];
-            bool simple = true;
-            for (size_t ai = 0; ai < fcols[fi].size() && simple; ++ai) {
-              if (fcols[fi][ai] != SIZE_MAX) {
-                simple = SimpleCell(t.cells[fcols[fi][ai]]);
-              }
-            }
-            bool keep;
-            if (simple) {
-              // All-singleton rows have exactly one input combination, so
-              // EvalFilter would make exactly this one call and return
-              // kAll or kNone — never a maybe change.
-              args.clear();
-              for (size_t ai = 0; ai < fcols[fi].size(); ++ai) {
-                const Cell& c = fcols[fi][ai] != SIZE_MAX
-                                    ? t.cells[fcols[fi][ai]]
-                                    : f.const_cells[ai];
-                args.push_back(c.assignments[0].value);
-              }
-              Result<Value> r = (*f.fn)(corpus, args);
-              if (!r.ok()) return r.status();
-              keep = r->AsBool();
-            } else {
-              IFLEX_ASSIGN_OR_RETURN(SatResult r, EvalFilter(f, t, columns_));
-              keep = r != SatResult::kNone;
-              if (keep) t.maybe = t.maybe || r == SatResult::kSome;
-            }
-            if (keep) sel[kept++] = sel[i];
+            IFLEX_ASSIGN_OR_RETURN(SatResult r, EvalFilter(f, t, columns_));
+            if (r == SatResult::kNone) continue;
+            t.maybe = t.maybe || r == SatResult::kSome;
+            sel[kept++] = sel[i];
           }
         }
         live = kept;
@@ -834,9 +775,7 @@ class RuleEvaluator {
           options_.limits, *threshold);
     }
     const size_t n_args = atom.args.size();
-    // Only the first n_args entries of scratch_.arg_values are live here.
-    scratch_.Prepare(n_args);
-    std::vector<std::vector<Value>>& arg_values = scratch_.arg_values;
+    std::vector<std::vector<Value>> arg_values(n_args);
     bool complete = true;
     for (size_t i = 0; i < n_args; ++i) {
       complete = cell_for(atom.args[i], i)
@@ -852,8 +791,9 @@ class RuleEvaluator {
     }
     bool any = false;
     bool all = true;
-    std::vector<size_t>& idx = scratch_.idx;
-    std::vector<Value>& args = scratch_.args;
+    std::vector<size_t> idx(n_args, 0);
+    std::vector<Value> args;
+    args.reserve(n_args);
     while (true) {
       args.clear();
       for (size_t i = 0; i < n_args; ++i) {
@@ -880,11 +820,12 @@ class RuleEvaluator {
 
   // Natural join of the binding table with the tuples [lo, hi) of a
   // stored/intensional table. The op's pushed-down filters (an unconnected
-  // join's) decide each candidate pair before its tuple is kept. A kept
-  // tuple holds only the op's live columns (CompiledOp::live), in merged
-  // order.
-  Status JoinAtom(const CompiledOp& op, const CompactTable& table, size_t lo,
-                  size_t hi) {
+  // join's) decide each candidate pair before its tuple is kept; those the
+  // plan names in CompiledOp::sim and ::cmps read their table side from
+  // `sides`. A kept tuple holds only the op's live columns
+  // (CompiledOp::live), in merged order.
+  Status JoinAtom(const CompiledOp& op, const JoinSides& sides,
+                  const CompactTable& table, size_t lo, size_t hi) {
     obs::CostScope cost(cost_model_, scope_, "join", options_.cost_iteration);
     const Corpus& corpus = catalog_.corpus();
     const Atom& atom = op.atom;
@@ -942,112 +883,44 @@ class RuleEvaluator {
       out_schema.push_back(var);
     }
 
-    // The table column a term binds in this join, or SIZE_MAX when it is
-    // not one of the atom's new variables.
-    auto new_table_col = [&](const Term& t) {
-      if (t.is_var()) {
-        for (const NewCol& nc : new_cols) {
-          if (nc.var == t.var) return nc.table_col;
-        }
-      }
-      return SIZE_MAX;
-    };
-    auto bound = [&](const Term& t) { return t.is_var() && Bound(t.var); };
-
-    // Prepared similarity join (docs/PERFORMANCE.md): a token-similarity
-    // filter joining one binding column to one new table column (the
-    // approximate string join of the paper's TR) reads the table side
-    // prepared once per Execute, and — when the table is indexed — each
-    // probe tests only the tuples sharing a token with it.
-    int sim_filter_idx = -1;
-    size_t sim_binding_col = 0;
-    size_t sim_table_col = 0;
-    double sim_threshold = 0;
-    for (size_t i = 0; i < filters.size(); ++i) {
-      const Literal& lit = filters[i].lit;
-      if (lit.kind != Literal::Kind::kAtom) continue;
-      std::optional<double> threshold =
-          catalog_.TokenSimilarityThreshold(lit.atom.predicate);
-      if (!threshold.has_value()) continue;
-      if (lit.atom.args.size() != 2) continue;
-      const Term& a = lit.atom.args[0];
-      const Term& b = lit.atom.args[1];
-      const size_t a_col = new_table_col(a);
-      const size_t b_col = new_table_col(b);
-      if (bound(a) && b_col != SIZE_MAX) {
-        sim_binding_col = columns_.at(a.var);
-        sim_table_col = b_col;
-      } else if (bound(b) && a_col != SIZE_MAX) {
-        sim_binding_col = columns_.at(b.var);
-        sim_table_col = a_col;
-      } else {
-        continue;
-      }
-      sim_filter_idx = static_cast<int>(i);
-      sim_threshold = *threshold;
-      break;
-    }
-    // Blocking needs a shared token (or two token-less values) for a
-    // match, which only a threshold above 0 guarantees; small tables scan.
-    const PreparedSimTable* sim =
-        sim_filter_idx < 0
-            ? nullptr
-            : &join_sides_->Sim(
-                  corpus, table, sim_table_col,
-                  /*index_eligible=*/conds.empty() && table.size() > 32 &&
-                      sim_threshold > 0,
-                  options_.limits, &cells_);
+    // Prepared similarity join (docs/PERFORMANCE.md): the plan's similarity
+    // filter joins one binding column to one new table column (the
+    // approximate string join of the paper's TR) and reads the table side
+    // BuildSides prepared; when that side is indexed, each probe tests
+    // only the tuples sharing a token with it.
+    const PreparedSimTable* sim = op.sim.has_value() ? &sides.sim : nullptr;
+    const size_t sim_binding_col =
+        sim != nullptr ? columns_.at(op.sim->probe) : 0;
 
     // Prepared join comparisons: a comparison between one binding column
     // and one new table column (T9's `np < bp`) reads the table side
-    // prepared once per Execute and the probe side once per probe row,
-    // both on first use, so a pair costs O(1) — a search for `=` and `≠`
-    // — instead of enumerating both cells.
-    struct JoinCmp {
-      const Comparison* cmp = nullptr;
+    // BuildSides prepared and the probe side prepared once per probe row,
+    // on first use, so a pair costs O(1) — a search for `=` and `≠` —
+    // instead of enumerating both cells.
+    struct CmpProbe {
       size_t binding_col = 0;
-      size_t table_col = 0;
-      bool binding_is_lhs = false;
-      const PreparedColumn<PreparedCmpCell>* table = nullptr;
-      const PreparedCmpCell* probe = nullptr;  // this probe row's
+      const PreparedCmpCell* cell = nullptr;  // this probe row's
       PreparedCmpCell scratch;
     };
-    std::vector<JoinCmp> join_cmps;
-    join_cmps.reserve(filters.size());  // join_cmp_of points into it
-    std::vector<JoinCmp*> join_cmp_of(filters.size(), nullptr);
-    for (size_t i = 0; i < filters.size(); ++i) {
-      if (filters[i].kind != CompiledFilter::Kind::kComparison) continue;
-      const Comparison& cmp = filters[i].lit.cmp;
-      const bool lhs_binds =
-          bound(cmp.lhs) && new_table_col(cmp.rhs) != SIZE_MAX;
-      if (!lhs_binds &&
-          !(bound(cmp.rhs) && new_table_col(cmp.lhs) != SIZE_MAX)) {
-        continue;
-      }
-      JoinCmp& jc = join_cmps.emplace_back();
-      jc.cmp = &cmp;
-      jc.binding_is_lhs = lhs_binds;
-      jc.binding_col = columns_.at(lhs_binds ? cmp.lhs.var : cmp.rhs.var);
-      jc.table_col = new_table_col(lhs_binds ? cmp.rhs : cmp.lhs);
-      join_cmp_of[i] = &jc;
+    std::vector<CmpProbe> cmp_probes(op.cmps.size());
+    for (size_t i = 0; i < op.cmps.size(); ++i) {
+      cmp_probes[i].binding_col = columns_.at(op.cmps[i].probe);
     }
-    // lhs op (rhs + offset): the offset goes with the right side.
-    auto join_compare = [&](JoinCmp& jc, const CompactTuple& b, size_t ti) {
-      const Comparison& cmp = *jc.cmp;
-      const double table_offset = jc.binding_is_lhs ? cmp.rhs_offset : 0;
-      const double probe_offset = jc.binding_is_lhs ? 0 : cmp.rhs_offset;
-      if (jc.table == nullptr) {
-        jc.table = &join_sides_->Cmp(corpus, table, jc.table_col, cmp.op,
-                                     table_offset, options_.limits, &cells_);
+    // op.cmps[i] on one pair. lhs op (rhs + offset): the offset goes with
+    // the right side.
+    auto join_compare = [&](size_t i, const CompactTuple& b, size_t ti) {
+      const JoinSideFilter& jc = op.cmps[i];
+      const Comparison& cmp = filters[jc.filter].lit.cmp;
+      CmpProbe& p = cmp_probes[i];
+      if (p.cell == nullptr) {
+        p.cell = &cells_.Cmp(corpus, b.cells[p.binding_col], cmp.op,
+                             options_.limits,
+                             jc.probe_is_lhs ? 0 : cmp.rhs_offset, &p.scratch);
       }
-      if (jc.probe == nullptr) {
-        jc.probe = &cells_.Cmp(corpus, b.cells[jc.binding_col], cmp.op,
-                               options_.limits, probe_offset, &jc.scratch);
-      }
-      const PreparedCmpCell& t = *jc.table->cells[ti];
-      return jc.binding_is_lhs
-                 ? ComparePrepared(*jc.probe, cmp.op, t, options_.limits)
-                 : ComparePrepared(t, cmp.op, *jc.probe, options_.limits);
+      const PreparedCmpCell& t = *sides.cmps[i].cells[ti];
+      return jc.probe_is_lhs
+                 ? ComparePrepared(*p.cell, cmp.op, t, options_.limits)
+                 : ComparePrepared(t, cmp.op, *p.cell, options_.limits);
     };
 
     CompactTable out(std::move(out_schema));
@@ -1070,7 +943,7 @@ class RuleEvaluator {
     for (const CompactTuple& b : binding_.tuples()) {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
-      for (JoinCmp& jc : join_cmps) jc.probe = nullptr;
+      for (CmpProbe& p : cmp_probes) p.cell = nullptr;
       const PreparedSimCell* probe = nullptr;
       bool indexed_probe = false;
       if (sim != nullptr) {
@@ -1125,13 +998,15 @@ class RuleEvaluator {
             merged->cells.push_back(t.cells[nc.table_col]);
           }
         };
+        size_t next_cmp = 0;  // into op.cmps, which are in filter order
         for (size_t fi = 0; fi < filters.size(); ++fi) {
           SatResult r;
-          if (static_cast<int>(fi) == sim_filter_idx) {
+          if (sim != nullptr && fi == op.sim->filter) {
             r = SimilarityVerdict(*probe, sim->cell(ti), options_.limits,
-                                  sim_threshold);
-          } else if (join_cmp_of[fi] != nullptr) {
-            r = join_compare(*join_cmp_of[fi], b, ti);
+                                  op.sim->threshold);
+          } else if (next_cmp < op.cmps.size() &&
+                     op.cmps[next_cmp].filter == fi) {
+            r = join_compare(next_cmp++, b, ti);
           } else {
             if (!merged.has_value()) merge();
             IFLEX_ASSIGN_OR_RETURN(
@@ -1542,10 +1417,6 @@ class RuleEvaluator {
   const std::unordered_map<std::string, SharedTable>* idb_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
-  EvalScratch scratch_;
-  // Prepared join table sides of this Execute, shared by every rule task
-  // and morsel (owned by ExecuteInternal).
-  JoinSideCache* join_sides_;
   // The ReuseCache's prepared cells; null when the Execute has no cache.
   PreparedCellStore* store_;
   ExecStats stats_;
@@ -1824,9 +1695,6 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
   std::unordered_map<std::string, uint64_t> fp_memo;
   // Shared with the reuse cache: a hit or an insert copies no table.
   std::unordered_map<std::string, SharedTable> idb;
-  // Prepared join table sides, for this Execute only: entries are keyed
-  // by the addresses of the catalog's tables and idb's.
-  JoinSideCache join_sides;
   PreparedCellStore* store = cache != nullptr ? &cache->cells() : nullptr;
   for (const std::string& pred : order) {
     obs::TraceSpan pred_span(tracer_, "exec.predicate", pred);
@@ -1846,27 +1714,16 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     // Events already in the report before this predicate ran; used below
     // to keep degraded tables out of the reuse cache.
     const size_t report_events_before = report_->EventCount();
-    // Rule-per-task fan-out, a plain loop without a pool. Each rule gets
-    // its own report and stats shard; shards and outputs merge in rule
-    // order, so the result and the error returned (the first failure in
-    // rule order) do not depend on the thread count.
-    std::vector<resilience::ExecReport> reports(rules.size());
-    std::vector<ExecStats> stats(rules.size());
-    std::vector<Result<CompactTable>> parts =
-        runtime::ParallelMap<Result<CompactTable>>(
-            options_.pool, rules.size(), [&](size_t i) {
-              RuleEvaluator eval(catalog_, options_, &idb, tracer_,
-                                 &reports[i], &join_sides, store);
-              Result<CompactTable> part = eval.Evaluate(*rules[i]);
-              stats[i] = eval.stats();
-              return part;
-            });
+    // The rules run in order on this thread: a rule's morsels are the only
+    // fan-out inside an Execute (docs/RUNTIME.md), so the result and the
+    // error returned (the first failure in rule order) do not depend on
+    // the thread count.
     CompactTable result;
     bool first = true;
-    for (size_t i = 0; i < rules.size(); ++i) {
-      report_->Merge(reports[i]);
-      stats_.Add(stats[i]);
-      Result<CompactTable> part = std::move(parts[i]);
+    for (const Rule* rule : rules) {
+      RuleEvaluator eval(catalog_, options_, &idb, tracer_, report_, store);
+      Result<CompactTable> part = eval.Evaluate(*rule);
+      stats_.Add(eval.stats());
       // Per-rule fault isolation: under best_effort a failing rule is
       // skipped and recorded — its siblings' tuples still answer the
       // query (superset semantics over the surviving rules). Stop codes

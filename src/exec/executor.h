@@ -48,13 +48,12 @@ struct ExecOptions {
   /// its own Executor::stats().
   obs::MetricRegistry* metrics = nullptr;
   /// Execution pool. It only schedules: rule bodies seeded by a
-  /// stored/intensional join always run in document *morsels*, and the
-  /// rules of a multi-rule predicate as one task each; a pool pulls them
-  /// dynamically from a shared cursor, and null (the default) runs the
-  /// same morsels and rules inline, in order. Results merge in stable
-  /// seed-tuple / rule order, so the output — a degraded answer or a
-  /// budget verdict included — is bit-identical with or without a pool
-  /// and at any thread count (docs/RUNTIME.md).
+  /// stored/intensional join always run in document *morsels*; a pool
+  /// pulls them dynamically from a shared cursor, and null (the default)
+  /// runs the same morsels inline, in order. Results merge in stable
+  /// seed-tuple order, so the output — a degraded answer or a budget
+  /// verdict included — is bit-identical with or without a pool and at
+  /// any thread count (docs/RUNTIME.md).
   runtime::TaskPool* pool = nullptr;
   /// Morsel size of the morsel-driven scheduler: how many seed tuples
   /// (≈ documents) one dynamically claimed work unit covers. Small enough

@@ -5,9 +5,7 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace iflex {
@@ -29,10 +27,9 @@ namespace runtime {
 ///     caller with no locking at all.
 ///
 /// Determinism contract: the pool schedules *when* indices run, never what
-/// they compute or how results are combined. ParallelFor/ParallelMap index
-/// the work items, and callers must combine results by index — every
-/// integration in this repo does — so output is identical at any thread
-/// count.
+/// they compute or how results are combined. ParallelFor indexes the work
+/// items, and callers must combine results by index — every integration
+/// in this repo does — so output is identical at any thread count.
 class TaskPool {
  public:
   /// `threads == 0` picks std::thread::hardware_concurrency(). The pool
@@ -88,19 +85,6 @@ void ParallelFor(TaskPool* pool, size_t n,
                  const std::function<void(size_t)>& fn,
                  const std::function<bool()>& stop = nullptr,
                  size_t grain = 0);
-
-/// out[i] = fn(i) for i in [0, n), in index order regardless of execution
-/// order — the deterministic-merge primitive the executor's rule fan-out
-/// builds on. T needs no default constructor.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(TaskPool* pool, size_t n, const Fn& fn) {
-  std::vector<std::optional<T>> slots(n);
-  ParallelFor(pool, n, [&](size_t i) { slots[i].emplace(fn(i)); });
-  std::vector<T> out;
-  out.reserve(n);
-  for (auto& s : slots) out.push_back(std::move(*s));
-  return out;
-}
 
 }  // namespace runtime
 }  // namespace iflex

@@ -21,16 +21,6 @@ std::optional<Value> FirstRun(const Corpus& corpus, const Document& doc,
                        Span(doc.id(), ranges[0].first, ranges[0].second));
 }
 
-// All markup runs of `kind`.
-std::vector<Value> AllRuns(const Corpus& corpus, const Document& doc,
-                           MarkupKind kind) {
-  std::vector<Value> out;
-  for (const auto& [b, e] : doc.layer(kind).ranges()) {
-    out.push_back(Value::OfSpan(corpus, Span(doc.id(), b, e)));
-  }
-  return out;
-}
-
 // The first token after an occurrence of `marker`, starting the search at
 // `*pos`; advances `*pos` past the match.
 std::optional<Value> TokenAfter(const Corpus& corpus, const Document& doc,

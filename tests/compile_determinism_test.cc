@@ -328,6 +328,20 @@ TEST(CompileRuleTest, UnconnectedJoinCarriesItsPushedFilters) {
   EXPECT_EQ(plan->ops[1].filters[0].lit.ToString(), "similar(t1, t2)");
   EXPECT_EQ(plan->ops[1].filters[1].kind, CompiledFilter::Kind::kComparison);
   EXPECT_EQ(plan->ops[1].filters[1].lit.ToString(), "np < bp");
+  // Both filters compare a probe bound by the an join with a bn column, so
+  // their table sides are prepared before the morsels start. bn's atom has
+  // only new, distinct variables: the similarity join may block.
+  EXPECT_FALSE(plan->ops[1].keyed);
+  ASSERT_TRUE(plan->ops[1].sim.has_value());
+  EXPECT_EQ(plan->ops[1].sim->filter, 0u);
+  EXPECT_EQ(plan->ops[1].sim->probe, "t1");
+  EXPECT_EQ(plan->ops[1].sim->table_col, 1u);
+  EXPECT_EQ(plan->ops[1].sim->threshold, 0.75);
+  ASSERT_EQ(plan->ops[1].cmps.size(), 1u);
+  EXPECT_EQ(plan->ops[1].cmps[0].filter, 1u);
+  EXPECT_EQ(plan->ops[1].cmps[0].probe, "np");
+  EXPECT_EQ(plan->ops[1].cmps[0].table_col, 2u);
+  EXPECT_TRUE(plan->ops[1].cmps[0].probe_is_lhs);
 }
 
 // The live columns of each join of `plan`, in op order.
@@ -371,6 +385,12 @@ TEST(CompileRuleTest, ScenarioJoinsKeepOnlyLiveColumns) {
   EXPECT_EQ(t3->ops[1].atom.predicate, "et");
   EXPECT_EQ(t3->ops[2].atom.predicate, "pt");
   EXPECT_EQ(JoinLiveSets(*t3), (Live{{"t1"}, {"t1", "t2"}, {"t1"}}));
+  // Each unconnected join carries its similarity filter, probed by the
+  // title the join before it bound.
+  ASSERT_TRUE(t3->ops[1].sim.has_value());
+  EXPECT_EQ(t3->ops[1].sim->probe, "t1");
+  ASSERT_TRUE(t3->ops[2].sim.has_value());
+  EXPECT_EQ(t3->ops[2].sim->probe, "t2");
 
   auto t9 = ScenarioPlan("T9", 100, "t9",
                          "t9(t1) :- an(x, t1, np), bn(y, t2, bp), "
@@ -410,15 +430,20 @@ class LivenessTest : public ::testing::Test {
     catalog_->RegisterBuiltinFunctions();
   }
 
-  // The live sets of the joins of the rule `text` (query q).
-  std::vector<std::vector<std::string>> Live(const std::string& text) {
+  // The compiled plan of the rule `text` (query q); empty on failure.
+  CompiledRule Plan(const std::string& text) {
     auto prog = ParseProgram(text, *catalog_);
     EXPECT_TRUE(prog.ok()) << text << ": " << prog.status();
     if (!prog.ok()) return {};
     auto plan = CompileRule(*catalog_, prog->rules()[0]);
     EXPECT_TRUE(plan.ok()) << text << ": " << plan.status();
     if (!plan.ok()) return {};
-    return JoinLiveSets(*plan);
+    return std::move(plan).value();
+  }
+
+  // The live sets of the joins of the rule `text` (query q).
+  std::vector<std::vector<std::string>> Live(const std::string& text) {
+    return JoinLiveSets(Plan(text));
   }
 
   Corpus corpus_;
@@ -442,6 +467,50 @@ TEST_F(LivenessTest, LaterOpsKeepTheVariablesTheyRead) {
             (L{{"x", "y"}, {"x"}}));
   // Nothing after the only join: it keeps the head's columns.
   EXPECT_EQ(Live("q(y, y) :- a(x, y)."), (L{{"y"}}));
+
+  // The b join's pushed-down filters with a probe (y, bound by a) on
+  // either side name a prepared table side, w's column 1.
+  CompiledRule plan = Plan("q(x) :- a(x, y), b(z, w), similar(w, y).");
+  ASSERT_EQ(plan.ops.size(), 2u);
+  EXPECT_EQ(JoinLiveSets(plan), (L{{"x", "y"}, {"x"}}));
+  ASSERT_TRUE(plan.ops[1].sim.has_value());
+  EXPECT_EQ(plan.ops[1].sim->probe, "y");
+  EXPECT_EQ(plan.ops[1].sim->table_col, 1u);
+  EXPECT_FALSE(plan.ops[1].sim->probe_is_lhs);
+  plan = Plan("q(x) :- a(x, y), b(z, w), w < y.");
+  ASSERT_EQ(plan.ops.size(), 2u);
+  EXPECT_EQ(JoinLiveSets(plan), (L{{"x", "y"}, {"x"}}));
+  EXPECT_FALSE(plan.ops[1].sim.has_value());
+  ASSERT_EQ(plan.ops[1].cmps.size(), 1u);
+  EXPECT_EQ(plan.ops[1].cmps[0].probe, "y");
+  EXPECT_EQ(plan.ops[1].cmps[0].table_col, 1u);
+  EXPECT_FALSE(plan.ops[1].cmps[0].probe_is_lhs);
+  // A comparison between two variables the join binds has no probe: it
+  // rides on the join but is decided per merged pair (EvalFilter).
+  plan = Plan("q(x) :- a(x, y), b(z, w), similar(y, w), z < w.");
+  ASSERT_EQ(plan.ops.size(), 2u);
+  EXPECT_EQ(JoinLiveSets(plan), (L{{"x", "y"}, {"x"}}));
+  ASSERT_EQ(plan.ops[1].filters.size(), 2u);
+  ASSERT_TRUE(plan.ops[1].sim.has_value());
+  EXPECT_EQ(plan.ops[1].sim->filter, 0u);
+  EXPECT_TRUE(plan.ops[1].cmps.empty());
+  // Only the first similarity filter with a probe is the join's; the
+  // second is decided per pair.
+  plan = Plan("q(x) :- a(x, y), b(z, w), similar(y, w), similar(x, w).");
+  ASSERT_EQ(plan.ops.size(), 2u);
+  ASSERT_EQ(plan.ops[1].filters.size(), 2u);
+  ASSERT_TRUE(plan.ops[1].sim.has_value());
+  EXPECT_EQ(plan.ops[1].sim->filter, 0u);
+  EXPECT_EQ(plan.ops[1].sim->probe, "y");
+  // A repeated variable is tested for equality per pair: the join is
+  // keyed, so its similarity side is never indexed. Its first position
+  // is its table column.
+  plan = Plan("q(x) :- a(x, y), b(w, w), similar(y, w).");
+  ASSERT_EQ(plan.ops.size(), 2u);
+  EXPECT_FALSE(plan.ops[0].keyed);
+  EXPECT_TRUE(plan.ops[1].keyed);
+  ASSERT_TRUE(plan.ops[1].sim.has_value());
+  EXPECT_EQ(plan.ops[1].sim->table_col, 0u);
 }
 
 // Bodies the executor cannot evaluate fail with the same statuses the

@@ -248,14 +248,16 @@ TEST(DblifeDeterminismTest, EveryIdbTableIsIdenticalAtAnyThreadCount) {
 }
 
 // The prepared similarity join (docs/PERFORMANCE.md) builds its table
-// side — prepared cells and the inverted token index — once per Execute
-// and shares it read-only across morsels and rule tasks. A T9 program
-// refined far enough for bn's title cells to be indexed must still be
-// byte-identical to serial at every thread count and morsel size, with
-// the same number of scored pairs. Every morsel also calls the one shared
-// Verify memo directly, so a fresh memo must see the same lookups and end
-// with the same entries; which of those lookups hit may differ when two
-// morsels race on one key.
+// side — prepared cells and the inverted token index — once per rule
+// evaluation, before the morsels start, and shares it read-only across
+// them. A T9 program refined far enough for bn's title cells to be
+// indexed must still be byte-identical to serial at every thread count
+// and morsel size, with the same number of scored pairs, with and without
+// a ReuseCache. Every morsel also calls the one shared Verify memo and the
+// cache's prepared-cell store directly, so a fresh memo must see the same
+// lookups and end with the same entries, and a fresh cache the same cell
+// lookups; which of those lookups hit may differ when two morsels race on
+// one key.
 TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
   // Each price carries a second constraint: contain cells only reach
   // Refine, and the memo answers the Verify calls that re-check refined
@@ -276,19 +278,23 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
     size_t join_pairs = 0;
     uint64_t memo_lookups = 0;
     size_t memo_entries = 0;
+    size_t cell_prep_lookups = 0;
   };
-  auto run = [&](runtime::TaskPool* pool, size_t morsel_docs) -> Result<Run> {
+  auto run = [&](runtime::TaskPool* pool, size_t morsel_docs,
+                 bool with_cache) -> Result<Run> {
     IFLEX_ASSIGN_OR_RETURN(auto task, MakeTask("T9", 60));
     IFLEX_ASSIGN_OR_RETURN(Program prog,
                            ParseProgram(kRefinedT9, *task->catalog));
     prog.set_query("t9");
     VerifyMemo memo;
+    ReuseCache cache;
     ExecOptions options;
     options.pool = pool;
     options.morsel_docs = morsel_docs;
     options.verify_memo = &memo;
     Executor exec(*task->catalog, options);
-    IFLEX_ASSIGN_OR_RETURN(CompactTable result, exec.Execute(prog));
+    IFLEX_ASSIGN_OR_RETURN(CompactTable result,
+                           exec.Execute(prog, with_cache ? &cache : nullptr));
     std::string bytes = result.ToString(task->corpus.get());
     std::map<std::string, const CompactTable*> idb;  // sorted by predicate
     for (const auto& [pred, table] : exec.last_idb()) idb[pred] = table.get();
@@ -305,26 +311,34 @@ TEST(SimilarityJoinDeterminismTest, SharedIndexIsIdenticalAtAnyThreadCount) {
       }
     }
     return Run{std::move(bytes), exec.stats().join_pairs,
-               memo.hits() + memo.misses(), memo.size()};
+               memo.hits() + memo.misses(), memo.size(),
+               exec.stats().cell_prep_hits + exec.stats().cell_prep_misses};
   };
 
-  auto serial = run(nullptr, 128);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_GT(serial->memo_lookups, 0u) << "no Verify call reached the memo";
-  for (size_t threads : {1, 2, 8}) {
-    runtime::TaskPool pool(threads);
-    for (size_t morsel_docs : {1, 64, 4096}) {
-      auto r = run(&pool, morsel_docs);
-      ASSERT_TRUE(r.ok()) << r.status();
-      const std::string at = std::to_string(threads) +
-                             " threads, morsel_docs " +
-                             std::to_string(morsel_docs);
-      EXPECT_EQ(r->bytes, serial->bytes) << at;
-      EXPECT_EQ(r->join_pairs, serial->join_pairs) << "join_pairs at " << at;
-      EXPECT_EQ(r->memo_lookups, serial->memo_lookups)
-          << "memo lookups at " << at;
-      EXPECT_EQ(r->memo_entries, serial->memo_entries)
-          << "memo entries at " << at;
+  for (bool with_cache : {false, true}) {
+    auto serial = run(nullptr, 128, with_cache);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    ASSERT_GT(serial->memo_lookups, 0u) << "no Verify call reached the memo";
+    // Only a cache has a store to look cells up in.
+    EXPECT_EQ(serial->cell_prep_lookups > 0, with_cache);
+    for (size_t threads : {1, 2, 8}) {
+      runtime::TaskPool pool(threads);
+      for (size_t morsel_docs : {1, 64, 4096}) {
+        auto r = run(&pool, morsel_docs, with_cache);
+        ASSERT_TRUE(r.ok()) << r.status();
+        const std::string at =
+            std::to_string(threads) + " threads, morsel_docs " +
+            std::to_string(morsel_docs) +
+            (with_cache ? ", with a cache" : ", without a cache");
+        EXPECT_EQ(r->bytes, serial->bytes) << at;
+        EXPECT_EQ(r->join_pairs, serial->join_pairs) << "join_pairs at " << at;
+        EXPECT_EQ(r->memo_lookups, serial->memo_lookups)
+            << "memo lookups at " << at;
+        EXPECT_EQ(r->memo_entries, serial->memo_entries)
+            << "memo entries at " << at;
+        EXPECT_EQ(r->cell_prep_lookups, serial->cell_prep_lookups)
+            << "prepared-cell lookups at " << at;
+      }
     }
   }
 }
@@ -430,6 +444,42 @@ TEST_F(PoolIndependenceTest, DegradedAnswerDoesNotDependOnThePool) {
     EXPECT_EQ(outcomes[w]->failed_docs, std::vector<DocId>{poisoned})
         << kWidths[w];
     EXPECT_TRUE(outcomes[w]->skipped_rules.empty()) << kWidths[w];
+  }
+
+  // Three rules for q, run in order at every width: the first drops the
+  // poisoned page, the second keeps every page, and the third fails on
+  // every page, so isolation drops all four and then skips the rule.
+  constexpr char kThreeRules[] = R"(
+    q(x, t) :- pages(x), tag(x, t).
+    q(x, t) :- pages(x), from(x, t).
+    q(x, t) :- pages(x), from(x, t), from(x, t).
+  )";
+  outcomes = RunAtEveryWidth(kThreeRules, options);
+  ASSERT_EQ(outcomes.size(), 3u);
+  const std::vector<DocId> failed = {poisoned, docs_[0], docs_[1], docs_[2],
+                                     docs_[3]};
+  for (size_t w = 0; w < outcomes.size(); ++w) {
+    ASSERT_TRUE(outcomes[w].ok()) << kWidths[w] << ": " << outcomes[w].status();
+    EXPECT_EQ(outcomes[w]->tuples, 3u + 4u) << kWidths[w];
+    EXPECT_EQ(outcomes[w]->table, outcomes[0]->table) << kWidths[w];
+    EXPECT_EQ(outcomes[w]->failed_docs, failed) << kWidths[w];
+    ASSERT_EQ(outcomes[w]->skipped_rules.size(), 1u) << kWidths[w];
+    EXPECT_NE(outcomes[w]->skipped_rules[0].find(
+                  "from() output already bound: t"),
+              std::string::npos)
+        << kWidths[w] << ": " << outcomes[w]->skipped_rules[0];
+  }
+  // Without best effort the first failure in rule order is the answer.
+  outcomes = RunAtEveryWidth(kThreeRules, ExecOptions());
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (size_t w = 0; w < outcomes.size(); ++w) {
+    ASSERT_FALSE(outcomes[w].ok()) << kWidths[w];
+    EXPECT_EQ(outcomes[w].status().ToString(),
+              outcomes[0].status().ToString())
+        << kWidths[w];
+    EXPECT_NE(outcomes[w].status().message().find("tag: poisoned page"),
+              std::string::npos)
+        << kWidths[w] << ": " << outcomes[w].status();
   }
 }
 

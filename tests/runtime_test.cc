@@ -101,18 +101,16 @@ TEST(TaskPoolTest, NestedParallelForDoesNotDeadlock) {
   });
   EXPECT_EQ(count.load(), 64);
 
-  // Three levels, as production nests them:
-  // simulations (ParallelMap) -> a predicate's rules (ParallelMap) ->
-  // one rule's morsels (ParallelFor).
+  // As production nests them: simulations (ParallelFor), each running a
+  // predicate's rules in order, each rule fanning out its morsels
+  // (ParallelFor).
   count.store(0);
-  std::vector<int> sims = ParallelMap<int>(&pool, 4, [&](size_t) {
-    std::vector<int> rules = ParallelMap<int>(&pool, 3, [&](size_t) {
+  std::vector<int> sims(4, 0);
+  ParallelFor(&pool, sims.size(), [&](size_t s) {
+    for (int rule = 0; rule < 3; ++rule) {
       ParallelFor(&pool, 4, [&](size_t) { count.fetch_add(1); });
-      return 1;
-    });
-    int done = 0;
-    for (int r : rules) done += r;
-    return done;
+      ++sims[s];
+    }
   });
   EXPECT_EQ(sims, (std::vector<int>{3, 3, 3, 3}));
   EXPECT_EQ(count.load(), 4 * 3 * 4);
@@ -128,18 +126,6 @@ TEST(TaskPoolTest, NullAndSingleThreadPoolsRunSerially) {
   order.clear();
   ParallelFor(&one, 5, [&](size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(TaskPoolTest, ParallelMapPreservesIndexOrder) {
-  TaskPool pool(4);
-  std::vector<size_t> out = ParallelMap<size_t>(&pool, 100, [](size_t i) {
-    if (i % 7 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return i * i;
-  });
-  ASSERT_EQ(out.size(), 100u);
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 // Sessions of iflexd share one pool from their connection threads: every
