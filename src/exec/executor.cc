@@ -221,14 +221,14 @@ class RuleEvaluator {
   // What this evaluator and its morsels counted.
   const ExecStats& stats() const { return stats_; }
 
-  Result<CompactTable> Evaluate(const Rule& rule) {
+  // Evaluates `rule` from scratch. With `kept` set, it also hands out the
+  // rule's binding, copied just before Project, for the caller to cache.
+  Result<CompactTable> Evaluate(const Rule& rule, SharedBinding* kept) {
     obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
-    scope_ = rule.head.predicate;
-    ++stats_.rules_evaluated;
+    Begin(rule);
     binding_ = CompactTable(std::vector<std::string>{});
     binding_.Add(CompactTuple{});
     columns_.clear();
-    budget_exhausted_ = false;
 
     // The plan lives for this evaluation; its morsels share it read-only
     // (docs/PERFORMANCE.md, "Rule compilation").
@@ -242,13 +242,93 @@ class RuleEvaluator {
     } else {
       IFLEX_RETURN_NOT_OK(RunPlan(plan, sides, 0));
     }
+    if (kept != nullptr) {
+      *kept = std::make_shared<const RuleBinding>(
+          RuleBinding{binding_, columns_});
+    }
+    return ProjectAndAnnotate(rule.head);
+  }
 
-    IFLEX_ASSIGN_OR_RETURN(CompactTable projected, Project(rule.head));
+  // Narrowing (docs/PERFORMANCE.md, "Narrowing reuse"): evaluates `rule`,
+  // a narrowable rule whose body ends in `steps` constraint literals, from
+  // `base`, the binding of the rule without them. Only those constraints
+  // run, in body order, each as its step of the full rule's plan (with its
+  // history of earlier same-variable constraints) through
+  // RunConstraintChain; Project and ψ then run as in Evaluate. After each
+  // step but the last, the binding so far — that of the rule without the
+  // constraints still to run — is appended to `intermediates`.
+  Result<CompactTable> Narrow(const Rule& rule, const RuleBinding& base,
+                              size_t steps,
+                              std::vector<SharedBinding>* intermediates) {
+    obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
+    Begin(rule);
+    ++stats_.rules_narrowed;
+    IFLEX_ASSIGN_OR_RETURN(CompiledRule plan, CompileRule(catalog_, rule));
+    IFLEX_ASSIGN_OR_RETURN(std::vector<CompiledConstraintStep> chain,
+                           LastSteps(rule, steps, &plan));
+    binding_ = base.table;
+    columns_ = base.columns;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      IFLEX_RETURN_NOT_OK(stop_.Check("Execute"));
+      CompiledOp op;
+      op.kind = CompiledOp::Kind::kConstraintChain;
+      op.chain.push_back(std::move(chain[i]));
+      IFLEX_RETURN_NOT_OK(RunConstraintChain(op));
+      if (i + 1 < chain.size()) {
+        intermediates->push_back(std::make_shared<const RuleBinding>(
+            RuleBinding{binding_, columns_}));
+      }
+    }
+    return ProjectAndAnnotate(rule.head);
+  }
+
+ private:
+  void Begin(const Rule& rule) {
+    scope_ = rule.head.predicate;
+    ++stats_.rules_evaluated;
+    budget_exhausted_ = false;
+  }
+
+  // The plan's steps of the last `steps` literals of `rule`'s body, all
+  // constraints, in body order, moved out of `plan`. The plan applies a
+  // variable's constraints in body order (CompileRule), so the k-th
+  // constraint literal on a variable is the k-th chain step on it.
+  static Result<std::vector<CompiledConstraintStep>> LastSteps(
+      const Rule& rule, size_t steps, CompiledRule* plan) {
+    std::unordered_map<std::string, std::vector<CompiledConstraintStep*>>
+        by_var;
+    for (CompiledOp& op : plan->ops) {
+      for (CompiledConstraintStep& step : op.chain) {
+        by_var[step.k.lit.var].push_back(&step);
+      }
+    }
+    std::unordered_map<std::string, size_t> seen;
+    std::vector<CompiledConstraintStep> out;
+    const size_t first = rule.body.size() - steps;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (rule.body[i].kind != Literal::Kind::kConstraint) continue;
+      const ConstraintLit& lit = rule.body[i].constraint;
+      const size_t k = seen[lit.var]++;
+      if (i < first) continue;
+      const std::vector<CompiledConstraintStep*>& on_var = by_var[lit.var];
+      if (k >= on_var.size() || !(on_var[k]->k.lit == lit)) {
+        return Status::Internal("no plan step for constraint " +
+                                lit.ToString() + " in rule " +
+                                rule.ToString());
+      }
+      out.push_back(std::move(*on_var[k]));
+    }
+    return out;
+  }
+
+  // Project, then ψ when the head annotates.
+  Result<CompactTable> ProjectAndAnnotate(const RuleHead& head) {
+    IFLEX_ASSIGN_OR_RETURN(CompactTable projected, Project(head));
 
     AnnotationSpec spec;
-    spec.existence = rule.head.existence;
-    for (size_t i = 0; i < rule.head.annotated.size(); ++i) {
-      if (rule.head.annotated[i]) spec.annotated.push_back(i);
+    spec.existence = head.existence;
+    for (size_t i = 0; i < head.annotated.size(); ++i) {
+      if (head.annotated[i]) spec.annotated.push_back(i);
     }
     if (spec.empty()) return projected;
     obs::CostScope cost(cost_model_, scope_, "annotate",
@@ -262,7 +342,6 @@ class RuleEvaluator {
     return annotated;
   }
 
- private:
   // Applies the intermediate-tuple budget to an overflowing `table`.
   // Best-effort mode truncates to the cap, records the event once, and
   // latches budget_exhausted_ so enumeration loops stop growing tables;
@@ -1480,34 +1559,130 @@ Result<std::vector<std::string>> TopoOrder(
   return order;
 }
 
-// Fingerprint of everything that determines a predicate's table: its rules
-// and (transitively) its dependencies' fingerprints.
+uint64_t PredicateFingerprint(
+    const std::string& pred,
+    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
+    std::unordered_map<std::string, uint64_t>* memo);
+
+// Fingerprint of everything that determines the table `rules` compute for
+// `pred`: their text and (transitively) their dependencies' fingerprints.
+// The one blob format both for a predicate's own rules and for the
+// stripped rules narrowing looks up.
+uint64_t RulesFingerprint(
+    const std::string& pred, const std::vector<const Rule*>& rules,
+    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
+    std::unordered_map<std::string, uint64_t>* memo) {
+  std::string blob = "pred:" + pred + "\n";
+  for (const Rule* r : rules) {
+    blob += r->ToString() + "\n";
+    for (const Literal& lit : r->body) {
+      if (lit.kind == Literal::Kind::kAtom &&
+          by_head.count(lit.atom.predicate) && lit.atom.predicate != pred) {
+        blob += StringPrintf(
+            "dep:%016llx\n",
+            static_cast<unsigned long long>(
+                PredicateFingerprint(lit.atom.predicate, by_head, memo)));
+      }
+    }
+  }
+  return Fingerprint64(blob);
+}
+
+// The fingerprint of a predicate's own rules, memoized per Execute.
 uint64_t PredicateFingerprint(
     const std::string& pred,
     const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
     std::unordered_map<std::string, uint64_t>* memo) {
   auto it = memo->find(pred);
   if (it != memo->end()) return it->second;
-  std::string blob = "pred:" + pred + "\n";
   auto rit = by_head.find(pred);
-  if (rit != by_head.end()) {
-    for (const Rule* r : rit->second) {
-      blob += r->ToString() + "\n";
-      for (const Literal& lit : r->body) {
-        if (lit.kind == Literal::Kind::kAtom &&
-            by_head.count(lit.atom.predicate) &&
-            lit.atom.predicate != pred) {
-          blob += StringPrintf(
-              "dep:%016llx\n",
-              static_cast<unsigned long long>(
-                  PredicateFingerprint(lit.atom.predicate, by_head, memo)));
-        }
-      }
-    }
-  }
-  uint64_t fp = Fingerprint64(blob);
+  uint64_t fp = RulesFingerprint(
+      pred, rit != by_head.end() ? rit->second : std::vector<const Rule*>{},
+      by_head, memo);
   memo->emplace(pred, fp);
   return fp;
+}
+
+// How many constraint literals end `rule`'s body when the rule is
+// narrowable (docs/PERFORMANCE.md, "Narrowing reuse"), nullopt when it is
+// not. A narrowable body is one stored or intensional atom, then from()
+// atoms and constraint literals, with the constraints a contiguous suffix
+// on variables no from() reads. Its plan is the seed join followed by
+// from() and constraint-chain ops that each read and write one variable,
+// so ops on different variables commute.
+std::optional<size_t> NarrowableSuffix(const Catalog& catalog,
+                                       const Rule& rule) {
+  const std::vector<Literal>& body = rule.body;
+  auto kind_of = [&](const Atom& atom) {
+    auto kind = catalog.KindOf(atom.predicate);
+    return kind.ok() ? *kind : PredicateKind::kIntensional;
+  };
+  if (body.empty() || body[0].kind != Literal::Kind::kAtom) {
+    return std::nullopt;
+  }
+  const PredicateKind seed = kind_of(body[0].atom);
+  if (seed != PredicateKind::kExtensional &&
+      seed != PredicateKind::kIntensional) {
+    return std::nullopt;
+  }
+  std::unordered_set<std::string> from_inputs;
+  size_t i = 1;
+  for (; i < body.size() && body[i].kind == Literal::Kind::kAtom; ++i) {
+    const Atom& a = body[i].atom;
+    if (kind_of(a) != PredicateKind::kBuiltinFrom || a.args.size() != 2 ||
+        !a.args[0].is_var()) {
+      return std::nullopt;
+    }
+    from_inputs.insert(a.args[0].var);
+  }
+  for (size_t j = i; j < body.size(); ++j) {
+    if (body[j].kind != Literal::Kind::kConstraint ||
+        from_inputs.count(body[j].constraint.var) > 0) {
+      return std::nullopt;
+    }
+  }
+  return body.size() - i;
+}
+
+// Where a narrowing starts: the cached binding of the rule without its
+// last `steps` constraint literals.
+struct NarrowingBase {
+  SharedBinding binding;
+  size_t steps = 0;
+  // Fingerprints of the rules the narrowing passes through, in the order
+  // it reaches them: the rule without its last steps - 1 constraints,
+  // then steps - 2, down to 1.
+  std::vector<uint64_t> passed;
+};
+
+// Strips the `suffix` constraint literals ending `rule`'s body one at a
+// time, from the end, and returns the first stripped rule whose binding
+// `cache` holds; nullopt when none does, or when that binding lacks the
+// column of a stripped constraint (a seed-join column only the constraint
+// reads is not kept in it).
+std::optional<NarrowingBase> FindNarrowingBase(
+    const std::string& pred, const Rule& rule, size_t suffix,
+    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
+    std::unordered_map<std::string, uint64_t>* memo, ReuseCache* cache) {
+  NarrowingBase base;
+  Rule stripped = rule;
+  for (size_t steps = 1; steps <= suffix; ++steps) {
+    stripped.body.pop_back();
+    const uint64_t fp = RulesFingerprint(pred, {&stripped}, by_head, memo);
+    base.binding = cache->LookupBinding(fp);
+    if (base.binding == nullptr) {
+      base.passed.insert(base.passed.begin(), fp);
+      continue;
+    }
+    for (size_t i = rule.body.size() - steps; i < rule.body.size(); ++i) {
+      if (base.binding->columns.count(rule.body[i].constraint.var) == 0) {
+        return std::nullopt;
+      }
+    }
+    base.steps = steps;
+    return base;
+  }
+  return std::nullopt;
 }
 
 // The counts of ExecStats and their metric names.
@@ -1517,6 +1692,7 @@ struct StatField {
 };
 constexpr StatField kStatFields[] = {
     {"exec.rules_evaluated", &ExecStats::rules_evaluated},
+    {"exec.rules_narrowed", &ExecStats::rules_narrowed},
     {"exec.tuples_emitted", &ExecStats::tuples_emitted},
     {"exec.join_pairs", &ExecStats::join_pairs},
     {"exec.constraint_cells", &ExecStats::constraint_cells},
@@ -1696,6 +1872,9 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
   // Shared with the reuse cache: a hit or an insert copies no table.
   std::unordered_map<std::string, SharedTable> idb;
   PreparedCellStore* store = cache != nullptr ? &cache->cells() : nullptr;
+  // Predicates computed by this Execute from trapped faults, directly or
+  // from such a predicate's table.
+  std::unordered_set<std::string> degraded;
   for (const std::string& pred : order) {
     obs::TraceSpan pred_span(tracer_, "exec.predicate", pred);
     resilience::StopPoller stop(options_.deadline, options_.cancel);
@@ -1711,9 +1890,25 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
       ++stats_.cache_misses;
     }
     const std::vector<const Rule*>& rules = by_head[pred];
-    // Events already in the report before this predicate ran; used below
-    // to keep degraded tables out of the reuse cache.
-    const size_t report_events_before = report_->EventCount();
+    // A narrowable rule, the only one of its predicate, keeps its binding
+    // in the cache, or applies just its newest constraints to the cached
+    // binding of the rule without them (docs/PERFORMANCE.md, "Narrowing
+    // reuse").
+    std::optional<size_t> suffix;
+    if (cache != nullptr && rules.size() == 1) {
+      suffix = NarrowableSuffix(catalog_, *rules.front());
+    }
+    std::optional<NarrowingBase> base;
+    if (suffix.has_value()) {
+      base = FindNarrowingBase(pred, *rules.front(), *suffix, by_head,
+                               &fp_memo, cache);
+    }
+    SharedBinding kept;
+    std::vector<SharedBinding> intermediates;
+    // This predicate's own report: only its events decide whether the
+    // table is clean. It joins the Execute's report when the predicate
+    // ends, on either exit below.
+    resilience::ExecReport pred_report;
     // The rules run in order on this thread: a rule's morsels are the only
     // fan-out inside an Execute (docs/RUNTIME.md), so the result and the
     // error returned (the first failure in rule order) do not depend on
@@ -1721,8 +1916,13 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     CompactTable result;
     bool first = true;
     for (const Rule* rule : rules) {
-      RuleEvaluator eval(catalog_, options_, &idb, tracer_, report_, store);
-      Result<CompactTable> part = eval.Evaluate(*rule);
+      RuleEvaluator eval(catalog_, options_, &idb, tracer_, &pred_report,
+                         store);
+      Result<CompactTable> part =
+          base.has_value()
+              ? eval.Narrow(*rule, *base->binding, base->steps,
+                            &intermediates)
+              : eval.Evaluate(*rule, suffix.has_value() ? &kept : nullptr);
       stats_.Add(eval.stats());
       // Per-rule fault isolation: under best_effort a failing rule is
       // skipped and recorded — its siblings' tuples still answer the
@@ -1730,9 +1930,10 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
       // always propagate.
       if (!part.ok()) {
         if (!options_.best_effort || part.status().IsStop()) {
+          report_->Merge(pred_report);
           return part.status();
         }
-        report_->AddSkippedRule(pred + ": " + part.status().ToString());
+        pred_report.AddSkippedRule(pred + ": " + part.status().ToString());
         if (event_log_->ShouldLog(obs::LogLevel::kWarn)) {
           event_log_->Warn("exec.rule",
                            StringPrintf("rule for %s skipped: %s",
@@ -1746,18 +1947,35 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
         for (CompactTuple& tup : part->tuples()) result.Add(std::move(tup));
       }
     }
+    report_->Merge(pred_report);
     if (first) {
       // Every rule of this predicate was skipped: degrade to an empty
       // table with the head schema so downstream joins stay well-formed.
       result = CompactTable(std::vector<std::string>(
           rules.front()->head.args.begin(), rules.front()->head.args.end()));
     }
-    // A table assembled with faults trapped is incomplete for *this* run
-    // only — caching it would silently degrade future fault-free
-    // iterations, so degraded predicates never enter the cache.
-    const bool clean = report_->EventCount() == report_events_before;
+    // A table assembled with faults trapped, or from such a table, is
+    // incomplete for *this* run only — caching it, or the binding it came
+    // from, would silently degrade future fault-free iterations, so
+    // degraded predicates never enter the cache.
+    bool clean = pred_report.empty();
+    for (const Rule* rule : rules) {
+      for (const Literal& lit : rule->body) {
+        clean = clean && (lit.kind != Literal::Kind::kAtom ||
+                          degraded.count(lit.atom.predicate) == 0);
+      }
+    }
+    if (!clean) degraded.insert(pred);
     auto table = std::make_shared<const CompactTable>(std::move(result));
-    if (cache != nullptr && clean) cache->Insert(fp, table);
+    if (cache != nullptr && clean) {
+      cache->Insert(fp, table, std::move(kept));
+      // A narrowing keeps no binding of its own: in a session that would
+      // be one per simulated answer. The rules it passed through are kept,
+      // since later narrowings start from them.
+      for (size_t i = 0; i < intermediates.size(); ++i) {
+        cache->Insert(base->passed[i], nullptr, std::move(intermediates[i]));
+      }
+    }
     idb.emplace(pred, std::move(table));
   }
   for (const auto& [pred, table] : idb) {

@@ -109,6 +109,9 @@ struct ExecOptions {
 /// the "exec.*" and "resilience.*" counters (docs/OBSERVABILITY.md).
 struct ExecStats {
   size_t rules_evaluated = 0;
+  /// Rules evaluated by narrowing a cached binding (ReuseCache); each is
+  /// also counted in rules_evaluated.
+  size_t rules_narrowed = 0;
   size_t tuples_emitted = 0;
   size_t join_pairs = 0;
   size_t constraint_cells = 0;
@@ -153,56 +156,70 @@ struct ExecStats {
 /// share it instead of copying it.
 using SharedTable = std::shared_ptr<const CompactTable>;
 
+/// A rule's binding: its table just before Project, with the column of
+/// each variable. A ReuseCache keeps the bindings of narrowable rules, so
+/// that a rule adding constraints to one is evaluated by applying just
+/// those constraints (docs/PERFORMANCE.md, "Narrowing reuse"). Never
+/// mutated once built, and shared like SharedTable.
+struct RuleBinding {
+  CompactTable table;
+  std::unordered_map<std::string, size_t> columns;
+};
+using SharedBinding = std::shared_ptr<const RuleBinding>;
+
 /// Cross-iteration reuse cache (paper §5.2): intermediate results —
 /// the compact table computed for each intensional predicate — keyed by a
 /// fingerprint of the rules that produce it (transitively). When the
 /// developer's feedback touches only one extractor, every untouched
-/// predicate is served from cache. Below the predicate level it keeps the
-/// prepared cells of every Execute that used it (cells()), so the
-/// iterations, attribute probes and candidate simulations of a session
-/// prepare each distinct cell once.
+/// predicate is served from cache. An entry may also hold the binding of
+/// a narrowable rule, which a later rule that only adds constraints to it
+/// narrows instead of re-running it (docs/PERFORMANCE.md, "Narrowing
+/// reuse"); an entry may hold a binding and no table. Below the predicate
+/// level it keeps the prepared cells of every Execute that used it
+/// (cells()), so the iterations, attribute probes and candidate
+/// simulations of a session prepare each distinct cell once.
 ///
-/// Tables are shared, not copied: a hit hands out the stored table and an
-/// insert stores the caller's (docs/PERFORMANCE.md, "Copy-free table
-/// flow"). Entries age by generation: each is stamped with the generation
-/// of its last insert or hit, NewGeneration() starts the next one (the
-/// simulation strategy calls it once per question selection), and an
-/// entry used in neither the current nor the previous generation is
-/// dropped then. A dropped entry is only a future miss, which recomputes
-/// the same table.
+/// Tables and bindings are shared, not copied: a hit hands out the stored
+/// one and an insert stores the caller's (docs/PERFORMANCE.md, "Copy-free
+/// table flow"). Entries age by generation: each is stamped with the
+/// generation of its last insert or hit, NewGeneration() starts the next
+/// one (the simulation strategy calls it once per question selection), and
+/// an entry used in neither the current nor the previous generation is
+/// dropped then, table and binding together. A dropped entry is only a
+/// future miss, which recomputes the same table.
 ///
 /// Thread-safety: one mutex guards the map, so concurrent simulation
-/// executors can share one cache; it is taken about once per predicate
+/// executors can share one cache; it is taken a few times per predicate
 /// per Execute, too rarely to contend (docs/PERFORMANCE.md, "Verify
 /// memo"). The cell store, looked up once per row, stripes its own locks.
-/// A table handed out stays readable for as long as its holder keeps it,
-/// across concurrent inserts, eviction and Clear(). A duplicate insert
-/// keeps the first table and refreshes its generation — harmless, since
-/// parallel execution is deterministic and both tables are identical.
+/// A table or binding handed out stays readable for as long as its holder
+/// keeps it, across concurrent inserts, eviction and Clear(). A duplicate
+/// insert keeps the first table and the first binding, fills in a part
+/// the entry lacks, and refreshes its generation — harmless, since
+/// parallel execution is deterministic and both copies are identical.
 /// Clear() empties the cell store too, so it must not race with an
 /// Execute using the cache.
 class ReuseCache {
  public:
-  /// The table stored under `key`, or null; a hit stamps the entry with
-  /// the current generation.
-  SharedTable Lookup(uint64_t key) {
-    // Fail-point site "exec.cache": an injected fault degrades to a cache
-    // miss — the caller recomputes, trading time for correctness.
-    if (resilience::FailPointFired("exec.cache")) return nullptr;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    it->second.generation = generation_;
-    return it->second.table;
+  /// The table stored under `key`, or null (an entry holding only a
+  /// binding is a miss); a hit stamps the entry with the current
+  /// generation.
+  SharedTable Lookup(uint64_t key) { return Find(key, &Entry::table); }
+  /// The binding stored under `key`, or null; a hit stamps the entry.
+  SharedBinding LookupBinding(uint64_t key) {
+    return Find(key, &Entry::binding);
   }
-  /// Stores `table` under `key`, stamped with the current generation.
-  void Insert(uint64_t key, SharedTable table) {
+  /// Stores `table` and `binding` (either may be null) under `key`,
+  /// stamped with the current generation; a part the entry already holds
+  /// is kept.
+  void Insert(uint64_t key, SharedTable table, SharedBinding binding = {}) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] =
-        map_.try_emplace(key, Entry{std::move(table), generation_});
-    if (!inserted) it->second.generation = generation_;
+    Entry& entry = map_[key];
+    if (entry.table == nullptr) entry.table = std::move(table);
+    if (entry.binding == nullptr) entry.binding = std::move(binding);
+    entry.generation = generation_;
   }
-  /// Starts a new generation and drops the tables used in neither it nor
+  /// Starts a new generation and drops the entries used in neither it nor
   /// the previous one.
   void NewGeneration() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -211,7 +228,7 @@ class ReuseCache {
       return entry.second.generation + 1 < generation_;
     });
   }
-  /// Clears the tables and the prepared cells.
+  /// Clears the tables, the bindings and the prepared cells.
   void Clear() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -219,7 +236,7 @@ class ReuseCache {
     }
     cells_.Clear();
   }
-  /// Number of cached tables.
+  /// Number of entries (tables, bindings or both).
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
@@ -229,8 +246,22 @@ class ReuseCache {
  private:
   struct Entry {
     SharedTable table;
+    SharedBinding binding;
     uint64_t generation = 0;  // of the last insert or hit
   };
+
+  template <typename T>
+  std::shared_ptr<const T> Find(uint64_t key,
+                                std::shared_ptr<const T> Entry::*part) {
+    // Fail-point site "exec.cache": an injected fault degrades to a cache
+    // miss — the caller recomputes, trading time for correctness.
+    if (resilience::FailPointFired("exec.cache")) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second.*part == nullptr) return nullptr;
+    it->second.generation = generation_;
+    return it->second.*part;
+  }
 
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Entry> map_;
@@ -250,7 +281,11 @@ class Executor {
   /// predicate.
   Result<CompactTable> Execute(const Program& program);
 
-  /// Same, reusing/filling `cache` across iterations (paper §5.2).
+  /// Same, reusing/filling `cache` across iterations (paper §5.2): a
+  /// predicate whose table is cached is not evaluated, and a narrowable
+  /// rule that adds constraints to one whose binding is cached applies
+  /// just those constraints to it (docs/PERFORMANCE.md, "Narrowing
+  /// reuse").
   Result<CompactTable> Execute(const Program& program, ReuseCache* cache);
 
   /// What the last Execute did.

@@ -6,8 +6,7 @@ namespace iflex {
 namespace resilience {
 
 void ExecReport::Merge(const ExecReport& other) {
-  failed_docs.insert(failed_docs.end(), other.failed_docs.begin(),
-                     other.failed_docs.end());
+  for (DocId doc : other.failed_docs) AddFailedDoc(doc);
   failed_inputs += other.failed_inputs;
   skipped_rules.insert(skipped_rules.end(), other.skipped_rules.begin(),
                        other.skipped_rules.end());

@@ -1,6 +1,7 @@
 #ifndef IFLEX_RESILIENCE_REPORT_H_
 #define IFLEX_RESILIENCE_REPORT_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,8 @@ namespace resilience {
 /// result is the same one a fault-free run produces.
 struct ExecReport {
   /// Documents dropped by per-document fault isolation (sharded
-  /// evaluation); the result contains no tuples derived from them.
+  /// evaluation), each listed once, in the order first dropped; the result
+  /// contains no tuples derived from them.
   std::vector<DocId> failed_docs;
   /// Seed tuples dropped whose document could not be identified (no doc
   /// provenance in the tuple).
@@ -48,17 +50,21 @@ struct ExecReport {
            skipped_rules.empty() && truncations.empty();
   }
 
-  /// Total recorded events; comparing counts before/after an operation
-  /// tells whether it degraded anything (the executor uses this to keep
-  /// degraded tables out of the reuse cache).
+  /// Total recorded events; a document dropped more than once counts
+  /// once, so to tell whether one operation degraded anything give it a
+  /// report of its own (the executor does, per predicate).
   size_t EventCount() const {
     return failed_docs.size() + failed_inputs + skipped_rules.size() +
            truncations.size();
   }
 
-  /// Records and flags in one step.
+  /// Records and flags in one step; a document already listed is not
+  /// listed again.
   void AddFailedDoc(DocId doc) {
-    failed_docs.push_back(doc);
+    if (std::find(failed_docs.begin(), failed_docs.end(), doc) ==
+        failed_docs.end()) {
+      failed_docs.push_back(doc);
+    }
     degraded = true;
   }
   void AddFailedInput() {
@@ -74,7 +80,8 @@ struct ExecReport {
     degraded = true;
   }
 
-  /// Folds a sub-report (a shard's, an iteration's) into this one.
+  /// Folds a sub-report (a shard's, an iteration's) into this one,
+  /// skipping the documents this one already lists.
   void Merge(const ExecReport& other);
 
   /// One-line summary, e.g.

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "exec/annotate.h"
 #include "exec/cell_ops.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
+#include "resilience/failpoint.h"
 #include "text/markup_parser.h"
 
 namespace iflex {
@@ -508,6 +511,58 @@ TEST(ReuseCacheTest, HeldTableOutlivesEvictionAndClear) {
   EXPECT_EQ(ValueOf(*cleared), 4);
 }
 
+// A binding (narrowing reuse) lives in the same entry as its predicate's
+// table: a binding-only entry is a table miss, and no insert replaces a
+// part an entry already holds.
+SharedBinding OneValueBinding(double v) {
+  return std::make_shared<const RuleBinding>(
+      RuleBinding{*OneValueTable(v), {{"v", 0}}});
+}
+
+TEST(ReuseCacheTest, BindingEntries) {
+  ReuseCache cache;
+  const SharedBinding binding = OneValueBinding(5);
+  cache.Insert(5, nullptr, binding);
+  EXPECT_EQ(cache.Lookup(5), nullptr);
+  EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
+  const SharedTable table = OneValueTable(5);
+  cache.Insert(5, table);  // a later table insert keeps the binding
+  EXPECT_EQ(cache.Lookup(5).get(), table.get());
+  EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
+  cache.Insert(5, OneValueTable(5), OneValueBinding(5));  // a duplicate
+  EXPECT_EQ(cache.Lookup(5).get(), table.get());
+  EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ReuseCacheTest, AgingAndClearDropBindings) {
+  ReuseCache cache;
+  cache.Insert(1, OneValueTable(1), OneValueBinding(1));
+  cache.Insert(2, nullptr, OneValueBinding(2));
+  cache.NewGeneration();
+  ASSERT_NE(cache.LookupBinding(2), nullptr);  // the hit refreshes entry 2
+  cache.NewGeneration();
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.LookupBinding(1), nullptr);
+  const SharedBinding held = cache.LookupBinding(2);
+  ASSERT_NE(held, nullptr);
+  cache.Clear();
+  EXPECT_EQ(cache.LookupBinding(2), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(ValueOf(held->table), 2);  // a held binding stays readable
+}
+
+TEST(ReuseCacheTest, CacheFaultMakesABindingLookupMiss) {
+  ReuseCache cache;
+  cache.Insert(1, OneValueTable(1), OneValueBinding(1));
+  ASSERT_TRUE(
+      resilience::FailPoints::Instance().Configure("exec.cache=error").ok());
+  EXPECT_EQ(cache.LookupBinding(1), nullptr);
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  resilience::FailPoints::Instance().Clear();
+  EXPECT_NE(cache.LookupBinding(1), nullptr);
+}
+
 TEST_F(ExecutorTest, StatsAccumulate) {
   const char* src = R"(
     q(x, p) :- pages(x), extractPrice(x, p).
@@ -780,6 +835,157 @@ TEST_F(ExecutorTest, FailedExecutionReportsZeroProcessSize) {
   EXPECT_GT(exec.stats().rules_evaluated, 1u);  // p ran, then q failed
   EXPECT_EQ(exec.stats().process_assignments, 0u);
   EXPECT_DOUBLE_EQ(exec.stats().process_values, 0.0);
+}
+
+// ------------------------------------------------------- narrowing reuse
+
+// A rule that adds constraints to a cached narrowable rule is evaluated by
+// applying just those constraints to the cached binding
+// (docs/PERFORMANCE.md, "Narrowing reuse"). Every Execute with the cache
+// is compared byte for byte, its result and every last_idb() table, with a
+// cache-less Executor.
+class NarrowingTest : public ExecutorTest {
+ protected:
+  void SetUp() override {
+    ExecutorTest::SetUp();
+    ASSERT_TRUE(catalog_->DeclareIEPredicate("extractPS", 1, 2).ok());
+    ASSERT_TRUE(catalog_
+                    ->DeclarePPredicate(
+                        "tag", 1, 1,
+                        [](const Corpus&, const std::vector<Value>& in)
+                            -> Result<std::vector<std::vector<Value>>> {
+                          return std::vector<std::vector<Value>>{
+                              {Value::Number(in[0].doc())}};
+                        })
+                    .ok());
+  }
+
+  void TearDown() override { resilience::FailPoints::Instance().Clear(); }
+
+  Program Parse(const char* src) {
+    auto prog = ParseProgram(src, *catalog_);
+    EXPECT_TRUE(prog.ok()) << prog.status();
+    if (!prog.ok()) return Program();
+    prog->set_query("q");
+    return *std::move(prog);
+  }
+
+  // `prog` with `feature`(output `output_idx` of extractPS) = yes added,
+  // as an answer adds it.
+  Program With(Program prog, size_t output_idx, const std::string& feature) {
+    EXPECT_TRUE(prog.AddConstraint(*catalog_, "extractPS", output_idx,
+                                   feature, FeatureParam::None(),
+                                   FeatureValue::kYes)
+                    .ok());
+    return prog;
+  }
+
+  // The result, or the error, and every last_idb() table by predicate.
+  std::string Dump(const Executor& exec, const Result<CompactTable>& r) {
+    if (!r.ok()) return r.status().ToString();
+    std::string out = r->ToString(&corpus_);
+    std::map<std::string, const CompactTable*> idb;
+    for (const auto& [pred, table] : exec.last_idb()) idb[pred] = table.get();
+    for (const auto& [pred, table] : idb) {
+      out += "\n" + pred + ": " + table->ToString(&corpus_);
+    }
+    return out;
+  }
+
+  // Executes `prog` with cache_ and with no cache, expects the same bytes,
+  // and returns what the Execute with the cache did.
+  ExecStats Run(const Program& prog, const ExecOptions& options = {}) {
+    Executor cached(*catalog_, options);
+    Result<CompactTable> r = cached.Execute(prog, &cache_);
+    EXPECT_TRUE(r.ok()) << r.status();
+    Executor plain(*catalog_, options);
+    EXPECT_EQ(Dump(cached, r), Dump(plain, plain.Execute(prog)))
+        << prog.ToString();
+    return cached.stats();
+  }
+
+  ReuseCache cache_;
+};
+
+// prices is narrowable and annotates its head; q filters it, so it is not.
+constexpr char kTwoAttributes[] = R"(
+  prices(x, <p>, <s>) :- pages(x), extractPS(x, p, s).
+  q(x, p, s) :- prices(x, p, s), p > 300000.
+  extractPS(x, p, s) :- from(x, p), from(x, s).
+)";
+
+TEST_F(NarrowingTest, OneNewConstraintNarrowsTheCachedBinding) {
+  const Program base = Parse(kTwoAttributes);
+  EXPECT_EQ(Run(base).rules_narrowed, 0u);
+  const ExecStats refined = Run(With(base, 0, "numeric"));
+  EXPECT_EQ(refined.rules_narrowed, 1u);
+  EXPECT_EQ(refined.rules_evaluated, 2u);
+  EXPECT_EQ(refined.constraint_cells, 2u);  // two pages, one step
+}
+
+// Two constraints at once narrow in two steps, and the rule between them
+// keeps its binding: a different second constraint on it then narrows in
+// one step, as a simulation does once the session adopted the first.
+TEST_F(NarrowingTest, MultiStepNarrowingKeepsTheRuleBetween) {
+  const Program base = Parse(kTwoAttributes);
+  Run(base);
+  const Program first = With(base, 0, "numeric");
+  const ExecStats two = Run(With(first, 1, "numeric"));
+  EXPECT_EQ(two.rules_narrowed, 1u);
+  EXPECT_EQ(two.constraint_cells, 4u);  // two pages, two steps
+  const ExecStats one = Run(With(first, 0, "bold_font"));
+  EXPECT_EQ(one.rules_narrowed, 1u);
+  EXPECT_EQ(one.constraint_cells, 2u);  // two pages, one step
+  // The narrowed rules keep no binding of their own: a constraint added to
+  // one narrows from the rule between again, in two steps.
+  const ExecStats three = Run(With(With(first, 0, "bold_font"), 1, "numeric"));
+  EXPECT_EQ(three.rules_narrowed, 1u);
+  EXPECT_EQ(three.constraint_cells, 4u);
+}
+
+// A comparison or a p-predicate after the seed join, or a second rule for
+// the predicate: no narrowing, the same tables.
+TEST_F(NarrowingTest, OtherRuleShapesAreEvaluatedInFull) {
+  const char* kComparison = R"(
+    q(x, p, s) :- pages(x), p > 300000, extractPS(x, p, s).
+    extractPS(x, p, s) :- from(x, p), from(x, s).
+  )";
+  const char* kPPredicate = R"(
+    q(x, t, p, s) :- pages(x), tag(x, t), extractPS(x, p, s).
+    extractPS(x, p, s) :- from(x, p), from(x, s).
+  )";
+  const char* kTwoRules = R"(
+    q(x, p, s) :- pages(x), extractPS(x, p, s).
+    q(x, p, s) :- pages(x), extractPS(x, s, p).
+    extractPS(x, p, s) :- from(x, p), from(x, s).
+  )";
+  for (const char* src : {kComparison, kPPredicate, kTwoRules}) {
+    cache_.Clear();
+    const Program base = Parse(src);
+    Run(base);
+    const ExecStats refined = Run(With(base, 0, "numeric"));
+    EXPECT_EQ(refined.rules_narrowed, 0u) << src;
+    EXPECT_GT(refined.constraint_cells, 0u) << src;
+  }
+}
+
+// A best-effort base that a fail point degraded keeps no binding, so the
+// refined rule is evaluated in full.
+TEST_F(NarrowingTest, DegradedBaseKeepsNoBinding) {
+  const Program base = Parse(kTwoAttributes);
+  ExecOptions best_effort;
+  best_effort.best_effort = true;
+  ASSERT_TRUE(
+      resilience::FailPoints::Instance().Configure("exec.shard=error").ok());
+  {
+    Executor exec(*catalog_, best_effort);
+    ASSERT_TRUE(exec.Execute(base, &cache_).ok());
+    ASSERT_TRUE(exec.report().degraded);
+  }
+  resilience::FailPoints::Instance().Clear();
+  const ExecStats refined = Run(With(base, 0, "numeric"), best_effort);
+  EXPECT_EQ(refined.rules_narrowed, 0u);
+  EXPECT_EQ(refined.cache_hits, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "exec/executor.h"
 #include "obs/metrics.h"
@@ -221,8 +222,11 @@ TEST(ExecReportTest, RecordsAndFlags) {
 
   ExecReport other;
   other.AddFailedDoc(9);
+  other.AddFailedDoc(7);
   r.Merge(other);
-  EXPECT_EQ(r.failed_docs.size(), 2u);
+  EXPECT_EQ(r.failed_docs, (std::vector<DocId>{7, 9}));  // each doc once
+  EXPECT_EQ(r.EventCount(), 5u);
+  r.AddFailedDoc(9);
   EXPECT_EQ(r.EventCount(), 5u);
 
   r.Clear();
@@ -376,6 +380,53 @@ TEST_F(ResilientExecTest, DegradedTablesNeverEnterTheReuseCache) {
   Executor exec(*catalog_);
   auto full = exec.Execute(*prog, &cache);
   ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->size(), 2u);
+  EXPECT_FALSE(exec.report().degraded);
+}
+
+// Two predicates drop the same document, which the report lists once: the
+// second predicate's table stays out of the cache all the same, and so
+// does the query's, which is built from both.
+TEST_F(ResilientExecTest, SecondPredicateDroppingTheSameDocIsNotCached) {
+  auto poisoned = std::make_shared<bool>(true);
+  const DocId bad = d2_;
+  ASSERT_TRUE(catalog_
+                  ->DeclarePPredicate(
+                      "tag", 1, 1,
+                      [poisoned, bad](const Corpus&,
+                                      const std::vector<Value>& in)
+                          -> Result<std::vector<std::vector<Value>>> {
+                        if (*poisoned && in[0].doc() == bad) {
+                          return Status::ExecutionError("tag: poisoned page");
+                        }
+                        return std::vector<std::vector<Value>>{
+                            {Value::Number(in[0].doc())}};
+                      })
+                  .ok());
+  auto prog = ParseProgram(R"(
+    a(x, t) :- pages(x), tag(x, t).
+    b(x, t) :- pages(x), tag(x, t).
+    q(x, t) :- a(x, t), b(x, t).
+  )",
+                           *catalog_);
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  prog->set_query("q");
+  ReuseCache cache;
+  ExecOptions options;
+  options.best_effort = true;
+  {
+    Executor exec(*catalog_, options);
+    auto degraded = exec.Execute(*prog, &cache);
+    ASSERT_TRUE(degraded.ok()) << degraded.status();
+    EXPECT_EQ(degraded->size(), 1u);
+    EXPECT_EQ(exec.report().failed_docs, std::vector<DocId>{bad});
+  }
+  *poisoned = false;
+  Executor exec(*catalog_, options);
+  auto full = exec.Execute(*prog, &cache);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(exec.stats().cache_hits, 0u);
+  EXPECT_EQ(exec.last_idb().at("b")->size(), 2u);
   EXPECT_EQ(full->size(), 2u);
   EXPECT_FALSE(exec.report().degraded);
 }

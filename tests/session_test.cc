@@ -3,7 +3,14 @@
 // developer, must converge to (a superset of) the gold result.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "assistant/session.h"
+#include "assistant/strategy.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "oracle/evaluate.h"
 #include "tasks/task.h"
@@ -252,6 +259,92 @@ TEST(SessionMetricsTest, DefaultSessionCountsLandInOneRegistry) {
             exec_rules);
   EXPECT_EQ(global.counter("sim.exec.rules_evaluated")->value() - sim_before,
             sim_rules);
+}
+
+// Narrowing reuse (docs/PERFORMANCE.md) against full evaluation. Each
+// session's answers are replayed one at a time over one shared cache; at
+// every program version the version itself runs, then every candidate a
+// yes/no answer would add, as question selection simulates them on a data
+// subset. Each result, and every last_idb() table, must equal a
+// cache-less Execute's.
+TEST(NarrowingReplayTest, EveryVersionAndCandidateEqualsFullEvaluation) {
+  const std::vector<std::pair<const char*, size_t>> scenarios = {
+      {"T1", 10}, {"T2", 100}, {"T4", 10}, {"T5", 100},
+      {"T7", 100}, {"T8", 100}, {"T9", 60}};
+  for (const auto& [task_id, scale] : scenarios) {
+    const std::string name = std::string(task_id) + "@" + std::to_string(scale);
+    auto task = MakeTask(task_id, scale);
+    ASSERT_TRUE(task.ok()) << name << ": " << task.status();
+    const Catalog& catalog = *(*task)->catalog;
+    const Corpus& corpus = *(*task)->corpus;
+    SessionOptions options;
+    options.strategy = StrategyKind::kSimulation;
+    RefinementSession session(catalog, (*task)->initial_program,
+                              (*task)->developer.get(), options);
+    auto result = session.Run();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status();
+
+    std::vector<Program> versions = {(*task)->initial_program};
+    for (const IterationRecord& rec : result->iterations) {
+      ASSERT_EQ(rec.questions.size(), rec.answers.size()) << name;
+      for (size_t i = 0; i < rec.questions.size(); ++i) {
+        Program next = versions.back();
+        ASSERT_TRUE(
+            ApplyAnswer(&next, catalog, rec.questions[i], rec.answers[i])
+                .ok())
+            << name;
+        versions.push_back(std::move(next));
+      }
+    }
+    ASSERT_EQ(versions.back().ToString(), result->final_program.ToString())
+        << name;
+
+    auto dump = [&](const Executor& exec, const Result<CompactTable>& r) {
+      if (!r.ok()) return r.status().ToString();
+      std::string out = r->ToString(&corpus);
+      std::map<std::string, const CompactTable*> idb;
+      for (const auto& [pred, table] : exec.last_idb()) {
+        idb[pred] = table.get();
+      }
+      for (const auto& [pred, table] : idb) {
+        out += "\n" + pred + ": " + table->ToString(&corpus);
+      }
+      return out;
+    };
+    const Catalog subset = catalog.CloneWithSampledTables(0.3, 7);
+    ReuseCache cache;
+    size_t executed = 0;
+    size_t narrowed = 0;
+    auto check = [&](const Program& prog) {
+      Executor cached(subset);
+      Result<CompactTable> r = cached.Execute(prog, &cache);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status();
+      Executor plain(subset);
+      ASSERT_EQ(dump(cached, r), dump(plain, plain.Execute(prog)))
+          << name << ":\n" << prog.ToString();
+      ++executed;
+      narrowed += cached.stats().rules_narrowed;
+    };
+    for (const Program& version : versions) {
+      cache.NewGeneration();  // as each question selection does
+      check(version);
+      for (const AttributeRef& attr : RankAttributes(version, catalog)) {
+        for (const std::string& fname : catalog.features().names()) {
+          auto feature = catalog.features().Get(fname);
+          ASSERT_TRUE(feature.ok()) << fname;
+          if ((*feature)->AnswerSpace().empty()) continue;  // not yes/no
+          const Question q{attr, fname};
+          for (const Answer& answer :
+               CandidateAnswers(q, **feature, corpus, {})) {
+            Program refined = version;
+            if (!ApplyAnswer(&refined, catalog, q, answer).ok()) continue;
+            check(refined);
+          }
+        }
+      }
+    }
+    EXPECT_GT(narrowed, executed / 2) << name;
+  }
 }
 
 }  // namespace
