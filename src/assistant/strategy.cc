@@ -430,6 +430,10 @@ Result<std::optional<Question>> SimulationStrategy::Next(
     out.keep = out.size > 0 && coverage_ok;
   };
   try {
+    // The batch's simulations read the tables cached before it, never each
+    // other's, so which predicates each one evaluates does not depend on
+    // the pool's schedule (docs/PERFORMANCE.md, "Content-keyed reuse").
+    ReuseCache::BatchScope batch(ctx.subset_cache);
     // Grain 1: each simulation is milliseconds of work, so each is claimed
     // on its own, as morsels are.
     runtime::ParallelFor(ctx.exec_options.pool, sims.size(), simulate,

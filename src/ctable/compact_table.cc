@@ -1,10 +1,51 @@
 #include "ctable/compact_table.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/strutil.h"
 
 namespace iflex {
+
+namespace {
+
+// Folds 64-bit words into a digest. For a fixed state each step is a
+// bijection of the word (xor, then the invertible splitmix64 finalizer),
+// so two streams of one length that differ in a single word never
+// collide; every variable-length part is prefixed by its length.
+class Digester {
+ public:
+  void Add(uint64_t w) {
+    uint64_t x = h_ ^ w;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    h_ = x ^ (x >> 31);
+  }
+  void AddText(std::string_view s) {
+    Add(s.size());
+    size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      uint64_t w;
+      std::memcpy(&w, s.data() + i, 8);
+      Add(w);
+    }
+    if (i < s.size()) {
+      uint64_t w = 0;
+      std::memcpy(&w, s.data() + i, s.size() - i);
+      Add(w);
+    }
+  }
+  void AddSpan(const Span& s) {
+    Add(s.doc);
+    Add((static_cast<uint64_t>(s.begin) << 32) | s.end);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0x6a09e667f3bcc908ULL;
+};
+
+}  // namespace
 
 // ------------------------------------------------------------- Assignment
 
@@ -163,6 +204,40 @@ double CompactTable::TotalValueCount(const Corpus& corpus, double cap) const {
     }
   }
   return total;
+}
+
+uint64_t CompactTable::Digest() const {
+  Digester d;
+  d.Add(schema_.size());
+  for (const std::string& name : schema_) d.AddText(name);
+  d.Add(tuples_.size());
+  for (const CompactTuple& t : tuples_) {
+    d.Add((static_cast<uint64_t>(t.cells.size()) << 1) | (t.maybe ? 1 : 0));
+    for (const Cell& c : t.cells) {
+      d.Add((static_cast<uint64_t>(c.assignments.size()) << 1) |
+            (c.is_expansion ? 1 : 0));
+      for (const Assignment& a : c.assignments) {
+        if (a.is_contain()) {
+          d.Add(0);
+          d.AddSpan(a.span);
+          continue;
+        }
+        const Value& v = a.value;
+        const std::optional<double> num = v.AsNumber();
+        d.Add(1 | (static_cast<uint64_t>(v.kind()) << 1) |
+              (num.has_value() ? 1u << 9 : 0u) |
+              (static_cast<uint64_t>(v.doc()) << 32));
+        d.AddSpan(v.span());
+        d.AddText(v.AsText());
+        if (num.has_value()) {
+          uint64_t bits;
+          std::memcpy(&bits, &*num, sizeof(bits));
+          d.Add(bits);
+        }
+      }
+    }
+  }
+  return d.value();
 }
 
 Result<CompactTable> CompactTable::ExpandExpansionCells(

@@ -133,6 +133,15 @@ class CompactTable {
   /// convergence detector watches.
   double TotalValueCount(const Corpus& corpus, double cap = 1e18) const;
 
+  /// A 64-bit hash of the table's content (docs/PERFORMANCE.md,
+  /// "Content-keyed reuse"): the schema and, in order, every tuple's maybe
+  /// flag and cells; per cell the expansion flag and its assignments in
+  /// order, each a contain's span or an exact value's kind, doc id, span,
+  /// text and parsed number. Two tables no operator can tell apart may
+  /// still digest apart ("92" against 92); two that one can tell apart
+  /// digest equal only by a 64-bit collision.
+  uint64_t Digest() const;
+
   /// Replaces every expansion-cell tuple by its expanded tuples (one per
   /// encoded value, paper §3); tuples expanded from a multi-value cell
   /// keep/inherit the maybe flag of the source tuple.

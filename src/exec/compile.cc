@@ -114,7 +114,10 @@ void AppendFilter(CompiledRule* plan, CompiledFilter f) {
 // binds to its table column; every other variable a pushed-down filter
 // reads was bound before the join. Such a variable is also in the
 // runtime binding: a variable a join's filters mention stays live at
-// every earlier join.
+// every earlier join. The similarity filter is named only when no
+// p-function comes before it: the join decides it before a pair's other
+// filters (a verdict row), and a p-function could fail on a pair whose
+// verdict drops it.
 void PlanJoinSides(const Catalog& catalog,
                    const std::unordered_map<std::string, size_t>& new_cols,
                    CompiledOp* op) {
@@ -137,6 +140,7 @@ void PlanJoinSides(const Catalog& catalog,
     s.probe_is_lhs = probe_is_lhs;
     return s;
   };
+  bool pfunction_before = false;
   for (size_t fi = 0; fi < op->filters.size(); ++fi) {
     const Literal& lit = op->filters[fi].lit;
     if (lit.kind == Literal::Kind::kComparison) {
@@ -147,12 +151,12 @@ void PlanJoinSides(const Catalog& catalog,
     }
     std::optional<double> threshold =
         catalog.TokenSimilarityThreshold(lit.atom.predicate);
-    if (op->sim.has_value() || !threshold.has_value() ||
-        lit.atom.args.size() != 2) {
-      continue;
+    if (!op->sim.has_value() && !pfunction_before && threshold.has_value() &&
+        lit.atom.args.size() == 2) {
+      op->sim = side(fi, lit.atom.args[0], lit.atom.args[1]);
+      if (op->sim.has_value()) op->sim->threshold = *threshold;
     }
-    op->sim = side(fi, lit.atom.args[0], lit.atom.args[1]);
-    if (op->sim.has_value()) op->sim->threshold = *threshold;
+    pfunction_before = true;
   }
 }
 

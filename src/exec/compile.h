@@ -76,8 +76,10 @@ struct CompiledOp {
   /// similarity join does not block on its token index.
   bool keyed = false;
   /// kJoin: the first token-similarity filter between a probe and a
-  /// variable the join binds. It decides each pair from prepared cells and,
-  /// when the join may block, picks the pairs from a token index.
+  /// variable the join binds, when no p-function filter comes before it.
+  /// Each probe's verdict row decides it from prepared cells before the
+  /// pair's other filters and, when the join may block, picks the pairs
+  /// from a token index.
   std::optional<JoinSideFilter> sim;
   /// kJoin: every comparison filter between a probe and a variable the
   /// join binds, in body order, decided from prepared comparison cells.

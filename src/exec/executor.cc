@@ -101,91 +101,15 @@ class CellPreparer {
   ExecStats* stats_;
 };
 
-// One prepared form per tuple of a join table's column, for every probe
-// of one Execute: pointers into the store, or into `owned` when the
-// Execute keeps nothing.
-template <typename Form>
-struct PreparedColumn {
-  std::vector<const Form*> cells;  // by table tuple
-  std::vector<Form> owned;
-
-  // prepare(cell, scratch) returns the tuple's form.
-  template <typename PrepareFn>
-  void Build(const CompactTable& table, size_t col, bool keeps,
-             PrepareFn&& prepare) {
-    cells.reserve(table.size());
-    // Reserved up front, so the pointers into it stay valid.
-    if (!keeps) owned.reserve(table.size());
-    for (const CompactTuple& t : table.tuples()) {
-      cells.push_back(
-          &prepare(t.cells[col], keeps ? nullptr : &owned.emplace_back()));
-    }
-  }
-};
-
-// The table side of a token-similarity join (docs/PERFORMANCE.md,
-// "Prepared similarity join"): the join-column cell of every tuple,
-// prepared, and — when the join may block and every cell has at most
-// kSimIndexMaxValues values — an inverted token index over them. Read-only
-// once built.
-struct PreparedSimTable {
-  PreparedColumn<PreparedSimCell> column;
-  bool indexed = false;
-  // Token id -> ascending indices of the tuples with a value holding it.
-  std::unordered_map<ValueId, std::vector<size_t>> postings;
-  // Ascending indices of the tuples with a token-less value ("&", "-"):
-  // those match token-less probe values, as TokenIdJaccard(∅, ∅) = 1.
-  std::vector<size_t> tokenless;
-
-  const PreparedSimCell& cell(size_t ti) const { return *column.cells[ti]; }
-
-  void Build(const Corpus& corpus, const CompactTable& table, size_t col,
-             bool index_eligible, const CellOpLimits& limits,
-             CellPreparer* prep) {
-    column.Build(table, col, prep->keeps(),
-                 [&](const Cell& c, PreparedSimCell* scratch)
-                     -> const PreparedSimCell& {
-                   return prep->Sim(corpus, c, limits, scratch);
-                 });
-    bool indexable = index_eligible;
-    for (const PreparedSimCell* c : column.cells) {
-      indexable = indexable && c->values <= kSimIndexMaxValues;
-    }
-    if (!indexable) return;  // too wide to index: every probe scans
-    for (size_t ti = 0; ti < column.cells.size(); ++ti) {
-      for (ValueId tok : cell(ti).tokens) postings[tok].push_back(ti);
-      if (cell(ti).tokenless) tokenless.push_back(ti);
-    }
-    indexed = true;
-  }
-
-  // Ascending, distinct indices of the tuples that share a token with some
-  // value of `probe`, or a token-less value with a token-less one: the
-  // only tuples a threshold > 0 can match.
-  void Candidates(const PreparedSimCell& probe,
-                  std::vector<size_t>* out) const {
-    out->clear();
-    for (ValueId tok : probe.tokens) {
-      auto it = postings.find(tok);
-      if (it != postings.end()) {
-        out->insert(out->end(), it->second.begin(), it->second.end());
-      }
-    }
-    if (probe.tokenless) {
-      out->insert(out->end(), tokenless.begin(), tokenless.end());
-    }
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
-  }
-};
-
 // The prepared table sides of one join op, for the filters the plan names
 // in CompiledOp::sim and CompiledOp::cmps. RuleEvaluator::BuildSides
-// builds them before the rule's morsels start, and every morsel then reads
-// them without locks.
+// builds or finds them before the rule's morsels start, and every morsel
+// then reads them without locks (a side's verdict rows lock their own).
 struct JoinSides {
-  PreparedSimTable sim;                               // when op.sim is set
-  std::vector<PreparedColumn<PreparedCmpCell>> cmps;  // parallel to op.cmps
+  std::shared_ptr<const PreparedSimTable> sim;  // when op.sim is set
+  // The side is interned in the store, so it keeps each probe's row.
+  bool keeps_rows = false;
+  std::vector<std::shared_ptr<const PreparedCmpColumn>> cmps;  // op.cmps'
 };
 
 // ----------------------------------------------------------- RuleEvaluator
@@ -201,7 +125,7 @@ struct JoinSides {
 class RuleEvaluator {
  public:
   RuleEvaluator(const Catalog& catalog, const ExecOptions& options,
-                const std::unordered_map<std::string, SharedTable>* idb,
+                const std::unordered_map<std::string, PredicateTable>* idb,
                 obs::Tracer* tracer, resilience::ExecReport* report,
                 PreparedCellStore* store)
       : catalog_(catalog),
@@ -232,9 +156,8 @@ class RuleEvaluator {
 
     // The plan lives for this evaluation; its morsels share it read-only
     // (docs/PERFORMANCE.md, "Rule compilation").
-    IFLEX_ASSIGN_OR_RETURN(const CompiledRule plan,
-                           CompileRule(catalog_, rule));
-    // So are the join table sides it names, built before any morsel runs.
+    IFLEX_ASSIGN_OR_RETURN(const CompiledRule plan, Compile(rule));
+    // So are the join table sides it names, ready before any morsel runs.
     IFLEX_ASSIGN_OR_RETURN(const std::vector<JoinSides> sides,
                            BuildSides(plan));
     if (plan.seed_join) {
@@ -263,7 +186,7 @@ class RuleEvaluator {
     obs::TraceSpan span(tracer_, "exec.rule", rule.head.predicate);
     Begin(rule);
     ++stats_.rules_narrowed;
-    IFLEX_ASSIGN_OR_RETURN(CompiledRule plan, CompileRule(catalog_, rule));
+    IFLEX_ASSIGN_OR_RETURN(CompiledRule plan, Compile(rule));
     IFLEX_ASSIGN_OR_RETURN(std::vector<CompiledConstraintStep> chain,
                            LastSteps(rule, steps, &plan));
     binding_ = base.table;
@@ -287,6 +210,12 @@ class RuleEvaluator {
     scope_ = rule.head.predicate;
     ++stats_.rules_evaluated;
     budget_exhausted_ = false;
+  }
+
+  Result<CompiledRule> Compile(const Rule& rule) {
+    obs::CostScope cost(cost_model_, scope_, "compile",
+                        options_.cost_iteration);
+    return CompileRule(catalog_, rule);
   }
 
   // The plan's steps of the last `steps` literals of `rule`'s body, all
@@ -369,11 +298,16 @@ class RuleEvaluator {
 
   // The prepared table sides of every join op's similarity filter and
   // prepared comparisons (CompiledOp::sim, ::cmps), by op index; the other
-  // ops' entries stay empty. Built once per rule evaluation, before its
+  // ops' entries stay empty. Ready once per rule evaluation, before its
   // morsels start: with a pool, the batch that runs them opens under the
   // pool mutex after these writes, so every morsel reads them without
-  // locks.
+  // locks. An intensional table's sides are interned in the store under
+  // its digest, so each distinct table builds them once per store
+  // (docs/PERFORMANCE.md, "Content-keyed reuse"); any other side is built
+  // for this evaluation.
   Result<std::vector<JoinSides>> BuildSides(const CompiledRule& plan) {
+    obs::CostScope cost(cost_model_, scope_, "sides",
+                        options_.cost_iteration);
     const Corpus& corpus = catalog_.corpus();
     std::vector<JoinSides> sides(plan.ops.size());
     for (size_t oi = 0; oi < plan.ops.size(); ++oi) {
@@ -382,29 +316,78 @@ class RuleEvaluator {
       obs::TraceSpan span(tracer_, "exec.join_sides", op.atom.predicate);
       IFLEX_ASSIGN_OR_RETURN(const CompactTable* table,
                              ResolveJoinTable(op.atom.predicate));
+      const PredicateTable* interned = nullptr;
+      if (store_ != nullptr) {
+        auto it = idb_->find(op.atom.predicate);
+        if (it != idb_->end()) interned = &it->second;
+      }
+      bool hit = false;
       if (op.sim.has_value()) {
+        const size_t col = op.sim->table_col;
         // Blocking needs a shared token (or two token-less values) for a
         // match, which only a threshold above 0 guarantees; small tables
         // scan.
-        sides[oi].sim.Build(corpus, *table, op.sim->table_col,
-                            /*index_eligible=*/!op.keyed &&
-                                table->size() > 32 && op.sim->threshold > 0,
-                            options_.limits, &cells_);
+        const bool eligible =
+            !op.keyed && table->size() > 32 && op.sim->threshold > 0;
+        auto build = [&](PreparedSimTable* side) {
+          side->Build(*table, col, eligible, cells_.keeps(),
+                      [&](const Cell& c, PreparedSimCell* scratch)
+                          -> const PreparedSimCell& {
+                        return cells_.Sim(corpus, c, options_.limits,
+                                          scratch);
+                      });
+        };
+        if (interned != nullptr) {
+          sides[oi].sim =
+              store_->SimSide(interned->digest, col, op.sim->threshold,
+                              eligible, options_.limits, &hit, build);
+          sides[oi].keeps_rows = true;
+        } else {
+          auto side = std::make_shared<PreparedSimTable>();
+          build(side.get());
+          sides[oi].sim = std::move(side);
+        }
       }
       for (const JoinSideFilter& jc : op.cmps) {
         const Comparison& cmp = op.filters[jc.filter].lit.cmp;
         // lhs op (rhs + offset): the offset goes with the right side.
         const double offset = jc.probe_is_lhs ? cmp.rhs_offset : 0;
-        sides[oi].cmps.emplace_back().Build(
-            *table, jc.table_col, cells_.keeps(),
-            [&](const Cell& c, PreparedCmpCell* scratch)
-                -> const PreparedCmpCell& {
-              return cells_.Cmp(corpus, c, cmp.op, options_.limits, offset,
-                                scratch);
-            });
+        auto build = [&](PreparedCmpColumn* column) {
+          column->Build(*table, jc.table_col, cells_.keeps(),
+                        [&](const Cell& c, PreparedCmpCell* scratch)
+                            -> const PreparedCmpCell& {
+                          return cells_.Cmp(corpus, c, cmp.op,
+                                            options_.limits, offset, scratch);
+                        });
+        };
+        if (interned != nullptr) {
+          sides[oi].cmps.push_back(
+              store_->CmpSide(interned->digest, jc.table_col, cmp.op, offset,
+                              options_.limits, &hit, build));
+        } else {
+          auto column = std::make_shared<PreparedCmpColumn>();
+          build(column.get());
+          sides[oi].cmps.push_back(std::move(column));
+        }
       }
     }
     return sides;
+  }
+
+  // The verdict row of `probe` over `sides.sim`: kept by an interned side,
+  // so each (probe, table) pair is decided once per store, and built into
+  // *scratch otherwise.
+  Result<const SimRow*> SimRowOf(const JoinSides& sides,
+                                 const PreparedSimCell& probe,
+                                 double threshold, SimRow* scratch) {
+    if (sides.keeps_rows) {
+      if (const SimRow* row = sides.sim->FindRow(&probe)) return row;
+    }
+    IFLEX_RETURN_NOT_OK(
+        sides.sim->BuildRow(probe, threshold, options_.limits, &stop_,
+                            scratch));
+    if (!sides.keeps_rows) return scratch;
+    return &sides.sim->KeepRow(&probe, std::move(*scratch));
   }
 
   // The morsel loop (docs/RUNTIME.md), which runs every body that starts
@@ -618,7 +601,7 @@ class RuleEvaluator {
     if (it == idb_->end()) {
       return Status::Internal("intensional table not yet computed: " + pred);
     }
-    return it->second.get();
+    return it->second.table.get();
   }
 
   // Fused verify pass: one traversal of the binding table applies a whole
@@ -965,9 +948,10 @@ class RuleEvaluator {
     // Prepared similarity join (docs/PERFORMANCE.md): the plan's similarity
     // filter joins one binding column to one new table column (the
     // approximate string join of the paper's TR) and reads the table side
-    // BuildSides prepared; when that side is indexed, each probe tests
-    // only the tuples sharing a token with it.
-    const PreparedSimTable* sim = op.sim.has_value() ? &sides.sim : nullptr;
+    // BuildSides prepared. Each probe's verdict row lists the tuples it
+    // does not rule out (only those sharing a token with it, when that
+    // side is indexed), and the pair loop walks just those.
+    const PreparedSimTable* sim = sides.sim.get();
     const size_t sim_binding_col =
         sim != nullptr ? columns_.at(op.sim->probe) : 0;
 
@@ -996,15 +980,15 @@ class RuleEvaluator {
                              options_.limits,
                              jc.probe_is_lhs ? 0 : cmp.rhs_offset, &p.scratch);
       }
-      const PreparedCmpCell& t = *sides.cmps[i].cells[ti];
+      const PreparedCmpCell& t = *sides.cmps[i]->cells[ti];
       return jc.probe_is_lhs
                  ? ComparePrepared(*p.cell, cmp.op, t, options_.limits)
                  : ComparePrepared(t, cmp.op, *p.cell, options_.limits);
     };
 
     CompactTable out(std::move(out_schema));
-    std::vector<size_t> candidates;
     PreparedSimCell probe_scratch;
+    SimRow row_scratch;
     // Pairs are counted in a local and added once, on every exit, so the
     // pair loop never writes through `this`.
     size_t pairs = 0;
@@ -1023,25 +1007,27 @@ class RuleEvaluator {
       if (budget_exhausted_) break;
       const std::vector<CompactTuple>& ttuples = table.tuples();
       for (CmpProbe& p : cmp_probes) p.cell = nullptr;
-      const PreparedSimCell* probe = nullptr;
-      bool indexed_probe = false;
+      // The probe's verdict row, which decides the similarity filter before
+      // the pair's other conditions: the plan names a similarity side only
+      // when no p-function, which could fail on a pair the verdict drops,
+      // comes before it (compile.cc). The row tried every candidate pair.
+      const SimRow* row = nullptr;
       if (sim != nullptr) {
-        probe = &cells_.Sim(corpus, b.cells[sim_binding_col], options_.limits,
-                            &probe_scratch);
-        if (sim->indexed && probe->values <= kSimIndexMaxValues) {
-          sim->Candidates(*probe, &candidates);
-          indexed_probe = true;
-        }
+        const PreparedSimCell& probe = cells_.Sim(
+            corpus, b.cells[sim_binding_col], options_.limits, &probe_scratch);
+        IFLEX_ASSIGN_OR_RETURN(
+            row, SimRowOf(sides, probe, op.sim->threshold, &row_scratch));
+        pairs += row->tried;
       }
       // Only a morsel's seed join reads a partial range; compile.cc pushes
-      // no filter into the first join, so the inverted index, whose
-      // candidates span the whole table, never meets a partial range.
-      size_t n_candidates = indexed_probe ? candidates.size() : hi - lo;
+      // no filter into the first join, so a verdict row, which spans the
+      // whole table, never meets a partial range.
+      const size_t n_pairs = row != nullptr ? row->tuples.size() : hi - lo;
 
-      for (size_t ci = 0; ci < n_candidates; ++ci) {
-        size_t ti = indexed_probe ? candidates[ci] : lo + ci;
+      for (size_t ci = 0; ci < n_pairs; ++ci) {
+        const size_t ti = row != nullptr ? row->tuples[ci] : lo + ci;
         const CompactTuple& t = ttuples[ti];
-        ++pairs;
+        if (row == nullptr) ++pairs;
         IFLEX_RETURN_NOT_OK(stop_.Poll("Execute"));
         bool dead = false;
         bool some = false;
@@ -1080,9 +1066,8 @@ class RuleEvaluator {
         size_t next_cmp = 0;  // into op.cmps, which are in filter order
         for (size_t fi = 0; fi < filters.size(); ++fi) {
           SatResult r;
-          if (sim != nullptr && fi == op.sim->filter) {
-            r = SimilarityVerdict(*probe, sim->cell(ti), options_.limits,
-                                  op.sim->threshold);
+          if (row != nullptr && fi == op.sim->filter) {
+            r = row->verdicts[ci];
           } else if (next_cmp < op.cmps.size() &&
                      op.cmps[next_cmp].filter == fi) {
             r = join_compare(next_cmp++, b, ti);
@@ -1493,7 +1478,7 @@ class RuleEvaluator {
 
   const Catalog& catalog_;
   const ExecOptions& options_;
-  const std::unordered_map<std::string, SharedTable>* idb_;
+  const std::unordered_map<std::string, PredicateTable>* idb_;
   obs::Tracer* tracer_;
   resilience::ExecReport* report_;
   // The ReuseCache's prepared cells; null when the Execute has no cache.
@@ -1559,48 +1544,27 @@ Result<std::vector<std::string>> TopoOrder(
   return order;
 }
 
-uint64_t PredicateFingerprint(
-    const std::string& pred,
-    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
-    std::unordered_map<std::string, uint64_t>* memo);
-
-// Fingerprint of everything that determines the table `rules` compute for
-// `pred`: their text and (transitively) their dependencies' fingerprints.
-// The one blob format both for a predicate's own rules and for the
-// stripped rules narrowing looks up.
-uint64_t RulesFingerprint(
+// The reuse key of the table `rules` compute for `pred` (docs/PERFORMANCE.md,
+// "Content-keyed reuse"): their text and the digest of every intensional
+// table they read, which `idb` holds for each predicate this Execute has
+// computed so far. Inputs come first in topological order, so every input
+// is there. The one key format both for a predicate's own rules and for
+// the stripped rules narrowing looks up.
+uint64_t ContentKey(
     const std::string& pred, const std::vector<const Rule*>& rules,
-    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
-    std::unordered_map<std::string, uint64_t>* memo) {
+    const std::unordered_map<std::string, PredicateTable>& idb) {
   std::string blob = "pred:" + pred + "\n";
   for (const Rule* r : rules) {
     blob += r->ToString() + "\n";
     for (const Literal& lit : r->body) {
-      if (lit.kind == Literal::Kind::kAtom &&
-          by_head.count(lit.atom.predicate) && lit.atom.predicate != pred) {
-        blob += StringPrintf(
-            "dep:%016llx\n",
-            static_cast<unsigned long long>(
-                PredicateFingerprint(lit.atom.predicate, by_head, memo)));
-      }
+      if (lit.kind != Literal::Kind::kAtom) continue;
+      auto it = idb.find(lit.atom.predicate);
+      if (it == idb.end()) continue;
+      blob += StringPrintf("in:%016llx\n",
+                           static_cast<unsigned long long>(it->second.digest));
     }
   }
   return Fingerprint64(blob);
-}
-
-// The fingerprint of a predicate's own rules, memoized per Execute.
-uint64_t PredicateFingerprint(
-    const std::string& pred,
-    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
-    std::unordered_map<std::string, uint64_t>* memo) {
-  auto it = memo->find(pred);
-  if (it != memo->end()) return it->second;
-  auto rit = by_head.find(pred);
-  uint64_t fp = RulesFingerprint(
-      pred, rit != by_head.end() ? rit->second : std::vector<const Rule*>{},
-      by_head, memo);
-  memo->emplace(pred, fp);
-  return fp;
 }
 
 // How many constraint literals end `rule`'s body when the rule is
@@ -1649,9 +1613,9 @@ std::optional<size_t> NarrowableSuffix(const Catalog& catalog,
 struct NarrowingBase {
   SharedBinding binding;
   size_t steps = 0;
-  // Fingerprints of the rules the narrowing passes through, in the order
-  // it reaches them: the rule without its last steps - 1 constraints,
-  // then steps - 2, down to 1.
+  // Keys of the rules the narrowing passes through, in the order it
+  // reaches them: the rule without its last steps - 1 constraints, then
+  // steps - 2, down to 1.
   std::vector<uint64_t> passed;
 };
 
@@ -1662,16 +1626,16 @@ struct NarrowingBase {
 // reads is not kept in it).
 std::optional<NarrowingBase> FindNarrowingBase(
     const std::string& pred, const Rule& rule, size_t suffix,
-    const std::unordered_map<std::string, std::vector<const Rule*>>& by_head,
-    std::unordered_map<std::string, uint64_t>* memo, ReuseCache* cache) {
+    const std::unordered_map<std::string, PredicateTable>& idb,
+    ReuseCache* cache) {
   NarrowingBase base;
   Rule stripped = rule;
   for (size_t steps = 1; steps <= suffix; ++steps) {
     stripped.body.pop_back();
-    const uint64_t fp = RulesFingerprint(pred, {&stripped}, by_head, memo);
-    base.binding = cache->LookupBinding(fp);
+    const uint64_t key = ContentKey(pred, {&stripped}, idb);
+    base.binding = cache->LookupBinding(key);
     if (base.binding == nullptr) {
-      base.passed.insert(base.passed.begin(), fp);
+      base.passed.insert(base.passed.begin(), key);
       continue;
     }
     for (size_t i = rule.body.size() - steps; i < rule.body.size(); ++i) {
@@ -1855,7 +1819,13 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
                                                ReuseCache* cache) {
   obs::TraceSpan exec_span(tracer_, "exec.execute", program.query());
 
-  IFLEX_ASSIGN_OR_RETURN(Program unfolded, program.Unfold(catalog_));
+  Result<Program> unfolded_or = [&] {
+    obs::CostScope cost(cost_model_, program.query(), "unfold",
+                        options_.cost_iteration);
+    return program.Unfold(catalog_);
+  }();
+  IFLEX_RETURN_NOT_OK(unfolded_or.status());
+  const Program& unfolded = *unfolded_or;
   std::unordered_map<std::string, std::vector<const Rule*>> by_head;
   for (const Rule& r : unfolded.rules()) {
     by_head[r.head.predicate].push_back(&r);
@@ -1868,9 +1838,9 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
   IFLEX_ASSIGN_OR_RETURN(std::vector<std::string> order,
                          TopoOrder(by_head, query));
 
-  std::unordered_map<std::string, uint64_t> fp_memo;
-  // Shared with the reuse cache: a hit or an insert copies no table.
-  std::unordered_map<std::string, SharedTable> idb;
+  // Every intensional table computed so far, with its digest and sizes;
+  // shared with the reuse cache: a hit or an insert copies no table.
+  std::unordered_map<std::string, PredicateTable> idb;
   PreparedCellStore* store = cache != nullptr ? &cache->cells() : nullptr;
   // Predicates computed by this Execute from trapped faults, directly or
   // from such a predicate's table.
@@ -1879,29 +1849,28 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
     obs::TraceSpan pred_span(tracer_, "exec.predicate", pred);
     resilience::StopPoller stop(options_.deadline, options_.cancel);
     IFLEX_RETURN_NOT_OK(stop.Check("Execute"));
-    uint64_t fp = PredicateFingerprint(pred, by_head, &fp_memo);
+    const std::vector<const Rule*>& rules = by_head[pred];
+    // With a cache: the predicate's content key, a table lookup, and on a
+    // miss, for a narrowable rule (the only one of its predicate), the
+    // cached binding of the rule without its newest constraints, to which
+    // only those are applied (docs/PERFORMANCE.md, "Narrowing reuse").
+    uint64_t key = 0;
+    std::optional<size_t> suffix;
+    std::optional<NarrowingBase> base;
     if (cache != nullptr) {
-      SharedTable hit = cache->Lookup(fp);
-      if (hit != nullptr) {
+      obs::CostScope cost(cost_model_, pred, "key", options_.cost_iteration);
+      key = ContentKey(pred, rules, idb);
+      PredicateTable hit = cache->Lookup(key);
+      if (hit.table != nullptr) {
         ++stats_.cache_hits;
         idb.emplace(pred, std::move(hit));
         continue;
       }
       ++stats_.cache_misses;
-    }
-    const std::vector<const Rule*>& rules = by_head[pred];
-    // A narrowable rule, the only one of its predicate, keeps its binding
-    // in the cache, or applies just its newest constraints to the cached
-    // binding of the rule without them (docs/PERFORMANCE.md, "Narrowing
-    // reuse").
-    std::optional<size_t> suffix;
-    if (cache != nullptr && rules.size() == 1) {
-      suffix = NarrowableSuffix(catalog_, *rules.front());
-    }
-    std::optional<NarrowingBase> base;
-    if (suffix.has_value()) {
-      base = FindNarrowingBase(pred, *rules.front(), *suffix, by_head,
-                               &fp_memo, cache);
+      if (rules.size() == 1) suffix = NarrowableSuffix(catalog_, *rules[0]);
+      if (suffix.has_value()) {
+        base = FindNarrowingBase(pred, *rules[0], *suffix, idb, cache);
+      }
     }
     SharedBinding kept;
     std::vector<SharedBinding> intermediates;
@@ -1966,25 +1935,34 @@ Result<CompactTable> Executor::ExecuteInternal(const Program& program,
       }
     }
     if (!clean) degraded.insert(pred);
-    auto table = std::make_shared<const CompactTable>(std::move(result));
+    // The table's process sizes, and with a cache its digest, once.
+    PredicateTable built;
+    {
+      obs::CostScope cost(cost_model_, pred, "digest",
+                          options_.cost_iteration);
+      built.assignments = result.AssignmentCount();
+      built.values = result.TotalValueCount(catalog_.corpus());
+      if (cache != nullptr) built.digest = result.Digest();
+      built.table = std::make_shared<const CompactTable>(std::move(result));
+    }
     if (cache != nullptr && clean) {
-      cache->Insert(fp, table, std::move(kept));
+      cache->Insert(key, built, std::move(kept));
       // A narrowing keeps no binding of its own: in a session that would
       // be one per simulated answer. The rules it passed through are kept,
       // since later narrowings start from them.
       for (size_t i = 0; i < intermediates.size(); ++i) {
-        cache->Insert(base->passed[i], nullptr, std::move(intermediates[i]));
+        cache->Insert(base->passed[i], {}, std::move(intermediates[i]));
       }
     }
-    idb.emplace(pred, std::move(table));
+    idb.emplace(pred, std::move(built));
   }
+  last_idb_.clear();
   for (const auto& [pred, table] : idb) {
-    stats_.process_assignments += table->AssignmentCount();
-    stats_.process_values += table->TotalValueCount(catalog_.corpus());
+    stats_.process_assignments += table.assignments;
+    stats_.process_values += table.values;
+    last_idb_.emplace(pred, table.table);
   }
-  CompactTable out = *idb.at(query);
-  last_idb_ = std::move(idb);
-  return out;
+  return *idb.at(query).table;
 }
 
 double ResultSize(const CompactTable& table, const Corpus& corpus) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "alog/program.h"
 #include "common/result.h"
@@ -116,7 +117,7 @@ struct ExecStats {
   size_t join_pairs = 0;
   size_t constraint_cells = 0;
   size_t ppred_invocations = 0;
-  /// ReuseCache lookups by predicate fingerprint.
+  /// ReuseCache table lookups, one per predicate, by content key.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   /// PreparedCellStore lookups; an Execute without a cache counts none.
@@ -167,17 +168,33 @@ struct RuleBinding {
 };
 using SharedBinding = std::shared_ptr<const RuleBinding>;
 
+/// A predicate's table with what an Execute derives from it once, when the
+/// table is built: its content digest (CompactTable::Digest; only an
+/// Execute with a ReuseCache computes it, 0 otherwise) and its process
+/// sizes (ExecStats::process_assignments, ::process_values). The reuse
+/// cache keeps all three and a hit hands them back, so no table is walked
+/// twice for them.
+struct PredicateTable {
+  SharedTable table;
+  uint64_t digest = 0;
+  size_t assignments = 0;  // table->AssignmentCount()
+  double values = 0;       // table->TotalValueCount(corpus)
+};
+
 /// Cross-iteration reuse cache (paper §5.2): intermediate results —
-/// the compact table computed for each intensional predicate — keyed by a
-/// fingerprint of the rules that produce it (transitively). When the
-/// developer's feedback touches only one extractor, every untouched
-/// predicate is served from cache. An entry may also hold the binding of
-/// a narrowable rule, which a later rule that only adds constraints to it
-/// narrows instead of re-running it (docs/PERFORMANCE.md, "Narrowing
-/// reuse"); an entry may hold a binding and no table. Below the predicate
-/// level it keeps the prepared cells of every Execute that used it
-/// (cells()), so the iterations, attribute probes and candidate
-/// simulations of a session prepare each distinct cell once.
+/// the compact table computed for each intensional predicate — keyed by
+/// content (docs/PERFORMANCE.md, "Content-keyed reuse"): a predicate's
+/// rules plus the digests of the intensional tables they read. A table is
+/// a function of its rules and its inputs' contents, so a predicate whose
+/// inputs came out byte-identical — untouched by the developer's
+/// feedback, or by a simulated answer — is served from cache. An entry
+/// may also hold the binding of a narrowable rule, which a later rule that
+/// only adds constraints to it narrows instead of re-running it
+/// (docs/PERFORMANCE.md, "Narrowing reuse"); an entry may hold a binding
+/// and no table. Below the predicate level it keeps the prepared cells and
+/// the interned join table sides of every Execute that used it (cells()),
+/// so the iterations, attribute probes and candidate simulations of a
+/// session prepare each distinct cell and side once.
 ///
 /// Tables and bindings are shared, not copied: a hit hands out the stored
 /// one and an insert stores the caller's (docs/PERFORMANCE.md, "Copy-free
@@ -188,6 +205,11 @@ using SharedBinding = std::shared_ptr<const RuleBinding>;
 /// dropped then, table and binding together. A dropped entry is only a
 /// future miss, which recomputes the same table.
 ///
+/// A table inserted while a BatchScope is open becomes visible to Lookup
+/// when the scope closes, so the Executes of one simulation batch never
+/// read each other's tables, and which predicates each evaluates does not
+/// depend on the pool's schedule. Bindings are visible at once.
+///
 /// Thread-safety: one mutex guards the map, so concurrent simulation
 /// executors can share one cache; it is taken a few times per predicate
 /// per Execute, too rarely to contend (docs/PERFORMANCE.md, "Verify
@@ -195,27 +217,67 @@ using SharedBinding = std::shared_ptr<const RuleBinding>;
 /// A table or binding handed out stays readable for as long as its holder
 /// keeps it, across concurrent inserts, eviction and Clear(). A duplicate
 /// insert keeps the first table and the first binding, fills in a part
-/// the entry lacks, and refreshes its generation — harmless, since
-/// parallel execution is deterministic and both copies are identical.
-/// Clear() empties the cell store too, so it must not race with an
-/// Execute using the cache.
+/// the entry lacks, and refreshes its generation — harmless, since equal
+/// keys compute equal tables. Clear() empties the cell store too, so it
+/// must not race with an Execute using the cache.
 class ReuseCache {
  public:
-  /// The table stored under `key`, or null (an entry holding only a
-  /// binding is a miss); a hit stamps the entry with the current
+  /// Holds back the tables inserted while it lives (see above); a null
+  /// cache makes it a no-op. One scope at a time per cache.
+  class BatchScope {
+   public:
+    explicit BatchScope(ReuseCache* cache) : cache_(cache) {
+      if (cache_ != nullptr) cache_->SetBatch(true);
+    }
+    ~BatchScope() {
+      if (cache_ != nullptr) cache_->SetBatch(false);
+    }
+    BatchScope(const BatchScope&) = delete;
+    BatchScope& operator=(const BatchScope&) = delete;
+
+   private:
+    ReuseCache* cache_;
+  };
+
+  /// The table stored under `key`, with its digest and sizes, or a null
+  /// table (an entry holding only a binding, or a table held back by the
+  /// open batch, is a miss); a hit stamps the entry with the current
   /// generation.
-  SharedTable Lookup(uint64_t key) { return Find(key, &Entry::table); }
+  PredicateTable Lookup(uint64_t key) {
+    // Fail-point site "exec.cache": an injected fault degrades to a cache
+    // miss — the caller recomputes, trading time for correctness.
+    if (resilience::FailPointFired("exec.cache")) return {};
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second.table.table == nullptr ||
+        it->second.held) {
+      return {};
+    }
+    it->second.generation = generation_;
+    return it->second.table;
+  }
   /// The binding stored under `key`, or null; a hit stamps the entry.
   SharedBinding LookupBinding(uint64_t key) {
-    return Find(key, &Entry::binding);
+    if (resilience::FailPointFired("exec.cache")) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it == map_.end() || it->second.binding == nullptr) return nullptr;
+    it->second.generation = generation_;
+    return it->second.binding;
   }
   /// Stores `table` and `binding` (either may be null) under `key`,
   /// stamped with the current generation; a part the entry already holds
   /// is kept.
-  void Insert(uint64_t key, SharedTable table, SharedBinding binding = {}) {
+  void Insert(uint64_t key, PredicateTable table, SharedBinding binding = {}) {
     std::lock_guard<std::mutex> lock(mu_);
     Entry& entry = map_[key];
-    if (entry.table == nullptr) entry.table = std::move(table);
+    if (entry.table.table == nullptr && table.table != nullptr) {
+      entry.table = std::move(table);
+      if (batch_) {
+        entry.held = true;
+        held_.push_back(key);
+      }
+    }
     if (entry.binding == nullptr) entry.binding = std::move(binding);
     entry.generation = generation_;
   }
@@ -228,11 +290,13 @@ class ReuseCache {
       return entry.second.generation + 1 < generation_;
     });
   }
-  /// Clears the tables, the bindings and the prepared cells.
+  /// Clears the tables, the bindings, the prepared cells and the interned
+  /// sides.
   void Clear() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       map_.clear();
+      held_.clear();
     }
     cells_.Clear();
   }
@@ -245,27 +309,29 @@ class ReuseCache {
 
  private:
   struct Entry {
-    SharedTable table;
+    PredicateTable table;
     SharedBinding binding;
     uint64_t generation = 0;  // of the last insert or hit
+    bool held = false;        // table inserted in the open batch
   };
 
-  template <typename T>
-  std::shared_ptr<const T> Find(uint64_t key,
-                                std::shared_ptr<const T> Entry::*part) {
-    // Fail-point site "exec.cache": an injected fault degrades to a cache
-    // miss — the caller recomputes, trading time for correctness.
-    if (resilience::FailPointFired("exec.cache")) return nullptr;
+  // Opens or closes the batch; closing releases the held tables.
+  void SetBatch(bool open) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end() || it->second.*part == nullptr) return nullptr;
-    it->second.generation = generation_;
-    return it->second.*part;
+    batch_ = open;
+    if (open) return;
+    for (uint64_t key : held_) {
+      auto it = map_.find(key);
+      if (it != map_.end()) it->second.held = false;
+    }
+    held_.clear();
   }
 
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Entry> map_;
   uint64_t generation_ = 0;
+  bool batch_ = false;
+  std::vector<uint64_t> held_;  // keys of the tables the batch holds back
   PreparedCellStore cells_;
 };
 

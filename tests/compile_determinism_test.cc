@@ -177,23 +177,36 @@ constexpr char kPaperProgram[] = R"(
 )";
 
 // Stable explain view of the paper example, recorded with the
-// literal-at-a-time interpreter: one row per (rule, operator) it charged.
+// literal-at-a-time interpreter: one row per (rule, operator) it charged,
+// plus the rows of the work outside any operator (docs/OBSERVABILITY.md):
+// unfold per Execute, digest (here only the process sizes, as the Execute
+// has no cache) per predicate, compile and sides per rule.
 constexpr char kPaperStableExplain[] =
     "iter scope                    op                     rows     verify\n"
     "  -1 houses                   annotate                  2          0\n"
+    "  -1 houses                   compile                   0          0\n"
     "  -1 houses                   constraint                4          4\n"
+    "  -1 houses                   digest                    0          0\n"
     "  -1 houses                   from                      6          0\n"
     "  -1 houses                   join                      2          0\n"
     "  -1 houses                   project                   2          0\n"
+    "  -1 houses                   sides                     0          0\n"
     "  -1 q                        caches                    0          0\n"
     "  -1 q                        comparison                2          0\n"
+    "  -1 q                        compile                   0          0\n"
+    "  -1 q                        digest                    0          0\n"
     "  -1 q                        join                      3          0\n"
     "  -1 q                        project                   1          0\n"
+    "  -1 q                        sides                     0          0\n"
+    "  -1 q                        unfold                    0          0\n"
     "  -1 schools                  annotate                  2          0\n"
+    "  -1 schools                  compile                   0          0\n"
     "  -1 schools                  constraint                2          2\n"
+    "  -1 schools                  digest                    0          0\n"
     "  -1 schools                  from                      2          0\n"
     "  -1 schools                  join                      2          0\n"
     "  -1 schools                  project                   2          0\n"
+    "  -1 schools                  sides                     0          0\n"
     "     total                                             32          6\n";
 
 class PaperExampleCompileTest : public ::testing::Test {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "ctable/atable.h"
 #include "ctable/compact_table.h"
@@ -226,6 +228,41 @@ TEST(WorldsTest, TooManyMaybesFails) {
     t.Add(MakeATuple({{Value::Number(i)}}, /*maybe=*/true));
   }
   EXPECT_FALSE(EnumerateWorlds(t).ok());
+}
+
+// Content-keyed reuse keys tables by Digest(): every difference an
+// operator can read changes it, and equal tables built apart digest equal.
+TEST_F(CTableTest, DigestCoversEveryReadablePart) {
+  const Span region(doc_id_, 0, 10);
+  auto build = [&] {
+    CompactTable t({"a", "b"});
+    CompactTuple tup;
+    tup.cells.push_back(Cell::Expansion({Assignment::Contain(region)}));
+    Cell exact;
+    exact.assignments.push_back(Assignment::Exact(Value::String("92")));
+    exact.assignments.push_back(Assignment::Exact(Value::Number(7)));
+    tup.cells.push_back(exact);
+    t.Add(tup);
+    return t;
+  };
+  const uint64_t base = build().Digest();
+  EXPECT_EQ(build().Digest(), base);
+
+  std::vector<CompactTable> variants(7, build());
+  variants[0].tuples()[0].maybe = true;
+  variants[1].tuples()[0].cells[0].is_expansion = false;
+  std::swap(variants[2].tuples()[0].cells[1].assignments[0],
+            variants[2].tuples()[0].cells[1].assignments[1]);
+  variants[3].tuples()[0].cells[1].assignments[0] =
+      Assignment::Exact(Value::Number(92));
+  variants[4].tuples()[0].cells[0].assignments[0] =
+      Assignment::Exact(Value::OfSpan(corpus_, region));
+  variants[5] = CompactTable({"a", "c"});
+  variants[5].Add(build().tuples()[0]);
+  variants[6].tuples()[0].cells[0].assignments[0].span.end = 11;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(variants[i].Digest(), base) << "variant " << i;
+  }
 }
 
 }  // namespace

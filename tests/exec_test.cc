@@ -462,15 +462,15 @@ double ValueOf(const CompactTable& t) {
 // with the current or the previous generation.
 TEST(ReuseCacheTest, EntrySurvivesOneGenerationUnlessUsed) {
   ReuseCache cache;
-  cache.Insert(1, OneValueTable(1));
-  cache.Insert(2, OneValueTable(2));
+  cache.Insert(1, {OneValueTable(1)});
+  cache.Insert(2, {OneValueTable(2)});
   cache.NewGeneration();
   EXPECT_EQ(cache.size(), 2u);  // both survive one new generation
-  ASSERT_NE(cache.Lookup(2), nullptr);  // the hit refreshes entry 2
+  ASSERT_NE(cache.Lookup(2).table, nullptr);  // the hit refreshes entry 2
   cache.NewGeneration();
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  SharedTable two = cache.Lookup(2);
+  EXPECT_EQ(cache.Lookup(1).table, nullptr);
+  SharedTable two = cache.Lookup(2).table;
   ASSERT_NE(two, nullptr);
   EXPECT_EQ(ValueOf(*two), 2);
   cache.NewGeneration();
@@ -481,28 +481,48 @@ TEST(ReuseCacheTest, EntrySurvivesOneGenerationUnlessUsed) {
 TEST(ReuseCacheTest, DuplicateInsertKeepsTheFirstTableAndRefreshesIt) {
   ReuseCache cache;
   const SharedTable first = OneValueTable(7);
-  cache.Insert(7, first);
+  cache.Insert(7, {first});
   cache.NewGeneration();
-  cache.Insert(7, OneValueTable(7));  // a concurrent simulation's twin
+  cache.Insert(7, {OneValueTable(7)});  // a concurrent simulation's twin
   cache.NewGeneration();
   // Stamped by the duplicate insert, the entry outlives the generation
   // that would have dropped it.
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(7).get(), first.get());
+  EXPECT_EQ(cache.Lookup(7).table.get(), first.get());
+}
+
+// A table inserted while a batch scope is open stays a miss until the
+// scope closes; a binding is visible at once.
+TEST(ReuseCacheTest, BatchScopeHoldsBackTablesNotBindings) {
+  ReuseCache cache;
+  cache.Insert(1, {OneValueTable(1)});
+  {
+    ReuseCache::BatchScope batch(&cache);
+    cache.Insert(2, {OneValueTable(2)});
+    cache.Insert(3, {}, std::make_shared<const RuleBinding>(
+                            RuleBinding{*OneValueTable(3), {{"v", 0}}}));
+    EXPECT_NE(cache.Lookup(1).table, nullptr);  // from before the batch
+    EXPECT_EQ(cache.Lookup(2).table, nullptr);
+    EXPECT_NE(cache.LookupBinding(3), nullptr);
+  }
+  ASSERT_NE(cache.Lookup(2).table, nullptr);
+  EXPECT_EQ(ValueOf(*cache.Lookup(2).table), 2);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 // Run under the asan preset: a table taken before eviction or Clear()
 // must stay readable.
 TEST(ReuseCacheTest, HeldTableOutlivesEvictionAndClear) {
   ReuseCache cache;
-  cache.Insert(3, OneValueTable(3));
-  const SharedTable evicted = cache.Lookup(3);
-  cache.Insert(4, OneValueTable(4));
+  cache.Insert(3, {OneValueTable(3)});
+  const SharedTable evicted = cache.Lookup(3).table;
+  cache.Insert(4, {OneValueTable(4)});
   cache.NewGeneration();
-  cache.Lookup(4);
+  cache.Lookup(4).table;
   cache.NewGeneration();
-  EXPECT_EQ(cache.Lookup(3), nullptr);
-  const SharedTable cleared = cache.Lookup(4);
+  EXPECT_EQ(cache.Lookup(3).table, nullptr);
+  const SharedTable cleared = cache.Lookup(4).table;
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   ASSERT_NE(evicted, nullptr);
@@ -522,27 +542,27 @@ SharedBinding OneValueBinding(double v) {
 TEST(ReuseCacheTest, BindingEntries) {
   ReuseCache cache;
   const SharedBinding binding = OneValueBinding(5);
-  cache.Insert(5, nullptr, binding);
-  EXPECT_EQ(cache.Lookup(5), nullptr);
+  cache.Insert(5, {}, binding);
+  EXPECT_EQ(cache.Lookup(5).table, nullptr);
   EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
   const SharedTable table = OneValueTable(5);
-  cache.Insert(5, table);  // a later table insert keeps the binding
-  EXPECT_EQ(cache.Lookup(5).get(), table.get());
+  cache.Insert(5, {table});  // a later table insert keeps the binding
+  EXPECT_EQ(cache.Lookup(5).table.get(), table.get());
   EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
-  cache.Insert(5, OneValueTable(5), OneValueBinding(5));  // a duplicate
-  EXPECT_EQ(cache.Lookup(5).get(), table.get());
+  cache.Insert(5, {OneValueTable(5)}, OneValueBinding(5));  // a duplicate
+  EXPECT_EQ(cache.Lookup(5).table.get(), table.get());
   EXPECT_EQ(cache.LookupBinding(5).get(), binding.get());
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ReuseCacheTest, AgingAndClearDropBindings) {
   ReuseCache cache;
-  cache.Insert(1, OneValueTable(1), OneValueBinding(1));
-  cache.Insert(2, nullptr, OneValueBinding(2));
+  cache.Insert(1, {OneValueTable(1)}, OneValueBinding(1));
+  cache.Insert(2, {}, OneValueBinding(2));
   cache.NewGeneration();
   ASSERT_NE(cache.LookupBinding(2), nullptr);  // the hit refreshes entry 2
   cache.NewGeneration();
-  EXPECT_EQ(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(1).table, nullptr);
   EXPECT_EQ(cache.LookupBinding(1), nullptr);
   const SharedBinding held = cache.LookupBinding(2);
   ASSERT_NE(held, nullptr);
@@ -554,11 +574,11 @@ TEST(ReuseCacheTest, AgingAndClearDropBindings) {
 
 TEST(ReuseCacheTest, CacheFaultMakesABindingLookupMiss) {
   ReuseCache cache;
-  cache.Insert(1, OneValueTable(1), OneValueBinding(1));
+  cache.Insert(1, {OneValueTable(1)}, OneValueBinding(1));
   ASSERT_TRUE(
       resilience::FailPoints::Instance().Configure("exec.cache=error").ok());
   EXPECT_EQ(cache.LookupBinding(1), nullptr);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(1).table, nullptr);
   resilience::FailPoints::Instance().Clear();
   EXPECT_NE(cache.LookupBinding(1), nullptr);
 }

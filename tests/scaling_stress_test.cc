@@ -134,10 +134,10 @@ TEST(ScalingStressTest, ReuseCacheUnderContention) {
       for (size_t r = 0; r < kRounds; ++r) {
         for (size_t i = 0; i < kFingerprints; ++i) {
           const uint64_t fp = (t * 31 + r * 17 + i) % kFingerprints;
-          SharedTable hit = cache.Lookup(fp);
+          SharedTable hit = cache.Lookup(fp).table;
           if (hit == nullptr) {
-            cache.Insert(fp, TableFor(fp));
-            hit = cache.Lookup(fp);
+            cache.Insert(fp, {TableFor(fp)});
+            hit = cache.Lookup(fp).table;
             ASSERT_NE(hit, nullptr) << "fingerprint " << fp;
           }
           if (mine[fp] == nullptr) mine[fp] = hit;
@@ -154,7 +154,7 @@ TEST(ScalingStressTest, ReuseCacheUnderContention) {
 
   EXPECT_EQ(cache.size(), kFingerprints);
   for (uint64_t fp = 0; fp < kFingerprints; ++fp) {
-    SharedTable t = cache.Lookup(fp);
+    SharedTable t = cache.Lookup(fp).table;
     ASSERT_NE(t, nullptr) << "fingerprint " << fp;
     EXPECT_EQ(FingerprintOf(*t), static_cast<double>(fp));
     for (size_t th = 0; th < kThreads; ++th) {

@@ -3,6 +3,7 @@
 // developer, must converge to (a superset of) the gold result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -344,6 +345,111 @@ TEST(NarrowingReplayTest, EveryVersionAndCandidateEqualsFullEvaluation) {
       }
     }
     EXPECT_GT(narrowed, executed / 2) << name;
+  }
+}
+
+// Content-keyed reuse (docs/PERFORMANCE.md) against full evaluation. Each
+// session's program versions run over one shared cache, each version's
+// yes/no candidates inside a batch scope as question selection opens it.
+// Every result, every last_idb() table and the process sizes must equal a
+// cache-less Execute's, and some predicate must be served by content: its
+// table is a cached one although one of its inputs was computed afresh.
+TEST(ContentReuseReplayTest, EveryVersionAndCandidateEqualsFullEvaluation) {
+  const std::vector<std::pair<const char*, size_t>> scenarios = {
+      {"T1", 10},  {"T2", 100}, {"T3", 100}, {"T4", 10}, {"T5", 100},
+      {"T6", 100}, {"T7", 100}, {"T8", 100}, {"T9", 60}};
+  for (const auto& [task_id, scale] : scenarios) {
+    const std::string name = std::string(task_id) + "@" + std::to_string(scale);
+    auto task = MakeTask(task_id, scale);
+    ASSERT_TRUE(task.ok()) << name << ": " << task.status();
+    const Catalog& catalog = *(*task)->catalog;
+    const Corpus& corpus = *(*task)->corpus;
+    SessionOptions options;
+    options.strategy = StrategyKind::kSimulation;
+    RefinementSession session(catalog, (*task)->initial_program,
+                              (*task)->developer.get(), options);
+    auto result = session.Run();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status();
+
+    std::vector<Program> versions = {(*task)->initial_program};
+    for (const IterationRecord& rec : result->iterations) {
+      for (size_t i = 0; i < rec.questions.size(); ++i) {
+        Program next = versions.back();
+        ASSERT_TRUE(
+            ApplyAnswer(&next, catalog, rec.questions[i], rec.answers[i])
+                .ok())
+            << name;
+        versions.push_back(std::move(next));
+      }
+    }
+
+    auto dump = [&](const Executor& exec, const Result<CompactTable>& r) {
+      if (!r.ok()) return r.status().ToString();
+      std::string out = r->ToString(&corpus);
+      std::map<std::string, const CompactTable*> idb;
+      for (const auto& [pred, table] : exec.last_idb()) {
+        idb[pred] = table.get();
+      }
+      for (const auto& [pred, table] : idb) {
+        out += "\n" + pred + ": " + table->ToString(&corpus);
+      }
+      out += "\nsizes " + std::to_string(exec.stats().process_assignments) +
+             " " + std::to_string(exec.stats().process_values);
+      return out;
+    };
+    const Catalog subset = catalog.CloneWithSampledTables(0.3, 7);
+    ReuseCache cache;
+    // Every table an Execute handed out, kept alive so addresses are not
+    // reused.
+    std::vector<SharedTable> seen;
+    auto was_seen = [&](const SharedTable& t) {
+      return std::find(seen.begin(), seen.end(), t) != seen.end();
+    };
+    size_t served_by_content = 0;
+    auto check = [&](const Program& prog) {
+      Executor cached(subset);
+      Result<CompactTable> r = cached.Execute(prog, &cache);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status();
+      Executor plain(subset);
+      ASSERT_EQ(dump(cached, r), dump(plain, plain.Execute(prog)))
+          << name << ":\n" << prog.ToString();
+      auto unfolded = prog.Unfold(subset);
+      ASSERT_TRUE(unfolded.ok()) << name;
+      for (const Rule& rule : unfolded->rules()) {
+        auto out = cached.last_idb().find(rule.head.predicate);
+        if (out == cached.last_idb().end() || !was_seen(out->second)) continue;
+        for (const Literal& lit : rule.body) {
+          if (lit.kind != Literal::Kind::kAtom) continue;
+          auto in = cached.last_idb().find(lit.atom.predicate);
+          if (in != cached.last_idb().end() && !was_seen(in->second)) {
+            ++served_by_content;
+          }
+        }
+      }
+      for (const auto& [pred, table] : cached.last_idb()) {
+        if (!was_seen(table)) seen.push_back(table);
+      }
+    };
+    for (const Program& version : versions) {
+      cache.NewGeneration();  // as each question selection does
+      check(version);
+      ReuseCache::BatchScope batch(&cache);
+      for (const AttributeRef& attr : RankAttributes(version, catalog)) {
+        for (const std::string& fname : catalog.features().names()) {
+          auto feature = catalog.features().Get(fname);
+          ASSERT_TRUE(feature.ok()) << fname;
+          if ((*feature)->AnswerSpace().empty()) continue;  // not yes/no
+          const Question q{attr, fname};
+          for (const Answer& answer :
+               CandidateAnswers(q, **feature, corpus, {})) {
+            Program refined = version;
+            if (!ApplyAnswer(&refined, catalog, q, answer).ok()) continue;
+            check(refined);
+          }
+        }
+      }
+    }
+    EXPECT_GT(served_by_content, 0u) << name;
   }
 }
 
